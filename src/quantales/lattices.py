@@ -35,6 +35,101 @@ class Verdict:
         return self.holds
 
 
+# Whole-table kernels.  Each check builds its failure mask in the scan order
+# of the loop it stands for (row-major over the loop's indices, restricted to
+# the loop's triangle), so the first True entry is the first witness that loop
+# would have met.  Blocks keep every n x n x n temporary within 2**13 entries:
+# at 8 bytes an entry that is 64 KiB, below the 128 KiB from which malloc
+# maps fresh pages.  Larger temporaries get fresh pages or reused ones
+# depending on incidental heap layout, so the same call costs more in some
+# processes than in others.
+
+_BLOCK = 1 << 13
+
+
+def blocks(n, width):
+    """Row-major blocks of the n x n index grid, as (rows, cols) slice pairs.
+
+    A block has at most 2**13 // width cells (one at the least), so a
+    temporary holding width entries per cell stays within 2**13 entries.
+    """
+    cells = max(1, _BLOCK // max(width, 1))
+    if cells >= n:
+        step = cells // max(n, 1)
+        for start in range(0, n, step):
+            yield slice(start, start + step), slice(0, n)
+    else:
+        for i in range(n):
+            for start in range(0, n, cells):
+                yield slice(i, i + 1), slice(start, start + cells)
+
+
+def first_true(mask):
+    'Index tuple of the first True entry of mask in row-major order, or None.'
+    if mask.size:
+        k = mask.argmax()
+        if mask.flat[k]:
+            return tuple(int(i) for i in np.unravel_index(k, mask.shape))
+    return None
+
+
+def first_law_failure(masks):
+    'First (x, y) where some mask holds, with the index of the first mask holding there.'
+    union = masks[0]
+    for mask in masks[1:]:
+        union = union | mask
+    hit = first_true(union)
+    if hit is None:
+        return None
+    return hit + (next(k for k, mask in enumerate(masks) if mask[hit]),)
+
+
+def unpreserved(mapping, tables):
+    'Per (source, target) table pair, where mapping[source[x, y]] != target[mapping[x], mapping[y]].'
+    f = np.asarray(mapping, dtype=np.intp)
+    return [f[source] != target[f[:, None], f] for source, target in tables]
+
+
+def first_in_blocks(n, failures):
+    """First (x, y, z) in row-major order where failures(rows, cols) holds, or None.
+
+    failures returns the mask for x in rows and y in cols, of shape
+    (rows, cols, n); the blocks of the n x n grid are scanned in order.
+    """
+    for rows, cols in blocks(n, n):
+        hit = first_true(failures(rows, cols))
+        if hit is not None:
+            return hit[0] + rows.start, hit[1] + cols.start, hit[2]
+    return None
+
+
+def distributivity_failure(times, join):
+    'First (x, y, z) with z >= y where times[x, y v z] != times[x, y] v times[x, z], or None.'
+    ar = np.arange(len(join))
+
+    def failures(rows, cols):
+        t = times[rows]
+        unequal = t[:, join[cols]] != join[t[:, cols, None], t[:, None, :]]
+        return unequal & (ar[cols, None] <= ar)
+
+    return first_in_blocks(len(join), failures)
+
+
+def _least_bounds(leq):
+    'Least common upper bound of every pair under leq, and the mask of pairs without one.'
+    n = len(leq)
+    up = leq.sum(axis=1)
+    best = np.empty((n, n), dtype=np.intp)
+    count = np.empty((n, n), dtype=np.intp)
+    for rows, cols in blocks(n, n):
+        common = leq[rows, None, :] & leq[None, cols, :]
+        # a least common bound lies below all the others, so it alone has the
+        # largest up-set, and that up-set is exactly the common bounds
+        best[rows, cols] = (common * up).argmax(axis=2)
+        count[rows, cols] = common.sum(axis=2)
+    return best, up[best] != count
+
+
 class FinitePoset:
     'Finite partial order over an indexed tuple of unique labels.'
 
@@ -46,18 +141,18 @@ class FinitePoset:
         leq = np.array(leq, dtype=bool)
         if leq.shape != (n, n):
             raise NotAPoset('relation shape %r does not match %d elements' % (leq.shape, n))
-        for i in range(n):
-            if not leq[i, i]:
-                raise NotAPoset('not reflexive at %r' % (self.elements[i],))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i, j] and leq[j, i]:
-                    raise NotAPoset(
-                        'not antisymmetric: %r and %r' % (self.elements[i], self.elements[j]))
-        two_step = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-        gap = two_step & ~leq
-        if gap.any():
-            i, j = (int(v[0]) for v in np.nonzero(gap))
+        diagonal = leq.diagonal()
+        if not diagonal.all():
+            raise NotAPoset('not reflexive at %r' % (self.elements[int(diagonal.argmin())],))
+        ar = np.arange(n)
+        hit = first_true(leq & leq.T & (ar[:, None] < ar))
+        if hit is not None:
+            i, j = hit
+            raise NotAPoset(
+                'not antisymmetric: %r and %r' % (self.elements[i], self.elements[j]))
+        hit = first_true((leq @ leq) & ~leq)
+        if hit is not None:
+            i, j = hit
             raise NotAPoset(
                 'not transitive: missing %r <= %r' % (self.elements[i], self.elements[j]))
         leq.setflags(write=False)
@@ -74,17 +169,9 @@ class FinitePoset:
     def covers(self):
         'Hasse diagram edges as pairs (lower, upper) of indices.'
         n = len(self)
-        leq = self.leq
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not leq[i, j]:
-                    continue
-                between = any(
-                    leq[i, k] and leq[k, j] for k in range(n) if k != i and k != j)
-                if not between:
-                    out.append((i, j))
-        return tuple(out)
+        strict = self.leq & (np.arange(n)[:, None] != np.arange(n))
+        lower, upper = np.nonzero(strict & ~(strict @ strict))
+        return tuple(zip(lower.tolist(), upper.tolist()))
 
 
 class FiniteLattice:
@@ -94,37 +181,24 @@ class FiniteLattice:
         self.poset = poset
         n = len(poset)
         leq = poset.leq
-        join = np.empty((n, n), dtype=np.intp)
-        meet = np.empty((n, n), dtype=np.intp)
-        for i in range(n):
-            for j in range(i, n):
-                join[i, j] = join[j, i] = self._unique_bound(i, j, upper=True)
-                meet[i, j] = meet[j, i] = self._unique_bound(i, j, upper=False)
+        join, no_join = _least_bounds(leq)
+        meet, no_meet = _least_bounds(np.ascontiguousarray(leq.T))
+        hit = first_law_failure((no_join, no_meet))
+        if hit is not None:
+            i, j, law = hit
+            raise NotALattice('no %s for %r and %r' % (
+                ('join', 'meet')[law], poset.elements[i], poset.elements[j]))
         join.setflags(write=False)
         meet.setflags(write=False)
         self.join_table = join
         self.meet_table = meet
-        bottoms = [k for k in range(n) if leq[k].all()]
-        tops = [k for k in range(n) if leq[:, k].all()]
-        # pairwise joins and meets force unique global bounds on a finite carrier
-        assert len(bottoms) == 1 and len(tops) == 1
-        self.bottom = bottoms[0]
-        self.top = tops[0]
-
-    def _unique_bound(self, i, j, upper):
-        leq = self.poset.leq
-        if upper:
-            bounds = np.nonzero(leq[i] & leq[j])[0]
-            extremal = [k for k in bounds if all(leq[k, m] for m in bounds)]
-            kind = 'join'
-        else:
-            bounds = np.nonzero(leq[:, i] & leq[:, j])[0]
-            extremal = [k for k in bounds if all(leq[m, k] for m in bounds)]
-            kind = 'meet'
-        if len(extremal) != 1:
-            raise NotALattice('no %s for %r and %r' % (
-                kind, self.poset.elements[i], self.poset.elements[j]))
-        return int(extremal[0])
+        bottoms = np.flatnonzero(leq.all(axis=1))
+        tops = np.flatnonzero(leq.all(axis=0))
+        # pairwise joins and meets force unique global bounds on a nonempty carrier
+        if len(bottoms) != 1 or len(tops) != 1:
+            raise LatticeError('no unique bottom and top among %d elements' % (n,))
+        self.bottom = int(bottoms[0])
+        self.top = int(tops[0])
 
     @property
     def elements(self):
@@ -187,14 +261,11 @@ def build_lattice(elements, leq_pairs):
 
 def is_distributive(lat):
     'Distributive law over all triples; the witness is the first failing (x, y, z).'
-    n = len(lat)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = lat.meet(x, lat.join(y, z))
-                rhs = lat.join(lat.meet(x, y), lat.meet(x, z))
-                if lhs != rhs:
-                    return Verdict(False, (lat.label(x), lat.label(y), lat.label(z)))
+    # both sides are symmetric in y and z, so the first failure of the full
+    # scan lies in the triangle z >= y that distributivity_failure searches
+    hit = distributivity_failure(lat.meet_table, lat.join_table)
+    if hit is not None:
+        return Verdict(False, tuple(lat.label(i) for i in hit))
     return Verdict(True)
 
 
@@ -266,14 +337,12 @@ class LatticeMorphism:
         mapping = tuple(int(m) for m in mapping)
         if len(mapping) != len(source):
             raise LatticeError('mapping length does not match source carrier')
-        for x in range(len(source)):
-            for y in range(x, len(source)):
-                if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
-                    raise LatticeError('join not preserved at %r, %r' % (
-                        source.label(x), source.label(y)))
-                if mapping[source.meet(x, y)] != target.meet(mapping[x], mapping[y]):
-                    raise LatticeError('meet not preserved at %r, %r' % (
-                        source.label(x), source.label(y)))
+        hit = first_law_failure(unpreserved(mapping, (
+            (source.join_table, target.join_table), (source.meet_table, target.meet_table))))
+        if hit is not None:
+            x, y, law = hit
+            raise LatticeError('%s not preserved at %r, %r' % (
+                ('join', 'meet')[law], source.label(x), source.label(y)))
         if mapping[source.bottom] != target.bottom or mapping[source.top] != target.top:
             raise LatticeError('bounds not preserved')
         self.source = source

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from quantales.lattices import Verdict, lattice_boolean_center
+import numpy as np
+
+from quantales.lattices import Verdict, first_true, lattice_boolean_center
 from quantales.quantale import (
     IntervalQuantale,
     QuantaleError,
@@ -33,38 +35,29 @@ def has_lp(q):
     return Verdict(True)
 
 
-def _separating_pair(q, a, b, pool):
-    for e in pool:
-        if q.join(a, e) != q.top:
-            continue
-        for f in pool:
-            if q.join(b, f) == q.top and q.mul(e, f) == q.bottom:
-                return e, f
-    return None
+def _normality(q, pool):
+    """Whether every a v b = 1 splits by e, f in pool with a v e = b v f = 1 and
+    e*f = 0; the witness is the first unsplit (a, b) in row-major order."""
+    pool = np.asarray(pool, dtype=np.intp)
+    coprime = q.lattice.join_table == q.top
+    reach = coprime[:, pool]
+    disjoint = q.mul_table[np.ix_(pool, pool)] == q.bottom
+    # split[a, b]: some e, f in pool with a v e = 1, e*f = 0 and b v f = 1
+    split = (reach @ disjoint) @ reach.T
+    hit = first_true(coprime & ~split)
+    if hit is not None:
+        return Verdict(False, tuple(q.label(i) for i in hit))
+    return Verdict(True)
 
 
 def is_normal(q):
     'Every cover a v b = 1 splits by e, f with a v e = b v f = 1 and e*f = 0.'
-    pool = range(len(q))
-    for a in range(len(q)):
-        for b in range(len(q)):
-            if q.join(a, b) != q.top:
-                continue
-            if _separating_pair(q, a, b, pool) is None:
-                return Verdict(False, (q.label(a), q.label(b)))
-    return Verdict(True)
+    return _normality(q, range(len(q)))
 
 
 def is_b_normal(q):
     'Normality with the separating pair drawn from the Boolean center.'
-    pool = q.center
-    for a in range(len(q)):
-        for b in range(len(q)):
-            if q.join(a, b) != q.top:
-                continue
-            if _separating_pair(q, a, b, pool) is None:
-                return Verdict(False, (q.label(a), q.label(b)))
-    return Verdict(True)
+    return _normality(q, q.center)
 
 
 def is_hyperarchimedean(q):

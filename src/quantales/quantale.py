@@ -7,7 +7,9 @@ from itertools import product as cartesian
 
 import numpy as np
 
-from quantales.lattices import DistLattice, FiniteLattice, FinitePoset, Verdict
+from quantales.lattices import (
+    DistLattice, FiniteLattice, FinitePoset, Verdict, blocks, distributivity_failure,
+    first_in_blocks, first_law_failure, first_true, unpreserved)
 
 
 class QuantaleError(Exception):
@@ -70,35 +72,42 @@ class Quantale:
     def _validate(lattice, mul):
         n = len(lattice)
         lab = lattice.label
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mul[i, j] != mul[j, i]:
-                    raise NotCommutative(
-                        'x*y != y*x at (%r, %r)' % (lab(i), lab(j)), (lab(i), lab(j)))
-        top = lattice.top
-        for x in range(n):
-            if mul[x, top] != x:
-                raise NotUnital('x*1 != x at %r' % (lab(x),), (lab(x),))
+        # the mask is symmetric, so its first entry has i < j
+        hit = first_true(mul != mul.T)
+        if hit is not None:
+            i, j = hit
+            raise NotCommutative(
+                'x*y != y*x at (%r, %r)' % (lab(i), lab(j)), (lab(i), lab(j)))
+        ar = np.arange(n)
+        hit = first_true(mul[:, lattice.top] != ar)
+        if hit is not None:
+            x = hit[0]
+            raise NotUnital('x*1 != x at %r' % (lab(x),), (lab(x),))
         bottom = lattice.bottom
-        for x in range(n):
-            # multiplying by the empty join must give the empty join
-            if mul[x, bottom] != bottom:
-                raise NotDistributive('x*0 != 0 at %r' % (lab(x),), (lab(x),))
-        for x in range(n):
-            for y in range(n):
-                for z in range(y, n):
-                    j = lattice.join(y, z)
-                    if mul[x, j] != lattice.join(mul[x, y], mul[x, z]):
-                        raise NotDistributive(
-                            'x*(y v z) != x*y v x*z at (%r, %r, %r)' % (lab(x), lab(y), lab(z)),
-                            (lab(x), lab(y), lab(z)))
-        for x in range(n):
-            for y in range(x, n):
-                for z in range(y, n):
-                    if mul[mul[x, y], z] != mul[x, mul[y, z]]:
-                        raise NotAssociative(
-                            '(x*y)*z != x*(y*z) at (%r, %r, %r)' % (lab(x), lab(y), lab(z)),
-                            (lab(x), lab(y), lab(z)))
+        # multiplying by the empty join must give the empty join
+        hit = first_true(mul[:, bottom] != bottom)
+        if hit is not None:
+            x = hit[0]
+            raise NotDistributive('x*0 != 0 at %r' % (lab(x),), (lab(x),))
+        hit = distributivity_failure(mul, lattice.join_table)
+        if hit is not None:
+            x, y, z = (lab(i) for i in hit)
+            raise NotDistributive(
+                'x*(y v z) != x*y v x*z at (%r, %r, %r)' % (x, y, z), (x, y, z))
+
+        def unassociative(rows, cols):
+            xs, ys = ar[rows, None, None], ar[cols, None]
+            # [x, y, z]: (x*y)*z against x*(y*z), over x <= y <= z only; that
+            # compares two of the three bracketings of each triple, so a table
+            # whose third bracketing differs passes (one six-chain table does)
+            unequal = mul[mul[rows, cols]] != mul[xs, mul[cols]]
+            return unequal & (xs <= ys) & (ys <= ar)
+
+        hit = first_in_blocks(n, unassociative)
+        if hit is not None:
+            x, y, z = (lab(i) for i in hit)
+            raise NotAssociative(
+                '(x*y)*z != x*(y*z) at (%r, %r, %r)' % (x, y, z), (x, y, z))
 
     @property
     def elements(self):
@@ -139,48 +148,44 @@ class Quantale:
     def mul(self, i, j):
         return int(self.mul_table[i, j])
 
-    def power(self, a, k):
-        'a^k for k >= 1.'
-        out = a
-        for _ in range(k - 1):
-            out = self.mul(out, a)
-        return out
+    @cached_property
+    def stable_powers(self):
+        'stable_powers[a] is the limit of the descending chain a >= a^2 >= a^3 >= ...'
+        ar = np.arange(len(self))
+        power, nxt = ar, self.mul_table[ar, ar]
+        while (nxt != power).any():
+            power, nxt = nxt, self.mul_table[nxt, ar]
+        power.setflags(write=False)
+        return power
 
     def stable_power(self, a):
         'Limit of the descending chain a >= a^2 >= a^3 >= ...'
-        prev = a
-        nxt = self.mul(a, a)
-        while nxt != prev:
-            prev, nxt = nxt, self.mul(nxt, a)
-        return prev
+        return int(self.stable_powers[a])
 
     @cached_property
     def spectrum(self):
         'Indices below top where x*y <= p forces x <= p or y <= p, ascending.'
         n = len(self)
-        out = []
-        for p in range(n):
-            if p == self.top:
-                continue
-            if all(self.leq(x, p) or self.leq(y, p)
-                   for x in range(n) for y in range(x, n)
-                   if self.leq(self.mul(x, y), p)):
-                out.append(p)
-        result = tuple(out)
-        for m in self._maximal_candidates():
+        leq = self.lattice.poset.leq
+        mul = self.mul_table
+        outside = ~leq
+        broken = np.zeros(n, dtype=bool)
+        for rows, cols in blocks(n, n):
+            # [x, y, p]: x*y <= p while neither x nor y is below p
+            bad = leq[mul[rows, cols]] & outside[rows, None, :] & outside[None, cols, :]
+            broken |= bad.any(axis=(0, 1))
+        broken[self.top] = True
+        result = tuple(np.flatnonzero(~broken).tolist())
+        for m in self.maximal_elements:
             # every maximal element is m-prime: a cover argument via distributivity
-            assert m in result, 'maximal element %r is not m-prime' % (self.label(m),)
+            if m not in result:
+                raise QuantaleError('maximal element %r is not m-prime' % (self.label(m),))
         return result
-
-    def _maximal_candidates(self):
-        n = len(self)
-        return tuple(
-            m for m in range(n) if m != self.top
-            and all(x == self.top or x == m for x in range(n) if self.leq(m, x)))
 
     @cached_property
     def maximal_elements(self):
-        return self._maximal_candidates()
+        'Elements whose up-set holds only themselves and top, ascending.'
+        return tuple(np.flatnonzero(self.lattice.poset.leq.sum(axis=1) == 2).tolist())
 
     @cached_property
     def radical_table(self):
@@ -198,21 +203,26 @@ class Quantale:
     @cached_property
     def center(self):
         'Indices of complemented elements: e v f = 1 and e*f = 0 for some f.'
-        n = len(self)
-        out = []
-        for e in range(n):
-            if any(self.join(e, f) == self.top and self.mul(e, f) == self.bottom
-                   for f in range(n)):
-                out.append(e)
-        out = tuple(out)
-        for e in range(n):
-            # cross-check the complement definition against e v (e -> 0) = 1
-            assert (e in out) == (self.join(e, negation(self, e)) == self.top)
-        for e in out:
-            for x in range(n):
-                # central elements multiply like meet
-                assert self.mul(e, x) == self.meet(e, x)
-        return out
+        lattice = self.lattice
+        leq, join, mul = lattice.poset.leq, lattice.join_table, self.mul_table
+        annihilates = mul == self.bottom
+        complemented = ((join == self.top) & annihilates).any(axis=1)
+        # cross-check the complement definition against e v (e -> 0) = 1; the
+        # negation e -> 0 joins the x with e*x = 0, and that join is the common
+        # upper bound with the largest up-set
+        bounds = ~(annihilates @ ~leq)
+        negations = (bounds * leq.sum(axis=1)).argmax(axis=1)
+        hit = first_true(complemented != (join[np.arange(len(self)), negations] == self.top))
+        if hit is not None:
+            raise QuantaleError('complements and negations disagree at %r' % (
+                self.label(hit[0]),))
+        # central elements multiply like meet
+        hit = first_true((mul != lattice.meet_table) & complemented[:, None])
+        if hit is not None:
+            e, x = hit
+            raise QuantaleError('central element %r does not multiply like meet with %r' % (
+                self.label(e), self.label(x)))
+        return tuple(np.flatnonzero(complemented).tolist())
 
 
 def build_quantale(lattice, mul):
@@ -316,14 +326,13 @@ class QuantaleMorphism:
             raise QuantaleError('mapping length does not match source carrier')
         if mapping[source.bottom] != target.bottom:
             raise QuantaleError('bottom not preserved')
-        for x in range(len(source)):
-            for y in range(x, len(source)):
-                if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
-                    raise QuantaleError('join not preserved at %r, %r' % (
-                        source.label(x), source.label(y)))
-                if mapping[source.mul(x, y)] != target.mul(mapping[x], mapping[y]):
-                    raise QuantaleError('multiplication not preserved at %r, %r' % (
-                        source.label(x), source.label(y)))
+        hit = first_law_failure(unpreserved(mapping, (
+            (source.lattice.join_table, target.lattice.join_table),
+            (source.mul_table, target.mul_table))))
+        if hit is not None:
+            x, y, law = hit
+            raise QuantaleError('%s not preserved at %r, %r' % (
+                ('join', 'multiplication')[law], source.label(x), source.label(y)))
         if unital and mapping[source.top] != target.top:
             raise QuantaleError('unit not preserved')
         self.source = source

@@ -12,11 +12,13 @@ from quantales.lattices import (
     LatticeIdeal,
     LatticeMorphism,
     NotAnIdeal,
+    first_law_failure,
     lattice_boolean_center,
     prime_ideals,
     maximal_ideals,
     principal_ideal,
     quotient_by_ideal,
+    unpreserved,
 )
 from quantales.quantale import (
     NotUnital,
@@ -58,11 +60,7 @@ class Reticulation:
             for c in members:
                 lam[c] = ci
         self.lam = tuple(lam)
-        m = len(groups)
-        leq = np.zeros((m, m), dtype=bool)
-        for i in range(m):
-            for j in range(m):
-                leq[i, j] = source.leq(radicals[i], radicals[j])
+        leq = source.lattice.poset.leq[np.ix_(radicals, radicals)]
         labels = [source.label(rep) for rep in self.representatives]
         self.lattice = DistLattice(FinitePoset(labels, leq))
         self._verify()
@@ -75,25 +73,21 @@ class Reticulation:
 
     def _verify(self):
         source, lam, lattice = self.source, self.lam, self.lattice
-        n = len(source)
         if set(lam) != set(range(len(self.classes))):
             raise AxiomViolation('class map is not surjective')
-        for a in range(n):
-            for b in range(n):
-                joined = lam[source.join(a, b)]
-                if joined != lattice.join(lam[a], lam[b]):
-                    raise AxiomViolation(
-                        'join not classwise at %r, %r' % (source.label(a), source.label(b)))
-                times = lam[source.mul(a, b)]
-                if times != lattice.meet(lam[a], lam[b]):
-                    raise AxiomViolation(
-                        'product does not meet classwise at %r, %r' % (
-                            source.label(a), source.label(b)))
-                below = lattice.leq(lam[a], lam[b])
-                eventually = source.leq(source.stable_power(a), b)
-                if below != eventually:
-                    raise AxiomViolation(
-                        'power criterion fails at %r, %r' % (source.label(a), source.label(b)))
+        classes = np.asarray(lam)
+        masks = unpreserved(classes, (
+            (source.lattice.join_table, lattice.join_table),
+            (source.mul_table, lattice.meet_table)))
+        # [a, b]: class(a) <= class(b) against a's stable power lying below b
+        below = lattice.poset.leq[classes[:, None], classes]
+        masks.append(below != source.lattice.poset.leq[source.stable_powers])
+        hit = first_law_failure(masks)
+        if hit is not None:
+            a, b, law = hit
+            raise AxiomViolation(
+                ('join not classwise at %r, %r', 'product does not meet classwise at %r, %r',
+                 'power criterion fails at %r, %r')[law] % (source.label(a), source.label(b)))
         if lam[source.bottom] != lattice.bottom or lam[source.top] != lattice.top:
             raise AxiomViolation('bounds not preserved by the class map')
 

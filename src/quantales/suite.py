@@ -19,7 +19,7 @@ from . import io
 from .lattices import (
     LatticeError, all_ideals, complement_of, has_id_blp, lattice_is_b_normal,
     lattice_is_id_local, lattice_is_normal, maximal_ideals, prime_ideals,
-    DistLattice, FiniteLattice, FinitePoset, NotALattice, NotAPoset)
+    DistLattice, FiniteLattice, FinitePoset, NotALattice, NotAPoset, first_true)
 from .properties import (
     element_has_lp, has_lp, has_property_star, hyperarchimedean_equivalents,
     is_b_normal, is_hyperarchimedean, is_local, is_normal, is_semilocal,
@@ -362,9 +362,15 @@ def _check_axioms(member):
     q = member.quantale
     Quantale(q.lattice, q.mul_table)
     again = io.parse_instance(io.emit_instance(q, member.generator))
-    assert again.elements == q.elements
-    assert (again.mul_table == q.mul_table).all()
-    assert (again.lattice.poset.leq == q.lattice.poset.leq).all()
+    if again.elements != q.elements:
+        return REFUTED, 'round trip changes the elements'
+    for part, before, after in (
+            ('multiplication', q.mul_table, again.mul_table),
+            ('order', q.lattice.poset.leq, again.lattice.poset.leq)):
+        hit = first_true(before != after)
+        if hit is not None:
+            return REFUTED, 'round trip changes the %s at (%r, %r)' % (
+                part, q.label(hit[0]), q.label(hit[1]))
     return PASS, '%d elements' % len(q)
 
 

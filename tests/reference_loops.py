@@ -1,0 +1,282 @@
+"""Reference loops for the whole-table kernels.
+
+These are the scalar loops the library used before its checks became
+numpy kernels over whole tables.  They stay here as test oracles only:
+test_kernels.py requires every kernel to give the same tables or verdict,
+or to raise the same exception class with the same message and witness,
+as the loop it replaced.  Nothing under src/ imports this module.
+"""
+
+import numpy as np
+
+from quantales.lattices import LatticeError, NotALattice, NotAPoset, Verdict
+from quantales.quantale import (
+    NotAssociative, NotCommutative, NotDistributive, NotUnital, QuantaleError,
+    negation)
+from quantales.reticulation import AxiomViolation
+
+
+def poset_checks(elements, leq):
+    'The FinitePoset checks: reflexivity and antisymmetry in scan order, then transitivity.'
+    elements = tuple(elements)
+    n = len(elements)
+    for i in range(n):
+        if not leq[i, i]:
+            raise NotAPoset('not reflexive at %r' % (elements[i],))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i, j] and leq[j, i]:
+                raise NotAPoset(
+                    'not antisymmetric: %r and %r' % (elements[i], elements[j]))
+    two_step = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+    gap = two_step & ~leq
+    if gap.any():
+        i, j = (int(v[0]) for v in np.nonzero(gap))
+        raise NotAPoset(
+            'not transitive: missing %r <= %r' % (elements[i], elements[j]))
+
+
+def covers(poset):
+    'Hasse diagram edges as pairs (lower, upper) of indices.'
+    n = len(poset)
+    leq = poset.leq
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq[i, j]:
+                continue
+            between = any(
+                leq[i, k] and leq[k, j] for k in range(n) if k != i and k != j)
+            if not between:
+                out.append((i, j))
+    return tuple(out)
+
+
+def _unique_bound(poset, i, j, upper):
+    leq = poset.leq
+    if upper:
+        bounds = np.nonzero(leq[i] & leq[j])[0]
+        extremal = [k for k in bounds if all(leq[k, m] for m in bounds)]
+        kind = 'join'
+    else:
+        bounds = np.nonzero(leq[:, i] & leq[:, j])[0]
+        extremal = [k for k in bounds if all(leq[m, k] for m in bounds)]
+        kind = 'meet'
+    if len(extremal) != 1:
+        raise NotALattice('no %s for %r and %r' % (
+            kind, poset.elements[i], poset.elements[j]))
+    return int(extremal[0])
+
+
+def lattice_tables(poset):
+    'Join table, meet table, bottom and top as FiniteLattice built them.'
+    n = len(poset)
+    leq = poset.leq
+    join = np.empty((n, n), dtype=np.intp)
+    meet = np.empty((n, n), dtype=np.intp)
+    for i in range(n):
+        for j in range(i, n):
+            join[i, j] = join[j, i] = _unique_bound(poset, i, j, upper=True)
+            meet[i, j] = meet[j, i] = _unique_bound(poset, i, j, upper=False)
+    bottoms = [k for k in range(n) if leq[k].all()]
+    tops = [k for k in range(n) if leq[:, k].all()]
+    # pairwise joins and meets force unique global bounds on a finite carrier
+    assert len(bottoms) == 1 and len(tops) == 1
+    return join, meet, bottoms[0], tops[0]
+
+
+def is_distributive(lat):
+    'Distributive law over all triples; the witness is the first failing (x, y, z).'
+    n = len(lat)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                lhs = lat.meet(x, lat.join(y, z))
+                rhs = lat.join(lat.meet(x, y), lat.meet(x, z))
+                if lhs != rhs:
+                    return Verdict(False, (lat.label(x), lat.label(y), lat.label(z)))
+    return Verdict(True)
+
+
+def lattice_morphism_checks(source, target, mapping):
+    'The validation LatticeMorphism ran on a mapping, in its scan order.'
+    mapping = tuple(int(m) for m in mapping)
+    if len(mapping) != len(source):
+        raise LatticeError('mapping length does not match source carrier')
+    for x in range(len(source)):
+        for y in range(x, len(source)):
+            if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
+                raise LatticeError('join not preserved at %r, %r' % (
+                    source.label(x), source.label(y)))
+            if mapping[source.meet(x, y)] != target.meet(mapping[x], mapping[y]):
+                raise LatticeError('meet not preserved at %r, %r' % (
+                    source.label(x), source.label(y)))
+    if mapping[source.bottom] != target.bottom or mapping[source.top] != target.top:
+        raise LatticeError('bounds not preserved')
+
+
+def validate(lattice, mul):
+    'The quantale axioms in the order Quantale._validate scanned them.'
+    n = len(lattice)
+    lab = lattice.label
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mul[i, j] != mul[j, i]:
+                raise NotCommutative(
+                    'x*y != y*x at (%r, %r)' % (lab(i), lab(j)), (lab(i), lab(j)))
+    top = lattice.top
+    for x in range(n):
+        if mul[x, top] != x:
+            raise NotUnital('x*1 != x at %r' % (lab(x),), (lab(x),))
+    bottom = lattice.bottom
+    for x in range(n):
+        # multiplying by the empty join must give the empty join
+        if mul[x, bottom] != bottom:
+            raise NotDistributive('x*0 != 0 at %r' % (lab(x),), (lab(x),))
+    for x in range(n):
+        for y in range(n):
+            for z in range(y, n):
+                j = lattice.join(y, z)
+                if mul[x, j] != lattice.join(mul[x, y], mul[x, z]):
+                    raise NotDistributive(
+                        'x*(y v z) != x*y v x*z at (%r, %r, %r)' % (lab(x), lab(y), lab(z)),
+                        (lab(x), lab(y), lab(z)))
+    for x in range(n):
+        for y in range(x, n):
+            for z in range(y, n):
+                if mul[mul[x, y], z] != mul[x, mul[y, z]]:
+                    raise NotAssociative(
+                        '(x*y)*z != x*(y*z) at (%r, %r, %r)' % (lab(x), lab(y), lab(z)),
+                        (lab(x), lab(y), lab(z)))
+
+
+def stable_power(q, a):
+    'Limit of the descending chain a >= a^2 >= a^3 >= ...'
+    prev = a
+    nxt = q.mul(a, a)
+    while nxt != prev:
+        prev, nxt = nxt, q.mul(nxt, a)
+    return prev
+
+
+def maximal_candidates(q):
+    n = len(q)
+    return tuple(
+        m for m in range(n) if m != q.top
+        and all(x == q.top or x == m for x in range(n) if q.leq(m, x)))
+
+
+def spectrum(q):
+    'Indices below top where x*y <= p forces x <= p or y <= p, ascending.'
+    n = len(q)
+    out = []
+    for p in range(n):
+        if p == q.top:
+            continue
+        if all(q.leq(x, p) or q.leq(y, p)
+               for x in range(n) for y in range(x, n)
+               if q.leq(q.mul(x, y), p)):
+            out.append(p)
+    result = tuple(out)
+    for m in maximal_candidates(q):
+        # every maximal element is m-prime: a cover argument via distributivity
+        assert m in result, 'maximal element %r is not m-prime' % (q.label(m),)
+    return result
+
+
+def center(q):
+    'Indices of complemented elements: e v f = 1 and e*f = 0 for some f.'
+    n = len(q)
+    out = []
+    for e in range(n):
+        if any(q.join(e, f) == q.top and q.mul(e, f) == q.bottom
+               for f in range(n)):
+            out.append(e)
+    out = tuple(out)
+    for e in range(n):
+        # cross-check the complement definition against e v (e -> 0) = 1
+        assert (e in out) == (q.join(e, negation(q, e)) == q.top)
+    for e in out:
+        for x in range(n):
+            # central elements multiply like meet
+            assert q.mul(e, x) == q.meet(e, x)
+    return out
+
+
+def quantale_morphism_checks(source, target, mapping, unital=True):
+    'The validation QuantaleMorphism ran on a mapping, in its scan order.'
+    mapping = tuple(int(m) for m in mapping)
+    if len(mapping) != len(source):
+        raise QuantaleError('mapping length does not match source carrier')
+    if mapping[source.bottom] != target.bottom:
+        raise QuantaleError('bottom not preserved')
+    for x in range(len(source)):
+        for y in range(x, len(source)):
+            if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
+                raise QuantaleError('join not preserved at %r, %r' % (
+                    source.label(x), source.label(y)))
+            if mapping[source.mul(x, y)] != target.mul(mapping[x], mapping[y]):
+                raise QuantaleError('multiplication not preserved at %r, %r' % (
+                    source.label(x), source.label(y)))
+    if unital and mapping[source.top] != target.top:
+        raise QuantaleError('unit not preserved')
+
+
+def reticulation_verify(ret):
+    'The classwise laws Reticulation._verify checked, in its scan order.'
+    source, lam, lattice = ret.source, ret.lam, ret.lattice
+    n = len(source)
+    if set(lam) != set(range(len(ret.classes))):
+        raise AxiomViolation('class map is not surjective')
+    for a in range(n):
+        for b in range(n):
+            joined = lam[source.join(a, b)]
+            if joined != lattice.join(lam[a], lam[b]):
+                raise AxiomViolation(
+                    'join not classwise at %r, %r' % (source.label(a), source.label(b)))
+            times = lam[source.mul(a, b)]
+            if times != lattice.meet(lam[a], lam[b]):
+                raise AxiomViolation(
+                    'product does not meet classwise at %r, %r' % (
+                        source.label(a), source.label(b)))
+            below = lattice.leq(lam[a], lam[b])
+            eventually = source.leq(stable_power(source, a), b)
+            if below != eventually:
+                raise AxiomViolation(
+                    'power criterion fails at %r, %r' % (source.label(a), source.label(b)))
+    if lam[source.bottom] != lattice.bottom or lam[source.top] != lattice.top:
+        raise AxiomViolation('bounds not preserved by the class map')
+
+
+def _separating_pair(q, a, b, pool):
+    for e in pool:
+        if q.join(a, e) != q.top:
+            continue
+        for f in pool:
+            if q.join(b, f) == q.top and q.mul(e, f) == q.bottom:
+                return e, f
+    return None
+
+
+def is_normal(q):
+    'Every cover a v b = 1 splits by e, f with a v e = b v f = 1 and e*f = 0.'
+    pool = range(len(q))
+    for a in range(len(q)):
+        for b in range(len(q)):
+            if q.join(a, b) != q.top:
+                continue
+            if _separating_pair(q, a, b, pool) is None:
+                return Verdict(False, (q.label(a), q.label(b)))
+    return Verdict(True)
+
+
+def is_b_normal(q):
+    'Normality with the separating pair drawn from the Boolean center.'
+    pool = q.center
+    for a in range(len(q)):
+        for b in range(len(q)):
+            if q.join(a, b) != q.top:
+                continue
+            if _separating_pair(q, a, b, pool) is None:
+                return Verdict(False, (q.label(a), q.label(b)))
+    return Verdict(True)

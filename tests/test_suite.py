@@ -1,8 +1,14 @@
 """Enumeration goldens, suite statuses, determinism, replay of refutations."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import quantales
 from quantales import io, suite
 from quantales.lattices import build_lattice
 from quantales.quantale import AxiomError, Quantale
@@ -160,3 +166,34 @@ def test_report_text_layout(corpus):
     assert text.splitlines()[0].startswith('members: Q1, C2')
     assert text.splitlines()[-1].startswith('timing:')
     assert 'result: PASS' in text
+
+
+ROUND_TRIP_CORRUPTED = textwrap.dedent("""
+    import json
+    from quantales import io, suite
+
+    emit = io.emit_instance
+
+    def corrupted(q, generator=None):
+        # 1*1 = 0 on the three-chain still parses: it is the quantale of Z/4
+        doc = json.loads(emit(q, generator))
+        doc['mul'] = [[x, y, '0' if [x, y] == ['1', '1'] else z] for x, y, z in doc['mul']]
+        return json.dumps(doc)
+
+    io.emit_instance = corrupted
+    member = suite.CorpusMember('C3', io.generate('chain:3,frame'), 'chain:3,frame')
+    result = suite._run_check(suite.CHECKS['quantale-axioms'], member)
+    print(__debug__, result.status, result.detail)
+""")
+
+
+def test_broken_round_trip_is_refuted_under_optimisation():
+    'The round-trip comparison is explicit, so python -O cannot strip it.'
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(quantales.__file__))
+    env['PYTHONPATH'] = os.pathsep.join(filter(None, [src, env.get('PYTHONPATH')]))
+    done = subprocess.run([sys.executable, '-O', '-c', ROUND_TRIP_CORRUPTED],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split('\n')[0] == (
+        "False REFUTED round trip changes the multiplication at ('1', '1')")
