@@ -3,9 +3,8 @@
 Run:  python3 demos/02_spectrum_and_radical.py
 """
 
-from quantales import (
-    generate, interval_quantale, jacobson_radical, kernel, radical_by_powers,
-    radical_frame)
+from quantales import generate, interval_quantale, jacobson_radical, kernel, radical_frame
+from quantales.oracles import radical_by_powers
 
 q = generate('zn:12')
 labels = lambda items: [q.label(i) for i in items]

@@ -46,11 +46,8 @@ def _analyze_lines(name, q):
         lines.append('jacobson radical: %s' % q.label(jacobson_radical(q)))
     except TrivialQuantale:
         pass
-    ret = reticulate(q)
-    classes = []
-    for c in range(len(ret)):
-        members = [q.label(a) for a in range(len(q)) if ret.lam[a] == c]
-        classes.append('[%s]' % ' '.join(map(str, members)))
+    classes = ['[%s]' % ' '.join(str(q.label(a)) for a in members)
+               for members in reticulate(q).classes]
     lines.append('quotient classes: %s' % ' '.join(classes))
     report = PropertyReport.analyze(q)
     if report.trivial:
@@ -112,24 +109,21 @@ def _cmd_verify(args):
 
 def _cmd_enumerate(args):
     try:
-        quantales = suite.enumerate_quantales(args.max_size)
+        corpus = suite.enumerated(args.max_size)
     except suite.BoundExceeded as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2
-    count = {}
-    for q in quantales:
-        n = len(q)
-        count[n] = count.get(n, 0) + 1
-        name = 'E%d.%d' % (n, count[n])
+    for member in corpus:
+        q = member.quantale
         if args.emit_dir:
             out = Path(args.emit_dir)
             out.mkdir(parents=True, exist_ok=True)
-            (out / ('%s.json' % name)).write_text(io.emit_instance(q), encoding='utf-8')
+            (out / ('%s.json' % member.name)).write_text(io.emit_instance(q), encoding='utf-8')
         report = PropertyReport.analyze(q)
         lifting = '-' if report.trivial else str(report.verdicts['lp'])
         print('%-6s size %d  maximal %d  center %d  lifting %s' % (
-            name, n, len(q.maximal_elements), len(q.center), lifting))
-    print('total: %d' % len(quantales))
+            member.name, len(q), len(q.maximal_elements), len(q.center), lifting))
+    print('total: %d' % len(corpus))
     return 0
 
 
@@ -178,10 +172,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print('error: %s' % exc, file=sys.stderr)
-        return 2
-    except (io.InstanceError, QuantaleError, LatticeError) as exc:
+    except (FileNotFoundError, io.InstanceError, QuantaleError, LatticeError) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2
 

@@ -10,13 +10,18 @@ omitted, and only one of ``[x, y, z]`` / ``[y, x, z]`` is required.
 import json
 import re
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt, prod
 
 from .lattices import LatticeError, build_lattice
 from .quantale import AxiomError, Quantale, product
 from .reticulation import reticulate
 
 FORMAT = 'quantale-instance/1'
+
+# the largest carrier any input path builds; boolean:10 reaches it
+MAX_ELEMENTS = 1024
+# the largest zn: modulus, whose divisor scan takes isqrt(n) steps
+MAX_MODULUS = 10 ** 12
 
 
 class InstanceError(Exception):
@@ -69,6 +74,8 @@ def parse_instance(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, 'line %d column %d' % (exc.lineno, exc.colno)) from None
+    except RecursionError:
+        raise ParseError('document nests too deeply', '$') from None
     return instance_from_dict(doc)
 
 
@@ -88,6 +95,9 @@ def instance_from_dict(doc):
     elements = _string_list(doc, 'elements')
     if not elements:
         raise ParseError('at least one element is required', 'elements')
+    if len(elements) > MAX_ELEMENTS:
+        raise ParseError('%d elements is too many, the bound is %d' % (
+            len(elements), MAX_ELEMENTS), 'elements')
     if len(set(elements)) != len(elements):
         raise ParseError('element labels are not unique', 'elements')
     index = {label: i for i, label in enumerate(elements)}
@@ -169,9 +179,19 @@ def _positive_int(text, what):
     return int(text)
 
 
+def _bounded(count, what):
+    if count > MAX_ELEMENTS:
+        raise InvalidParameter('%s would have %d elements, the bound is %d' % (
+            what, count, MAX_ELEMENTS))
+
+
 def _generate_zn(arg):
     n = _positive_int(arg, 'modulus')
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    if n > MAX_MODULUS:
+        raise InvalidParameter('modulus %d is too large, the bound is 10**12' % (n,))
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    divisors = small + [n // d for d in reversed(small) if d * d != n]
+    _bounded(len(divisors), 'zn:%d' % n)
     labels = [str(d) for d in divisors]
     # order is reverse divisibility: the ideal for d grows as d shrinks
     pairs = [(str(a), str(b)) for a in divisors for b in divisors if a % b == 0]
@@ -184,6 +204,7 @@ def _generate_zn(arg):
 def _generate_chain(arg):
     head, _, variant = arg.partition(',')
     k = _positive_int(head, 'chain length')
+    _bounded(k, 'chain:%d' % k)
     if variant != 'frame':
         raise InvalidParameter('unknown chain variant %r, expected "frame"' % (variant,))
     labels = [str(i) for i in range(k)]
@@ -248,6 +269,7 @@ def _generate_downsets(arg):
     downsets = [frozenset(s) for r in range(len(names) + 1)
                 for c in combinations(names, r)
                 for s in [set(c)] if all(below[n] <= s for n in s)]
+    _bounded(len(downsets), 'the down-set frame')
     return _frame_of_sets(downsets)
 
 
@@ -258,7 +280,9 @@ def _generate_product(arg):
     for part in parts:
         if part.startswith('product:'):
             raise InvalidParameter('nested products are not supported')
-    return product([generate(part) for part in parts])[0]
+    factors = [generate(part) for part in parts]
+    _bounded(prod(len(f) for f in factors), 'the product')
+    return product(factors)[0]
 
 
 _GENERATORS = {

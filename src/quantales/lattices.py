@@ -1,4 +1,4 @@
-'Finite posets, bounded distributive lattices, ideals, quotients, and normality checks.'
+'Finite posets, bounded distributive lattices, ideals and quotients.'
 
 from __future__ import annotations
 
@@ -243,11 +243,9 @@ class FiniteLattice:
 def build_lattice(elements, leq_pairs):
     'Lattice from order pairs on labels; the relation is closed reflexively and transitively.'
     elements = tuple(elements)
-    index = {}
-    for i, label in enumerate(elements):
-        if label in index:
-            raise NotAPoset('element labels are not unique')
-        index[label] = i
+    index = {label: i for i, label in enumerate(elements)}
+    if len(index) != len(elements):
+        raise NotAPoset('element labels are not unique')
     n = len(elements)
     rel = np.eye(n, dtype=bool)
     for a, b in leq_pairs:
@@ -278,10 +276,6 @@ class DistLattice(FiniteLattice):
         if not check:
             raise NotALattice('not distributive, witness %r' % (check.witness,))
 
-    @classmethod
-    def from_lattice(cls, lat):
-        return cls(lat.poset)
-
 
 class LatticeIdeal:
     'Join-closed down-set containing bottom; principal in any finite lattice.'
@@ -305,9 +299,6 @@ class LatticeIdeal:
     def generator(self):
         'Largest member; the ideal is exactly its down-set.'
         return self.lattice.join_all(self.members)
-
-    def is_proper(self):
-        return self.generator != self.lattice.top
 
     def labels(self):
         return tuple(self.lattice.label(i) for i in sorted(self.members))
@@ -362,23 +353,6 @@ class LatticeMorphism:
     def is_injective(self):
         return len(set(self.mapping)) == len(self.source)
 
-    def compose(self, inner):
-        'The composite mapping first through inner, then through this morphism.'
-        return LatticeMorphism(
-            inner.source, self.target, tuple(self.mapping[m] for m in inner.mapping))
-
-    def boolean_image(self):
-        'Images of the complemented source elements.'
-        return frozenset(self.mapping[e] for e in lattice_boolean_center(self.source))
-
-    def boolean_is_surjective(self):
-        'Whether every complemented target element lifts; witness is the stranded element.'
-        image = self.boolean_image()
-        for e in lattice_boolean_center(self.target):
-            if e not in image:
-                return Verdict(False, self.target.label(e))
-        return Verdict(True)
-
 
 def all_ideals(lat):
     'Every ideal, one per element since finite ideals are principal down-sets.'
@@ -430,105 +404,3 @@ def quotient_by_ideal(lat, ideal):
     to_class = {x: qi for qi, x in enumerate(reps)}
     mapping = tuple(to_class[lat.join(x, g)] for x in range(len(lat)))
     return quotient, LatticeMorphism(lat, quotient, mapping)
-
-
-def complement_of(lat, x):
-    'Index of the lattice complement of x, or None.'
-    for y in range(len(lat)):
-        if lat.join(x, y) == lat.top and lat.meet(x, y) == lat.bottom:
-            return y
-    return None
-
-
-def lattice_boolean_center(lat):
-    'Indices of the complemented elements, ascending.'
-    return tuple(x for x in range(len(lat)) if complement_of(lat, x) is not None)
-
-
-def has_id_blp(lat):
-    'Whether complemented elements lift along every ideal quotient.'
-    for ideal in all_ideals(lat):
-        quotient, p = quotient_by_ideal(lat, ideal)
-        lifted = p.boolean_is_surjective()
-        if not lifted:
-            return Verdict(False, (ideal, lifted.witness))
-    return Verdict(True)
-
-
-def _separating_pair(lat, a, b, pool):
-    for c in pool:
-        if lat.join(a, c) != lat.top:
-            continue
-        for d in pool:
-            if lat.join(b, d) == lat.top and lat.meet(c, d) == lat.bottom:
-                return c, d
-    return None
-
-
-def lattice_is_normal(lat):
-    'Every cover a v b = 1 splits by c, d with a v c = b v d = 1 and c ^ d = 0.'
-    pool = range(len(lat))
-    for a in range(len(lat)):
-        for b in range(len(lat)):
-            if lat.join(a, b) != lat.top:
-                continue
-            if _separating_pair(lat, a, b, pool) is None:
-                return Verdict(False, (lat.label(a), lat.label(b)))
-    return Verdict(True)
-
-
-def lattice_is_b_normal(lat):
-    'Normality with the separating pair drawn from the complemented elements.'
-    pool = lattice_boolean_center(lat)
-    for a in range(len(lat)):
-        for b in range(len(lat)):
-            if lat.join(a, b) != lat.top:
-                continue
-            if _separating_pair(lat, a, b, pool) is None:
-                return Verdict(False, (lat.label(a), lat.label(b)))
-    return Verdict(True)
-
-
-def lattice_is_id_local(lat):
-    'Exactly one maximal ideal.'
-    return len(maximal_ideals(lat)) == 1
-
-
-def find_lattice_isomorphism(source, target):
-    'Order isomorphism as an index mapping, or None; backtracking on degree profiles.'
-    if len(source) != len(target):
-        return None
-    n = len(source)
-
-    def profile(lat, x):
-        return (len(lat.down_set(x)), len(lat.up_set(x)))
-
-    src_prof = [profile(source, x) for x in range(n)]
-    tgt_prof = [profile(target, x) for x in range(n)]
-    if sorted(src_prof) != sorted(tgt_prof):
-        return None
-    assignment = [-1] * n
-    used = [False] * n
-
-    def extend(x):
-        if x == n:
-            return True
-        for y in range(n):
-            if used[y] or src_prof[x] != tgt_prof[y]:
-                continue
-            ok = all(
-                source.leq(x, z) == target.leq(y, assignment[z])
-                and source.leq(z, x) == target.leq(assignment[z], y)
-                for z in range(x))
-            if ok:
-                assignment[x] = y
-                used[y] = True
-                if extend(x + 1):
-                    return True
-                used[y] = False
-                assignment[x] = -1
-        return False
-
-    if extend(0):
-        return tuple(assignment)
-    return None

@@ -1,0 +1,60 @@
+"""Independent oracles that the law suite compares the library against.
+
+Each function decides a concept a second way, apart from the code it
+checks: the radical by iterating powers, the Boolean center, ideal lifting
+and localness on the lattice side, and normality by a plain loop.  Only the
+law suite and the tests import this module; no library module does, so an
+oracle never shares a fault with what it checks.
+"""
+
+from quantales.lattices import Verdict, all_ideals, maximal_ideals, quotient_by_ideal
+
+
+def radical_by_powers(q, a):
+    'Join of all c with a stable power below a.'
+    return q.join_all(c for c in range(len(q)) if q.leq(q.stable_power(c), a))
+
+
+def complement_of(lat, x):
+    'Index of the lattice complement of x, or None.'
+    for y in range(len(lat)):
+        if lat.join(x, y) == lat.top and lat.meet(x, y) == lat.bottom:
+            return y
+    return None
+
+
+def lattice_boolean_center(lat):
+    'Indices of the complemented elements, ascending.'
+    return tuple(x for x in range(len(lat)) if complement_of(lat, x) is not None)
+
+
+def has_id_blp(lat):
+    'Whether complemented elements lift along every ideal quotient; witness is (ideal, stranded label).'
+    center = lattice_boolean_center(lat)
+    for ideal in all_ideals(lat):
+        quotient, p = quotient_by_ideal(lat, ideal)
+        lifted = {p(e) for e in center}
+        for e in lattice_boolean_center(quotient):
+            if e not in lifted:
+                return Verdict(False, (ideal, quotient.label(e)))
+    return Verdict(True)
+
+
+def lattice_is_id_local(lat):
+    'Exactly one maximal ideal.'
+    return len(maximal_ideals(lat)) == 1
+
+
+def normal_witness(q, pool):
+    'First coprime pair with no separating pair in the pool, or None.'
+    n = len(q)
+    top, bottom = q.top, q.bottom
+    for a in range(n):
+        for b in range(n):
+            if q.join(a, b) != top:
+                continue
+            if not any(q.join(a, e) == top and q.join(b, f) == top
+                       and q.mul(e, f) == bottom
+                       for e in pool for f in pool):
+                return a, b
+    return None

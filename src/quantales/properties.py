@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from quantales.lattices import Verdict, first_true, lattice_boolean_center
+from quantales.lattices import Verdict, first_true
 from quantales.quantale import (
     IntervalQuantale,
     QuantaleError,
@@ -79,8 +79,7 @@ def hyperarchimedean_equivalents(q):
     r = reticulate(q)
     frame = radical_frame(q)
     by_powers = bool(is_hyperarchimedean(q))
-    reticulation_boolean = (
-        len(lattice_boolean_center(r.lattice)) == len(r.lattice))
+    reticulation_boolean = len(r.as_quantale.center) == len(r)
     max_is_spec = q.maximal_elements == q.spectrum
     legs = {
         'powers_reach_center': by_powers,
@@ -88,7 +87,7 @@ def hyperarchimedean_equivalents(q):
         'maximals_exhaust_spectrum': max_is_spec,
     }
     if is_semiprime(q):
-        center = lattice_boolean_center(frame.lattice)
+        center = frame.as_quantale.center
         # x is a join of complemented elements iff the complemented ones
         # below it already join to x
         legs['radical_frame_zero_dimensional'] = all(
@@ -145,7 +144,8 @@ def local_decomposition(q):
     # distinct maximals are top and their meet is the radical
     onto_product = decompose_by_elements(q, maxima)
     part = onto_product.source
-    assert part.anchor == r
+    if part.anchor != r:
+        raise QuantaleError('the maximal elements do not meet to the radical')
     target = onto_product.target
     back = {onto_product(x): x for x in range(len(part))}
     anchors = []

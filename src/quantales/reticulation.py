@@ -12,18 +12,17 @@ from quantales.lattices import (
     LatticeIdeal,
     LatticeMorphism,
     NotAnIdeal,
+    all_ideals,
     first_law_failure,
-    lattice_boolean_center,
     prime_ideals,
     maximal_ideals,
-    principal_ideal,
     quotient_by_ideal,
     unpreserved,
 )
 from quantales.quantale import (
     NotUnital,
+    Quantale,
     QuantaleError,
-    RadicalFrame,
     interval_quantale,
     radical_frame,
 )
@@ -68,8 +67,10 @@ class Reticulation:
     def __len__(self):
         return len(self.classes)
 
-    def class_of(self, c):
-        return self.lam[c]
+    @cached_property
+    def as_quantale(self):
+        'The quotient lattice as a quantale with multiplication equal to meet.'
+        return Quantale(self.lattice, self.lattice.meet_table)
 
     def _verify(self):
         source, lam, lattice = self.source, self.lam, self.lattice
@@ -98,45 +99,35 @@ def reticulate(q):
     return Reticulation(q)
 
 
-class StarMaps:
-    'The mutually adjoint maps between quantale elements and reticulation ideals.'
+def _star(r, a):
+    'Ideal of the classes of the elements below a.'
+    members = {r.lam[c] for c in range(len(r.source)) if r.source.leq(c, a)}
+    return LatticeIdeal(r.lattice, members)
 
-    def __init__(self, reticulation):
-        self.reticulation = reticulation
 
-    def star(self, a):
-        'Ideal of all classes of elements below a.'
-        r = self.reticulation
-        members = {r.lam[c] for c in range(len(r.source)) if r.source.leq(c, a)}
-        return LatticeIdeal(r.lattice, members)
-
-    def unstar(self, ideal):
-        'Join of all elements whose class lies in the ideal.'
-        r = self.reticulation
-        if ideal.lattice is not r.lattice:
-            raise NotAnIdeal('ideal does not live in this reticulation lattice')
-        return r.source.join_all(
-            c for c in range(len(r.source)) if r.lam[c] in ideal.members)
+def _unstar(r, ideal):
+    'Join of the elements whose class lies in the ideal.'
+    if ideal.lattice is not r.lattice:
+        raise NotAnIdeal('ideal does not live in this reticulation lattice')
+    return r.source.join_all(c for c in range(len(r.source)) if r.lam[c] in ideal.members)
 
 
 def star(q, a):
     'Ideal {class(c) : c <= a} in the reticulation lattice.'
-    return StarMaps(reticulate(q)).star(a)
+    return _star(reticulate(q), a)
 
 
 def unstar(q, ideal):
     'Join of the elements whose class belongs to the ideal.'
-    return StarMaps(reticulate(q)).unstar(ideal)
+    return _unstar(reticulate(q), ideal)
 
 
 def frame_iso(q):
     'The inverse frame isomorphisms between radical elements and reticulation ideals.'
     r = reticulate(q)
     frame = radical_frame(q)
-    maps = StarMaps(r)
-    phi = {a: maps.star(a) for a in frame.carrier}
-    psi = {ideal: maps.unstar(ideal) for ideal in
-           (principal_ideal(r.lattice, x) for x in range(len(r.lattice)))}
+    phi = {a: _star(r, a) for a in frame.carrier}
+    psi = {ideal: _unstar(r, ideal) for ideal in all_ideals(r.lattice)}
     if len(set(phi.values())) != len(phi) or set(psi) != set(phi.values()):
         raise QuantaleError('star map is not a bijection onto the ideals')
     for a, ideal in phi.items():
@@ -164,10 +155,9 @@ def frame_iso(q):
 def spectrum_homeomorphism(q):
     'Inverse bijections between the quantale spectrum and the prime reticulation ideals.'
     r = reticulate(q)
-    maps = StarMaps(r)
     primes = prime_ideals(r.lattice)
-    u = {p: maps.star(p) for p in q.spectrum}
-    v = {ideal: maps.unstar(ideal) for ideal in primes}
+    u = {p: _star(r, p) for p in q.spectrum}
+    v = {ideal: _unstar(r, ideal) for ideal in primes}
     if set(u.values()) != set(primes) or len(set(u.values())) != len(u):
         raise QuantaleError('spectrum does not biject with prime ideals')
     for p, ideal in u.items():
@@ -176,7 +166,7 @@ def spectrum_homeomorphism(q):
                 q.label(p),))
     for a in range(len(q)):
         closed = {u[p] for p in q.spectrum if q.leq(a, p)}
-        a_star = maps.star(a)
+        a_star = _star(r, a)
         closed_ideal = {P for P in primes if a_star.members <= P.members}
         if closed != closed_ideal:
             raise QuantaleError('closed-set correspondence fails at %r' % (q.label(a),))
@@ -219,7 +209,8 @@ def lift_morphism(u):
         mapping[ci] = images.pop()
     lifted = LatticeMorphism(ra.lattice, rb.lattice, tuple(mapping))
     for c in range(len(u.source)):
-        assert lifted(ra.lam[c]) == rb.lam[u(c)]
+        if lifted(ra.lam[c]) != rb.lam[u(c)]:
+            raise AxiomViolation('lifted map breaks the class maps at %r' % (u.source.label(c),))
     return lifted
 
 
@@ -256,8 +247,8 @@ def boolean_isos(q):
     r = reticulate(q)
     frame = radical_frame(q)
     center = q.center
-    center_l = lattice_boolean_center(r.lattice)
-    center_r = lattice_boolean_center(frame.lattice)
+    center_l = r.as_quantale.center
+    center_r = frame.as_quantale.center
     b_lambda = {e: r.lam[e] for e in center}
     b_rho = {e: frame.to_frame[q.radical_of(e)] for e in center}
     embedding = mu(q)
@@ -311,5 +302,6 @@ def check_unicity(reticulation, lattice, lam):
     if not (iso.is_injective() and iso.is_surjective()):
         raise NotAReticulation('comparison map is not bijective')
     for c in range(n):
-        assert iso(reticulation.lam[c]) == lam[c]
+        if iso(reticulation.lam[c]) != lam[c]:
+            raise NotAReticulation('comparison map breaks the class maps', (q.label(c),))
     return iso

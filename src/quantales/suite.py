@@ -17,20 +17,21 @@ import numpy as np
 
 from . import io
 from .lattices import (
-    LatticeError, all_ideals, complement_of, has_id_blp, lattice_is_b_normal,
-    lattice_is_id_local, lattice_is_normal, maximal_ideals, prime_ideals,
+    LatticeError, all_ideals, maximal_ideals, prime_ideals,
     DistLattice, FiniteLattice, FinitePoset, NotALattice, NotAPoset, first_true)
+from .oracles import (
+    complement_of, has_id_blp, lattice_is_id_local, normal_witness, radical_by_powers)
 from .properties import (
     element_has_lp, has_lp, has_property_star, hyperarchimedean_equivalents,
     is_b_normal, is_hyperarchimedean, is_local, is_normal, is_semilocal,
     local_decomposition)
 from .quantale import (
-    AxiomError, IntervalQuantale, PreconditionFailed, Quantale, QuantaleError,
+    AxiomError, IntervalQuantale, Quantale, QuantaleError,
     QuantaleMorphism, TrivialQuantale, decompose_by_elements,
     find_quantale_isomorphism, interval_quantale, jacobson_radical, kernel,
-    is_injective, negation, product, radical_by_powers, radical_frame, residuum)
+    is_injective, negation, product, radical_frame, residuum)
 from .reticulation import (
-    boolean_isos, check_unicity, frame_iso, interval_reticulation_iso, mu,
+    boolean_isos, check_unicity, frame_iso, interval_reticulation_iso,
     reticulate, spectrum_homeomorphism, star, unstar)
 
 PASS = 'PASS'
@@ -327,7 +328,8 @@ def _product_parts(member):
     if not member.generator or not member.generator.startswith('product:'):
         return None
     factors, prod, projections = _product_structure(member.generator)
-    assert prod.elements == member.quantale.elements
+    if prod.elements != member.quantale.elements:
+        raise QuantaleError('product rebuilt from %r differs' % (member.generator,))
     return factors, prod, projections
 
 
@@ -550,13 +552,12 @@ def _check_unicity(member):
         tuple(frame.to_frame[q.radical_of(a)] for a in range(len(q))))
     m = len(ret)
     swap = tuple(m - 1 - i for i in range(m))
-    relabeled = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            relabeled[swap[i], swap[j]] = ret.lattice.leq(i, j)
+    # relabeled[swap[i], swap[j]] = leq[i, j], and swap reverses the indices
+    relabeled = ret.lattice.poset.leq[::-1, ::-1]
     copy = DistLattice(FinitePoset(['k%d' % i for i in range(m)], relabeled))
     onto_copy = check_unicity(ret, copy, tuple(swap[ret.lam[a]] for a in range(len(q))))
-    assert onto_frame.is_injective() and onto_copy.is_injective()
+    if not (onto_frame.is_injective() and onto_copy.is_injective()):
+        raise QuantaleError('a matched candidate is not injective')
     return PASS, 'two candidates matched'
 
 
@@ -762,14 +763,15 @@ def _check_interval_reticulation(member):
 def _check_lifting_equivalence(member):
     q = member.quantale
     frame = radical_frame(q).as_quantale
-    quotient = reticulate(q).lattice
+    quotient = reticulate(q)
     verdicts = {
         'quantale-lifting': bool(has_lp(q)),
         'frame-lifting': bool(has_lp(frame)),
-        'quotient-ideal-lifting': bool(has_id_blp(quotient)),
+        'quotient-ideal-lifting': bool(has_id_blp(quotient.lattice)),
         'quantale-b-normal': bool(is_b_normal(q)),
         'frame-b-normal': bool(is_b_normal(frame)),
-        'quotient-b-normal': bool(lattice_is_b_normal(quotient)),
+        'quotient-b-normal': normal_witness(
+            quotient.as_quantale, quotient.as_quantale.center) is None,
     }
     detail = ' '.join('%s=%s' % (k, v) for k, v in verdicts.items())
     if len(set(verdicts.values())) != 1:
@@ -876,7 +878,8 @@ def _check_surjection_restriction(member):
     q = member.quantale
     checked = 0
     for name, u in _surjection_family(member):
-        assert u.is_surjective()
+        if not u.is_surjective():
+            raise QuantaleError('%s is not surjective' % name)
         part = IntervalQuantale(u.source, kernel(u))
         restriction = QuantaleMorphism(
             part, u.target, tuple(u(x) for x in part.carrier))
@@ -902,26 +905,12 @@ def _check_surjections_preserve_lifting(member):
 # ---------------------------------------------------------------------------
 # normality
 
-def _normal_witness(q, pool):
-    'First coprime pair with no separating pair in the pool, or None.'
-    n = len(q)
-    top, bottom = q.top, q.bottom
-    for a in range(n):
-        for b in range(n):
-            if q.join(a, b) != top:
-                continue
-            if not any(q.join(a, e) == top and q.join(b, f) == top
-                       and q.mul(e, f) == bottom
-                       for e in pool for f in pool):
-                return a, b
-    return None
-
 
 @_check('normality-compact-reduction',
         'normality quantified over all elements agrees with the package verdict')
 def _check_normality_reduction(member):
     q = member.quantale
-    independent = _normal_witness(q, range(len(q))) is None
+    independent = normal_witness(q, range(len(q))) is None
     if independent != bool(is_normal(q)):
         return REFUTED, 'independent scan disagrees with is_normal'
     return PASS, 'normal=%s (all elements are compact here)' % independent
@@ -931,7 +920,7 @@ def _check_normality_reduction(member):
         'B-normality quantified over all elements agrees with the package verdict')
 def _check_b_normality_reduction(member):
     q = member.quantale
-    independent = _normal_witness(q, q.center) is None
+    independent = normal_witness(q, q.center) is None
     if independent != bool(is_b_normal(q)):
         return REFUTED, 'independent scan disagrees with is_b_normal'
     return PASS, 'b-normal=%s (all elements are compact here)' % independent
@@ -941,10 +930,11 @@ def _check_b_normality_reduction(member):
         'normality for the quantale, its radical frame and its quotient coincide')
 def _check_normality_equivalence(member):
     q = member.quantale
+    quotient = reticulate(q).as_quantale
     values = {
         'quantale': bool(is_normal(q)),
         'frame': bool(is_normal(radical_frame(q).as_quantale)),
-        'quotient': bool(lattice_is_normal(reticulate(q).lattice)),
+        'quotient': normal_witness(quotient, range(len(quotient))) is None,
     }
     detail = ' '.join('%s=%s' % (k, v) for k, v in values.items())
     if len(set(values.values())) != 1:
@@ -1081,7 +1071,8 @@ def _check_global_decomposition(member):
         if q.meet(a, b) != q.bottom:
             continue
         morphism = decompose_by_elements(q, (a, b))
-        assert morphism.source.carrier == tuple(range(len(q)))
+        if morphism.source.carrier != tuple(range(len(q))):
+            raise QuantaleError('(%r, %r) do not factor the carrier' % (q.label(a), q.label(b)))
         count += 1
     return PASS, '%d complementary pairs' % count
 
@@ -1147,7 +1138,8 @@ def _check_radical_interval_factors(member):
     if not maxima:
         return NOT_APPLICABLE, 'no maximal elements'
     morphism = decompose_by_elements(q, maxima)
-    assert morphism.source.anchor == jacobson_radical(q)
+    if morphism.source.anchor != jacobson_radical(q):
+        raise QuantaleError('the maximal elements do not meet to the radical')
     return PASS, '%d factors of sizes %s' % (
         len(maxima), [len(q.lattice.up_set(m)) for m in maxima])
 

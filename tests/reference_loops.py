@@ -4,12 +4,15 @@ These are the scalar loops the library used before its checks became
 numpy kernels over whole tables.  They stay here as test oracles only:
 test_kernels.py requires every kernel to give the same tables or verdict,
 or to raise the same exception class with the same message and witness,
-as the loop it replaced.  Nothing under src/ imports this module.
+as the loop it replaced.  The normality verdicts wrap
+quantales.oracles.normal_witness, the loop the law suite uses too.
+Nothing under src/ imports this module.
 """
 
 import numpy as np
 
 from quantales.lattices import LatticeError, NotALattice, NotAPoset, Verdict
+from quantales.oracles import normal_witness
 from quantales.quantale import (
     NotAssociative, NotCommutative, NotDistributive, NotUnital, QuantaleError,
     negation)
@@ -248,35 +251,18 @@ def reticulation_verify(ret):
         raise AxiomViolation('bounds not preserved by the class map')
 
 
-def _separating_pair(q, a, b, pool):
-    for e in pool:
-        if q.join(a, e) != q.top:
-            continue
-        for f in pool:
-            if q.join(b, f) == q.top and q.mul(e, f) == q.bottom:
-                return e, f
-    return None
+def _normality_verdict(q, pool):
+    witness = normal_witness(q, pool)
+    if witness is None:
+        return Verdict(True)
+    return Verdict(False, tuple(q.label(i) for i in witness))
 
 
 def is_normal(q):
     'Every cover a v b = 1 splits by e, f with a v e = b v f = 1 and e*f = 0.'
-    pool = range(len(q))
-    for a in range(len(q)):
-        for b in range(len(q)):
-            if q.join(a, b) != q.top:
-                continue
-            if _separating_pair(q, a, b, pool) is None:
-                return Verdict(False, (q.label(a), q.label(b)))
-    return Verdict(True)
+    return _normality_verdict(q, range(len(q)))
 
 
 def is_b_normal(q):
     'Normality with the separating pair drawn from the Boolean center.'
-    pool = q.center
-    for a in range(len(q)):
-        for b in range(len(q)):
-            if q.join(a, b) != q.top:
-                continue
-            if _separating_pair(q, a, b, pool) is None:
-                return Verdict(False, (q.label(a), q.label(b)))
-    return Verdict(True)
+    return _normality_verdict(q, q.center)

@@ -37,6 +37,13 @@ def test_analyze_invalid_instance_exits_2(capsys, tmp_path):
     assert 'error' in capsys.readouterr().err
 
 
+def test_analyze_deeply_nested_document_exits_2(capsys, tmp_path):
+    deep = tmp_path / 'deep.json'
+    deep.write_text('[' * 100_000)
+    assert cli.main(['analyze', str(deep)]) == 2
+    assert 'nests too deeply' in capsys.readouterr().err
+
+
 def test_verify_fixtures_passes(capsys):
     assert cli.main(['verify', 'fixtures', '--no-timings']) == 0
     out = capsys.readouterr().out

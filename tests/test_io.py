@@ -1,6 +1,7 @@
 """Instance format: parsing, emission, generators, DOT export."""
 
 import json
+import time
 
 import pytest
 
@@ -68,6 +69,44 @@ def test_generator_errors():
         io.generate('downsets:a<b,b<a')  # cycle
     with pytest.raises(io.InvalidParameter):
         io.generate('product:zn:6')  # needs two factors
+
+
+@pytest.mark.parametrize('spec', [
+    'chain:1025,frame',                 # one element over the bound
+    'product:boolean:6;boolean:6',      # 4096 elements, refused before product() runs
+    'downsets:a,b,c,d,e,f,g,h,i,j,k',   # 2048 down-sets of an antichain
+    'zn:963761198400',                  # 6720 divisors
+    'zn:1000000000001',                 # modulus above 10**12
+])
+def test_oversized_requests_fail_fast(spec):
+    start = time.perf_counter()
+    with pytest.raises(io.InvalidParameter):
+        io.generate(spec)
+    # the refusal comes before any table is built; building would take minutes
+    assert time.perf_counter() - start < 2
+
+
+def test_zn_scans_divisors_up_to_the_square_root():
+    start = time.perf_counter()
+    prime = io.generate('zn:1000000007')
+    assert time.perf_counter() - start < 2
+    assert prime.elements == ('1', '1000000007')
+    for n in (1, 16, 36, 720):
+        assert io.generate('zn:%d' % n).elements == tuple(
+            str(d) for d in range(1, n + 1) if n % d == 0)
+
+
+def test_parse_bounds_the_element_count():
+    doc = json.dumps({'elements': ['x%d' % i for i in range(io.MAX_ELEMENTS + 1)]})
+    with pytest.raises(io.ParseError) as err:
+        io.parse_instance(doc)
+    assert err.value.location == 'elements'
+
+
+def test_parse_rejects_deep_nesting():
+    with pytest.raises(io.ParseError) as err:
+        io.parse_instance('[' * 100_000)
+    assert err.value.location == '$'
 
 
 def test_parse_rejects_malformed_json():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantales.lattices import (
-    DistLattice, FiniteLattice, FinitePoset, LatticeIdeal, LatticeMorphism,
-    NotALattice, NotAPoset, all_ideals, build_lattice, complement_of,
-    find_lattice_isomorphism, has_id_blp, is_distributive,
-    lattice_boolean_center, lattice_is_b_normal, lattice_is_id_local,
-    lattice_is_normal, maximal_ideals, prime_ideals, principal_ideal,
+    DistLattice, LatticeIdeal, LatticeMorphism, NotALattice, NotAPoset, all_ideals,
+    build_lattice, is_distributive, maximal_ideals, prime_ideals, principal_ideal,
     quotient_by_ideal)
+from quantales.oracles import (
+    complement_of, has_id_blp, lattice_boolean_center, lattice_is_id_local,
+    normal_witness)
+from quantales.quantale import Quantale, find_quantale_isomorphism
 from quantales.suite import enumerate_lattices
 
 DIVISORS_12 = ['1', '2', '3', '4', '6', '12']
@@ -42,6 +43,11 @@ def diamond():
         ['0', 'p', 'q', 'r', '1'],
         [('0', 'p'), ('0', 'q'), ('0', 'r'), ('p', '1'), ('q', '1'),
          ('r', '1'), ('0', '1')])
+
+
+def meet_quantale(lat):
+    'A bounded distributive lattice as the quantale whose multiplication is meet.'
+    return Quantale(lat, lat.meet_table)
 
 
 def test_build_lattice_closes_transitively():
@@ -80,7 +86,7 @@ def test_distributivity_verdicts():
     assert not bad and bad.witness is not None
     assert not is_distributive(pentagon())
     with pytest.raises(NotALattice):
-        DistLattice.from_lattice(diamond())
+        DistLattice(diamond().poset)
 
 
 def _brute_ideals(lat):
@@ -170,31 +176,35 @@ def test_morphism_validation():
 
 
 def test_normality_verdicts_on_named_lattices():
-    assert lattice_is_normal(divisor_lattice())
-    assert lattice_is_b_normal(divisor_lattice())
+    d = meet_quantale(divisor_lattice())
+    assert normal_witness(d, range(len(d))) is None
+    assert normal_witness(d, d.center) is None
     assert has_id_blp(divisor_lattice())
     w = build_lattice(
         ['e', 'z', 'zx', 'zy', 'zxy'],
         [('e', 'z'), ('z', 'zx'), ('z', 'zy'), ('zx', 'zxy'), ('zy', 'zxy'),
          ('e', 'zx'), ('e', 'zy'), ('e', 'zxy'), ('z', 'zxy')])
-    verdict = lattice_is_normal(w)
-    assert not verdict and verdict.witness == ('zx', 'zy')
+    witness = normal_witness(meet_quantale(w), range(len(w)))
+    assert tuple(w.label(i) for i in witness) == ('zx', 'zy')
     assert not lattice_is_id_local(w)
     chain = build_lattice(['0', 'm', '1'], [('0', 'm'), ('m', '1')])
     assert lattice_is_id_local(chain)
 
 
-def test_find_lattice_isomorphism():
+def test_lattice_isomorphism_via_meet_quantales():
     lat = divisor_lattice()
     relabeled = build_lattice(
         [l + "'" for l in DIVISORS_12],
         [(a + "'", b + "'") for a, b in DIVIDES_12])
-    iso = find_lattice_isomorphism(lat, relabeled)
+    iso = find_quantale_isomorphism(meet_quantale(lat), meet_quantale(relabeled))
     assert iso is not None and sorted(iso) == list(range(len(lat)))
     for a in range(len(lat)):
         for b in range(len(lat)):
             assert lat.leq(a, b) == relabeled.leq(iso[a], iso[b])
-    assert find_lattice_isomorphism(pentagon(), diamond()) is None
+    # a meet-quantale needs a distributive lattice: two of equal size that differ
+    chain = build_lattice(['0', '1', '2', '3'], [('0', '1'), ('1', '2'), ('2', '3')])
+    square = build_lattice(['0', 'a', 'b', '1'], [('0', 'a'), ('0', 'b'), ('a', '1'), ('b', '1')])
+    assert find_quantale_isomorphism(meet_quantale(chain), meet_quantale(square)) is None
 
 
 LATTICE_POOL = enumerate_lattices(4) + enumerate_lattices(5)

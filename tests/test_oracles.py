@@ -1,0 +1,54 @@
+"""The oracle boundary: only the law suite imports quantales.oracles.
+
+The oracles decide each concept a second way, so that the suite can compare
+the library against something that shares none of its code.  A library
+module that imported them would blur that line, so the source is scanned.
+"""
+
+import ast
+from pathlib import Path
+
+import quantales
+
+PACKAGE = Path(quantales.__file__).parent
+
+
+def _imported_names(tree):
+    'Every module, or name inside a module, an import statement refers to, as a dotted path.'
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # the modules sit directly in the package, so a relative import
+            # (from .x import y, from . import x) starts at quantales
+            base = '.'.join(filter(None, ('quantales' if node.level else '', node.module)))
+            yield base
+            yield from ('%s.%s' % (base, alias.name) for alias in node.names)
+
+
+def _imports_oracles(tree):
+    return any(name == 'quantales.oracles' or name.startswith('quantales.oracles.')
+               for name in _imported_names(tree))
+
+
+def importers():
+    return {path.name for path in sorted(PACKAGE.glob('*.py'))
+            if _imports_oracles(ast.parse(path.read_text(encoding='utf-8')))}
+
+
+def test_only_the_suite_imports_the_oracles():
+    found = importers()
+    assert found - {'suite.py'} == set(), 'library modules import the oracles: %s' % (
+        ', '.join(sorted(found - {'suite.py'})),)
+    # the suite does import them, so the scan is seen to find an import
+    assert 'suite.py' in found
+
+
+def test_the_scan_recognises_every_import_form():
+    for source in ('import quantales.oracles', 'from quantales.oracles import normal_witness',
+                   'from quantales import oracles', 'from .oracles import complement_of',
+                   'from . import oracles as o'):
+        assert _imports_oracles(ast.parse(source)), source
+    for source in ('from . import io', 'from .lattices import Verdict',
+                   'import quantales', 'from quantales import suite'):
+        assert not _imports_oracles(ast.parse(source)), source

@@ -6,7 +6,7 @@ implication scans run over the corpus plus every instance of size <= 5.
 
 import pytest
 
-from quantales.lattices import has_id_blp, lattice_is_b_normal
+from quantales.oracles import has_id_blp, normal_witness
 from quantales.properties import (
     Decomposition, PropertyReport, element_has_lp, has_lp, has_property_star,
     hyperarchimedean_equivalents, is_b_normal, is_hyperarchimedean, is_local,
@@ -53,10 +53,11 @@ def test_lifting_equivalence_six_ways(corpus, small_corpus):
     for member in list(corpus) + list(small_corpus):
         q = member.quantale
         frame = radical_frame(q).as_quantale
-        quotient = reticulate(q).lattice
+        quotient = reticulate(q)
+        b_normal = normal_witness(quotient.as_quantale, quotient.as_quantale.center) is None
         verdicts = {bool(has_lp(q)), bool(has_lp(frame)),
-                    bool(has_id_blp(quotient)), bool(is_b_normal(q)),
-                    bool(is_b_normal(frame)), bool(lattice_is_b_normal(quotient))}
+                    bool(has_id_blp(quotient.lattice)), bool(is_b_normal(q)),
+                    bool(is_b_normal(frame)), b_normal}
         assert len(verdicts) == 1, member.name
 
 

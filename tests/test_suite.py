@@ -197,3 +197,28 @@ def test_broken_round_trip_is_refuted_under_optimisation():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split('\n')[0] == (
         "False REFUTED round trip changes the multiplication at ('1', '1')")
+
+
+INJECTIVITY_CROSS_CHECK = textwrap.dedent("""
+    from quantales import io
+    from quantales.quantale import QuantaleError, QuantaleMorphism, is_injective
+
+    c3, c2 = io.generate('chain:3,frame'), io.generate('chain:2,frame')
+    collapse = QuantaleMorphism(c3, c2, (0, 1, 1))
+    try:
+        print(__debug__, is_injective(collapse))
+    except QuantaleError as exc:
+        print(__debug__, type(exc).__name__, exc)
+""")
+
+
+def test_injectivity_cross_check_raises_under_optimisation():
+    'The kernel cross-check in is_injective is an explicit raise, so python -O keeps it.'
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(quantales.__file__))
+    env['PYTHONPATH'] = os.pathsep.join(filter(None, [src, env.get('PYTHONPATH')]))
+    done = subprocess.run([sys.executable, '-O', '-c', INJECTIVITY_CROSS_CHECK],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split('\n')[0] == (
+        'False QuantaleError kernel criterion disagrees with direct injectivity')
