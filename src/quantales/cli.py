@@ -21,7 +21,11 @@ from .reticulation import reticulate
 
 
 def _load_instance(path):
-    text = Path(path).read_text(encoding='utf-8')
+    try:
+        text = Path(path).read_text(encoding='utf-8')
+    except UnicodeDecodeError as exc:
+        # other read errors are OSErrors, which main reports as they are
+        raise io.InstanceError('%s is not UTF-8 text: %s' % (path, exc.reason)) from None
     return io.parse_instance(text)
 
 
@@ -84,9 +88,7 @@ def _corpus_from_target(target):
         files = sorted(path.glob('*.json'))
         if not files:
             raise io.InstanceError('no .json instance files in %s' % path)
-        members = [suite.CorpusMember(f.stem, io.parse_instance(f.read_text(encoding='utf-8')))
-                   for f in files]
-        return suite.Corpus(members)
+        return suite.Corpus([suite.CorpusMember(f.stem, _load_instance(f)) for f in files])
     if path.is_file():
         return suite.Corpus([suite.CorpusMember(path.stem, _load_instance(path))])
     raise io.InstanceError('no such corpus: %r (expected "fixtures", a file or a directory)'
@@ -172,7 +174,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, io.InstanceError, QuantaleError, LatticeError) as exc:
+    except (OSError, io.InstanceError, QuantaleError, LatticeError) as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2
 

@@ -76,6 +76,9 @@ def parse_instance(text):
         raise ParseError(exc.msg, 'line %d column %d' % (exc.lineno, exc.colno)) from None
     except RecursionError:
         raise ParseError('document nests too deeply', '$') from None
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts
+        raise ParseError(str(exc).split(';')[0], '$') from None
     return instance_from_dict(doc)
 
 
@@ -174,7 +177,8 @@ _NAME = re.compile(r'[A-Za-z_][A-Za-z0-9_]*\Z')
 
 
 def _positive_int(text, what):
-    if not text.isdigit() or int(text) < 1:
+    # isdecimal, not isdigit: int() refuses digits such as the superscript two
+    if not text.isdecimal() or int(text) < 1:
         raise InvalidParameter('%s must be a positive integer, got %r' % (what, text))
     return int(text)
 

@@ -9,7 +9,6 @@ import numpy as np
 from quantales.lattices import Verdict, first_true
 from quantales.quantale import (
     IntervalQuantale,
-    QuantaleError,
     QuantaleMorphism,
     TrivialQuantale,
     decompose_by_elements,
@@ -139,28 +138,14 @@ def local_decomposition(q):
     radical_lp = element_has_lp(q, r)
     if not radical_lp:
         return Verdict(False, ('radical-without-lp', q.label(r), radical_lp.witness))
-    maxima = q.maximal_elements
-    # the radical interval splits along the maximal elements: pairwise joins of
-    # distinct maximals are top and their meet is the radical
-    onto_product = decompose_by_elements(q, maxima)
-    part = onto_product.source
-    if part.anchor != r:
-        raise QuantaleError('the maximal elements do not meet to the radical')
-    target = onto_product.target
-    back = {onto_product(x): x for x in range(len(part))}
+    # [r) is the product of the intervals over the maximal elements, and the
+    # element of [r) that is m in the slot of m and 1 in every other slot is
+    # m itself, since distinct maximal elements join to 1
     anchors = []
-    for slot, m in enumerate(maxima):
-        if len(maxima) == 1:
-            f_parent = part.carrier[part.bottom]
-        else:
-            wanted = tuple(
-                q.top if k != slot else m for k in range(len(maxima)))
-            f_parent = part.carrier[back[target.index_of(
-                '(%s)' % ','.join(str(q.label(i)) for i in wanted))]]
-        lifted = next(
-            (e for e in q.center if q.join(e, r) == f_parent), None)
+    for m in q.maximal_elements:
+        lifted = next((e for e in q.center if q.join(e, r) == m), None)
         if lifted is None:
-            return Verdict(False, ('unliftable-idempotent', q.label(f_parent)))
+            return Verdict(False, ('unliftable-idempotent', q.label(m)))
         anchors.append(lifted)
     if q.meet_all(anchors) != q.bottom:
         return Verdict(False, ('anchors-do-not-meet-to-bottom',

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product as cartesian
 
 import numpy as np
 
@@ -258,22 +257,23 @@ class RadicalFrame:
     'Frame on the radical elements; its join is the radical of the carrier join.'
 
     def __init__(self, parent):
-        carrier = tuple(a for a in range(len(parent)) if parent.radical_of(a) == a)
+        radical = np.asarray(parent.radical_table)
+        carrier = tuple(np.flatnonzero(radical == np.arange(len(parent))).tolist())
         sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
         labels = [parent.label(a) for a in carrier]
         self.parent = parent
         self.carrier = carrier
         self.lattice = DistLattice(FinitePoset(labels, sub))
         self.to_frame = {a: i for i, a in enumerate(carrier)}
-        for i, a in enumerate(carrier):
-            for j, b in enumerate(carrier):
-                joined = carrier[self.lattice.join(i, j)]
-                if joined != parent.radical_of(parent.join(a, b)):
-                    raise QuantaleError('radical join mismatch at %r, %r' % (
-                        parent.label(a), parent.label(b)))
-                if carrier[self.lattice.meet(i, j)] != parent.meet(a, b):
-                    raise QuantaleError('radical meet mismatch at %r, %r' % (
-                        parent.label(a), parent.label(b)))
+        # [i, j]: the frame join against the radical of the carrier join, then
+        # the frame meet against the carrier meet
+        hit = first_law_failure(unpreserved(carrier, (
+            (self.lattice.join_table, radical[parent.lattice.join_table]),
+            (self.lattice.meet_table, parent.lattice.meet_table))))
+        if hit is not None:
+            i, j, law = hit
+            raise QuantaleError('radical %s mismatch at %r, %r' % (
+                ('join', 'meet')[law], parent.label(carrier[i]), parent.label(carrier[j])))
         if carrier[self.lattice.bottom] != parent.radical_of(parent.bottom):
             raise QuantaleError('frame bottom is not the radical of bottom')
         if carrier[self.lattice.top] != parent.top:
@@ -287,9 +287,8 @@ class RadicalFrame:
     @cached_property
     def radical_morphism(self):
         'The radical map as a surjective unital quantale morphism onto the frame.'
-        mapping = tuple(
-            self.to_frame[self.parent.radical_of(a)] for a in range(len(self.parent)))
-        return QuantaleMorphism(self.parent, self.as_quantale, mapping)
+        return QuantaleMorphism(self.parent, self.as_quantale, np.searchsorted(
+            self.carrier, self.parent.radical_table))
 
 
 def radical_frame(q):
@@ -368,25 +367,26 @@ class IntervalQuantale(Quantale):
     'Quantale on the up-set of an anchor; products are relativized by joining the anchor.'
 
     def __init__(self, parent, anchor):
-        carrier = [x for x in range(len(parent)) if parent.leq(anchor, x)]
+        carrier = np.flatnonzero(parent.lattice.poset.leq[anchor])
         sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
         lattice = FiniteLattice(FinitePoset([parent.label(x) for x in carrier], sub))
-        position = {x: i for i, x in enumerate(carrier)}
-        mul = [[position[parent.join(parent.mul(x, y), anchor)] for y in carrier]
-               for x in carrier]
-        super().__init__(lattice, mul)
         self.parent = parent
         self.anchor = anchor
-        self.carrier = tuple(carrier)
-        self.to_interval = position
+        self.carrier = tuple(carrier.tolist())
+        self.to_interval = {x: i for i, x in enumerate(self.carrier)}
+        super().__init__(lattice, _into(self, parent.mul_table[np.ix_(carrier, carrier)]))
+
+
+def _into(part, xs):
+    'Positions in the carrier of the interval part of x v anchor, for parent elements xs.'
+    # the carrier ascends, so positions in it are found by bisection
+    return np.searchsorted(part.carrier, part.parent.lattice.join_table[xs, part.anchor])
 
 
 def interval_quantale(q, a):
     'The quantale on [a) together with the canonical surjection x -> x v a.'
     part = IntervalQuantale(q, a)
-    u = QuantaleMorphism(
-        q, part, tuple(part.to_interval[q.join(x, a)] for x in range(len(q))))
-    return part, u
+    return part, QuantaleMorphism(q, part, _into(part, np.arange(len(q))))
 
 
 def product(factors):
@@ -394,21 +394,20 @@ def product(factors):
     factors = list(factors)
     if not factors:
         raise EmptyProduct('need at least one factor')
-    tuples = list(cartesian(*[range(len(f)) for f in factors]))
-    position = {t: k for k, t in enumerate(tuples)}
-    labels = ['(%s)' % ','.join(str(f.label(i)) for f, i in zip(factors, t))
-              for t in tuples]
+    sizes = tuple(len(f) for f in factors)
+    # element k has the coordinates unravel_index(k, sizes): C order, first
+    # factor outermost, as kron lays out the order
+    coords = np.unravel_index(np.arange(np.prod(sizes, dtype=np.intp)), sizes)
+    labels = ['(%s)' % ','.join(t) for t in zip(*(
+        [str(f.label(i)) for i in c.tolist()] for f, c in zip(factors, coords)))]
     leq = np.ones((1, 1), dtype=bool)
     for f in factors:
-        # cartesian order puts the first factor outermost, as kron does
         leq = np.kron(leq, f.lattice.poset.leq)
     lattice = FiniteLattice(FinitePoset(labels, leq))
-    mul = [[position[tuple(f.mul(i, j) for f, i, j in zip(factors, left, right))]
-            for right in tuples] for left in tuples]
+    mul = np.ravel_multi_index(tuple(
+        f.mul_table[c[:, None], c] for f, c in zip(factors, coords)), sizes)
     prod = Quantale(lattice, mul)
-    projections = [
-        QuantaleMorphism(prod, f, tuple(t[k] for t in tuples))
-        for k, f in enumerate(factors)]
+    projections = [QuantaleMorphism(prod, f, c) for f, c in zip(factors, coords)]
     return prod, projections
 
 
@@ -417,26 +416,16 @@ def decompose_by_elements(q, anchors):
     anchors = list(anchors)
     if not anchors:
         raise PreconditionFailed('need at least one element')
-    for i in range(len(anchors)):
-        for j in range(i + 1, len(anchors)):
-            if q.join(anchors[i], anchors[j]) != q.top:
-                raise PreconditionFailed(
-                    'elements %d and %d do not join to top' % (i, j))
+    hit = first_true(np.triu(q.lattice.join_table[np.ix_(anchors, anchors)] != q.top, 1))
+    if hit is not None:
+        raise PreconditionFailed('elements %d and %d do not join to top' % hit)
     base = q.meet_all(anchors)
     source = IntervalQuantale(q, base)
     parts = [IntervalQuantale(q, a) for a in anchors]
-    if len(parts) == 1:
-        target = parts[0]
-        mapping = tuple(target.to_interval[x] for x in source.carrier)
-    else:
-        target, _ = product(parts)
-        # the product was built over cartesian(*factor index ranges), so the
-        # same tuple order recovers positions in its carrier
-        tuples = list(cartesian(*[range(len(p)) for p in parts]))
-        position = {t: k for k, t in enumerate(tuples)}
-        mapping = tuple(
-            position[tuple(p.to_interval[q.join(x, a)] for p, a in zip(parts, anchors))]
-            for x in source.carrier)
+    target = parts[0] if len(parts) == 1 else product(parts)[0]
+    carrier = np.asarray(source.carrier)
+    mapping = np.ravel_multi_index(
+        tuple(_into(p, carrier) for p in parts), tuple(len(p) for p in parts))
     u = QuantaleMorphism(source, target, mapping)
     if len(set(u.mapping)) != len(source) or not u.is_surjective():
         raise QuantaleError('decomposition map is not bijective')

@@ -99,6 +99,16 @@ def reticulate(q):
     return Reticulation(q)
 
 
+def _induced(classes, image):
+    """Map on classes induced by image, and the first class that image splits, or None.
+    classes[x] is the class of x, all of 0..k-1 occur, and a class goes where its first member goes."""
+    classes, image = np.asarray(classes), np.asarray(image)
+    _, first = np.unique(classes, return_index=True)
+    mapping = image[first]
+    split = classes[mapping[classes] != image]
+    return tuple(mapping.tolist()), (int(split.min()) if split.size else None)
+
+
 def _star(r, a):
     'Ideal of the classes of the elements below a.'
     members = {r.lam[c] for c in range(len(r.source)) if r.source.leq(c, a)}
@@ -201,17 +211,10 @@ def lift_morphism(u):
         raise NotUnital('reticulation lifting needs a unital morphism', ())
     ra = reticulate(u.source)
     rb = reticulate(u.target)
-    mapping = [None] * len(ra)
-    for ci, members in enumerate(ra.classes):
-        images = {rb.lam[u(c)] for c in members}
-        if len(images) != 1:
-            raise QuantaleError('lifted map is not well defined on class %d' % (ci,))
-        mapping[ci] = images.pop()
-    lifted = LatticeMorphism(ra.lattice, rb.lattice, tuple(mapping))
-    for c in range(len(u.source)):
-        if lifted(ra.lam[c]) != rb.lam[u(c)]:
-            raise AxiomViolation('lifted map breaks the class maps at %r' % (u.source.label(c),))
-    return lifted
+    mapping, split = _induced(ra.lam, np.asarray(rb.lam)[list(u.mapping)])
+    if split is not None:
+        raise QuantaleError('lifted map is not well defined on class %d' % (split,))
+    return LatticeMorphism(ra.lattice, rb.lattice, mapping)
 
 
 def interval_reticulation_iso(q, a):
@@ -222,21 +225,14 @@ def interval_reticulation_iso(q, a):
     a_star = star(q, a)
     quotient, p = quotient_by_ideal(r.lattice, a_star)
     lifted = lift_morphism(u_a)
-    kernel_classes = {x for x in range(len(r.lattice))
-                      if lifted(x) == r_part.lattice.bottom}
-    if kernel_classes != a_star.members:
+    if {x for x, y in enumerate(lifted.mapping) if y == r_part.lattice.bottom} != a_star.members:
         raise QuantaleError('kernel of the lifted interval map is not star(a)')
     # factor the lifted map through the quotient: classes of the quotient are
     # fibers of join-with-class(a), so any section through p determines it
-    mapping = [None] * len(quotient)
-    for x in range(len(r.lattice)):
-        qx = p(x)
-        lx = lifted(x)
-        if mapping[qx] is None:
-            mapping[qx] = lx
-        elif mapping[qx] != lx:
-            raise QuantaleError('lifted map does not factor through the quotient')
-    iso = LatticeMorphism(quotient, r_part.lattice, tuple(mapping))
+    mapping, split = _induced(p.mapping, lifted.mapping)
+    if split is not None:
+        raise QuantaleError('lifted map does not factor through the quotient')
+    iso = LatticeMorphism(quotient, r_part.lattice, mapping)
     if not (iso.is_injective() and iso.is_surjective()):
         raise QuantaleError('interval reticulation comparison is not bijective')
     return iso
@@ -275,33 +271,26 @@ def check_unicity(reticulation, lattice, lam):
     'Isomorphism onto a candidate reticulation, after checking its axioms.'
     q = reticulation.source
     lam = tuple(int(x) for x in lam)
-    n = len(q)
-    if len(lam) != n:
+    if len(lam) != len(q):
         raise NotAReticulation('candidate map length does not match the carrier')
     if set(lam) != set(range(len(lattice))):
         raise NotAReticulation('candidate map is not surjective')
-    for a in range(n):
-        for b in range(n):
-            if not lattice.leq(lam[q.join(a, b)], lattice.join(lam[a], lam[b])):
-                raise NotAReticulation(
-                    'candidate breaks the join axiom', (q.label(a), q.label(b)))
-            if lam[q.mul(a, b)] != lattice.meet(lam[a], lam[b]):
-                raise NotAReticulation(
-                    'candidate breaks the product axiom', (q.label(a), q.label(b)))
-            if lattice.leq(lam[a], lam[b]) != q.leq(q.stable_power(a), b):
-                raise NotAReticulation(
-                    'candidate breaks the power axiom', (q.label(a), q.label(b)))
-    mapping = [None] * len(reticulation)
-    for ci, members in enumerate(reticulation.classes):
-        images = {lam[c] for c in members}
-        if len(images) != 1:
-            raise NotAReticulation(
-                'candidate classes do not refine radical classes', (ci,))
-        mapping[ci] = images.pop()
-    iso = LatticeMorphism(reticulation.lattice, lattice, tuple(mapping))
+    f = np.asarray(lam)
+    # [a, b]: the join axiom class(a v b) <= class(a) v class(b), the product
+    # axiom class(a*b) = class(a) ^ class(b), and the power axiom
+    # class(a) <= class(b) iff a's stable power lies below b
+    hit = first_law_failure([
+        ~lattice.poset.leq[f[q.lattice.join_table], lattice.join_table[f[:, None], f]],
+        f[q.mul_table] != lattice.meet_table[f[:, None], f],
+        lattice.poset.leq[f[:, None], f] != q.lattice.poset.leq[q.stable_powers]])
+    if hit is not None:
+        a, b, law = hit
+        raise NotAReticulation('candidate breaks the %s axiom' % (
+            'join', 'product', 'power')[law], (q.label(a), q.label(b)))
+    mapping, split = _induced(reticulation.lam, f)
+    if split is not None:
+        raise NotAReticulation('candidate classes do not refine radical classes', (split,))
+    iso = LatticeMorphism(reticulation.lattice, lattice, mapping)
     if not (iso.is_injective() and iso.is_surjective()):
         raise NotAReticulation('comparison map is not bijective')
-    for c in range(n):
-        if iso(reticulation.lam[c]) != lam[c]:
-            raise NotAReticulation('comparison map breaks the class maps', (q.label(c),))
     return iso

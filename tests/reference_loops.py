@@ -1,22 +1,28 @@
 """Reference loops for the whole-table kernels.
 
-These are the scalar loops the library used before its checks became
-numpy kernels over whole tables.  They stay here as test oracles only:
-test_kernels.py requires every kernel to give the same tables or verdict,
-or to raise the same exception class with the same message and witness,
-as the loop it replaced.  The normality verdicts wrap
-quantales.oracles.normal_witness, the loop the law suite uses too.
+These are the scalar loops the library used before its checks and its
+derived structures (intervals, products, decompositions, radical frames,
+maps on reticulation classes) became numpy kernels over whole tables.
+They stay here as test oracles only: test_kernels.py requires every
+kernel to give the same tables or verdict, or to raise the same exception
+class with the same message and witness, as the loop it replaced.  The
+normality verdicts wrap quantales.oracles.normal_witness, the loop the
+law suite uses too.
 Nothing under src/ imports this module.
 """
 
+from itertools import product as cartesian
+
 import numpy as np
 
-from quantales.lattices import LatticeError, NotALattice, NotAPoset, Verdict
+from quantales.lattices import (
+    DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
+    NotAPoset, Verdict)
 from quantales.oracles import normal_witness
 from quantales.quantale import (
-    NotAssociative, NotCommutative, NotDistributive, NotUnital, QuantaleError,
-    negation)
-from quantales.reticulation import AxiomViolation
+    EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
+    NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, negation)
+from quantales.reticulation import AxiomViolation, NotAReticulation, reticulate
 
 
 def poset_checks(elements, leq):
@@ -266,3 +272,168 @@ def is_normal(q):
 def is_b_normal(q):
     'Normality with the separating pair drawn from the Boolean center.'
     return _normality_verdict(q, q.center)
+
+
+def interval_quantale(parent, anchor):
+    'Carrier, positions, quantale and canonical surjection of [anchor), as the loops built them.'
+    carrier = [x for x in range(len(parent)) if parent.leq(anchor, x)]
+    sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
+    lattice = FiniteLattice(FinitePoset([parent.label(x) for x in carrier], sub))
+    position = {x: i for i, x in enumerate(carrier)}
+    mul = [[position[parent.join(parent.mul(x, y), anchor)] for y in carrier]
+           for x in carrier]
+    part = Quantale(lattice, mul)
+    u = QuantaleMorphism(
+        parent, part, tuple(position[parent.join(x, anchor)] for x in range(len(parent))))
+    return tuple(carrier), position, part, u
+
+
+def product(factors):
+    'Componentwise product quantale with its projection morphisms.'
+    factors = list(factors)
+    if not factors:
+        raise EmptyProduct('need at least one factor')
+    tuples = list(cartesian(*[range(len(f)) for f in factors]))
+    position = {t: k for k, t in enumerate(tuples)}
+    labels = ['(%s)' % ','.join(str(f.label(i)) for f, i in zip(factors, t))
+              for t in tuples]
+    leq = np.ones((1, 1), dtype=bool)
+    for f in factors:
+        # cartesian order puts the first factor outermost, as kron does
+        leq = np.kron(leq, f.lattice.poset.leq)
+    lattice = FiniteLattice(FinitePoset(labels, leq))
+    mul = [[position[tuple(f.mul(i, j) for f, i, j in zip(factors, left, right))]
+            for right in tuples] for left in tuples]
+    prod = Quantale(lattice, mul)
+    projections = [
+        QuantaleMorphism(prod, f, tuple(t[k] for t in tuples))
+        for k, f in enumerate(factors)]
+    return prod, projections
+
+
+def decompose_by_elements(q, anchors):
+    'Isomorphism from the interval above the meet of the anchors onto the product of their intervals.'
+    anchors = list(anchors)
+    if not anchors:
+        raise PreconditionFailed('need at least one element')
+    for i in range(len(anchors)):
+        for j in range(i + 1, len(anchors)):
+            if q.join(anchors[i], anchors[j]) != q.top:
+                raise PreconditionFailed(
+                    'elements %d and %d do not join to top' % (i, j))
+    base = q.meet_all(anchors)
+    source = IntervalQuantale(q, base)
+    parts = [IntervalQuantale(q, a) for a in anchors]
+    if len(parts) == 1:
+        target = parts[0]
+        mapping = tuple(target.to_interval[x] for x in source.carrier)
+    else:
+        target, _ = product(parts)
+        # the product was built over cartesian(*factor index ranges), so the
+        # same tuple order recovers positions in its carrier
+        tuples = list(cartesian(*[range(len(p)) for p in parts]))
+        position = {t: k for k, t in enumerate(tuples)}
+        mapping = tuple(
+            position[tuple(p.to_interval[q.join(x, a)] for p, a in zip(parts, anchors))]
+            for x in source.carrier)
+    u = QuantaleMorphism(source, target, mapping)
+    if len(set(u.mapping)) != len(source) or not u.is_surjective():
+        raise QuantaleError('decomposition map is not bijective')
+    return u
+
+
+def radical_frame(parent):
+    'Carrier, lattice and positions of the radical frame, after the checks RadicalFrame ran.'
+    carrier = tuple(a for a in range(len(parent)) if parent.radical_of(a) == a)
+    sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
+    labels = [parent.label(a) for a in carrier]
+    lattice = DistLattice(FinitePoset(labels, sub))
+    to_frame = {a: i for i, a in enumerate(carrier)}
+    for i, a in enumerate(carrier):
+        for j, b in enumerate(carrier):
+            joined = carrier[lattice.join(i, j)]
+            if joined != parent.radical_of(parent.join(a, b)):
+                raise QuantaleError('radical join mismatch at %r, %r' % (
+                    parent.label(a), parent.label(b)))
+            if carrier[lattice.meet(i, j)] != parent.meet(a, b):
+                raise QuantaleError('radical meet mismatch at %r, %r' % (
+                    parent.label(a), parent.label(b)))
+    if carrier[lattice.bottom] != parent.radical_of(parent.bottom):
+        raise QuantaleError('frame bottom is not the radical of bottom')
+    if carrier[lattice.top] != parent.top:
+        raise QuantaleError('frame top is not the unit')
+    return carrier, lattice, to_frame
+
+
+def radical_morphism(parent, to_frame, frame_quantale):
+    'The radical map onto the frame, as RadicalFrame.radical_morphism built it.'
+    mapping = tuple(to_frame[parent.radical_of(a)] for a in range(len(parent)))
+    return QuantaleMorphism(parent, frame_quantale, mapping)
+
+
+def lift_morphism(u):
+    'The induced map on reticulations of a unital quantale morphism.'
+    if not u.unital:
+        raise NotUnital('reticulation lifting needs a unital morphism', ())
+    ra = reticulate(u.source)
+    rb = reticulate(u.target)
+    mapping = [None] * len(ra)
+    for ci, members in enumerate(ra.classes):
+        images = {rb.lam[u(c)] for c in members}
+        if len(images) != 1:
+            raise QuantaleError('lifted map is not well defined on class %d' % (ci,))
+        mapping[ci] = images.pop()
+    lifted = LatticeMorphism(ra.lattice, rb.lattice, tuple(mapping))
+    for c in range(len(u.source)):
+        if lifted(ra.lam[c]) != rb.lam[u(c)]:
+            raise AxiomViolation('lifted map breaks the class maps at %r' % (u.source.label(c),))
+    return lifted
+
+
+def factor_through(quotient, r, p, lifted):
+    'interval_reticulation_iso: the map on the quotient that the lifted map factors through.'
+    mapping = [None] * len(quotient)
+    for x in range(len(r.lattice)):
+        qx = p(x)
+        lx = lifted(x)
+        if mapping[qx] is None:
+            mapping[qx] = lx
+        elif mapping[qx] != lx:
+            raise QuantaleError('lifted map does not factor through the quotient')
+    return tuple(mapping)
+
+
+def check_unicity(reticulation, lattice, lam):
+    'Isomorphism onto a candidate reticulation, after checking its axioms.'
+    q = reticulation.source
+    lam = tuple(int(x) for x in lam)
+    n = len(q)
+    if len(lam) != n:
+        raise NotAReticulation('candidate map length does not match the carrier')
+    if set(lam) != set(range(len(lattice))):
+        raise NotAReticulation('candidate map is not surjective')
+    for a in range(n):
+        for b in range(n):
+            if not lattice.leq(lam[q.join(a, b)], lattice.join(lam[a], lam[b])):
+                raise NotAReticulation(
+                    'candidate breaks the join axiom', (q.label(a), q.label(b)))
+            if lam[q.mul(a, b)] != lattice.meet(lam[a], lam[b]):
+                raise NotAReticulation(
+                    'candidate breaks the product axiom', (q.label(a), q.label(b)))
+            if lattice.leq(lam[a], lam[b]) != q.leq(q.stable_power(a), b):
+                raise NotAReticulation(
+                    'candidate breaks the power axiom', (q.label(a), q.label(b)))
+    mapping = [None] * len(reticulation)
+    for ci, members in enumerate(reticulation.classes):
+        images = {lam[c] for c in members}
+        if len(images) != 1:
+            raise NotAReticulation(
+                'candidate classes do not refine radical classes', (ci,))
+        mapping[ci] = images.pop()
+    iso = LatticeMorphism(reticulation.lattice, lattice, tuple(mapping))
+    if not (iso.is_injective() and iso.is_surjective()):
+        raise NotAReticulation('comparison map is not bijective')
+    for c in range(n):
+        if iso(reticulation.lam[c]) != lam[c]:
+            raise NotAReticulation('comparison map breaks the class maps', (q.label(c),))
+    return iso

@@ -131,3 +131,31 @@ def test_export_dot_bad_view_is_a_usage_error(d12_file):
     with pytest.raises(SystemExit) as err:
         cli.main(['export-dot', d12_file, '--view', 'orbit'])
     assert err.value.code == 2
+
+
+@pytest.fixture()
+def unreadable(tmp_path):
+    'A directory, a non-UTF-8 instance file, a directory holding one, and a plain file.'
+    (tmp_path / 'dir').mkdir()
+    (tmp_path / 'latin1.json').write_bytes(b'{"elements": ["\xe9"]}')
+    (tmp_path / 'corpus').mkdir()
+    (tmp_path / 'corpus' / 'latin1.json').write_bytes(b'{"elements": ["\xe9"]}')
+    (tmp_path / 'file').write_text('not a directory')
+    return tmp_path
+
+
+@pytest.mark.parametrize('argv, message', [
+    (['analyze', 'dir'], 'Is a directory'),
+    (['export-dot', 'dir'], 'Is a directory'),
+    (['analyze', 'latin1.json'], 'latin1.json is not UTF-8 text'),
+    (['verify', 'corpus'], 'latin1.json is not UTF-8 text'),
+    (['enumerate', '--max-size', '2', '--emit-dir', 'file'], 'File exists'),
+], ids=['analyze-directory', 'export-dot-directory', 'analyze-not-utf8',
+        'verify-directory-not-utf8', 'enumerate-emit-dir-is-a-file'])
+def test_unreadable_input_exits_2_with_one_error_line(capsys, unreadable, monkeypatch,
+                                                      argv, message):
+    monkeypatch.chdir(unreadable)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('error: ') and message in err, err
+    assert 'Traceback' not in err and len(err.splitlines()) == 1

@@ -8,6 +8,10 @@ small enumerated lattices and the fixtures, and monotone commutative
 tables on chains, the family that reaches the associativity check most
 often.  The normality verdicts are also driven by arbitrary tables, since
 they read nothing but which joins are top and which products are bottom.
+The derived structures (intervals, products, decompositions, radical
+frames) and the maps on reticulation classes are driven by the same pools
+with perturbed multiplication tables, radical tables and class maps, so
+that every raise is reached.
 """
 
 import copy
@@ -20,12 +24,14 @@ from hypothesis import example, given, settings, strategies as st
 import reference_loops as ref
 from quantales import io, suite
 from quantales.lattices import (
-    FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, blocks,
+    DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, blocks,
     is_distributive)
 from quantales.properties import is_b_normal, is_normal
 from quantales.quantale import (
-    Quantale, QuantaleError, QuantaleMorphism, interval_quantale)
-from quantales.reticulation import Reticulation
+    Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, decompose_by_elements,
+    interval_quantale, product, radical_frame)
+from quantales.reticulation import (
+    Reticulation, _induced, check_unicity, lift_morphism, reticulate)
 
 CASES = settings(max_examples=150, deadline=None)
 
@@ -36,6 +42,12 @@ def outcome(fn, *args):
         return 'returned', fn(*args)
     except (LatticeError, QuantaleError) as exc:
         return 'raised', type(exc), str(exc), getattr(exc, 'witness', None)
+
+
+def _mapping_outcome(fn, *args):
+    'Outcome of a call returning a morphism, reduced to its mapping.'
+    result = outcome(fn, *args)
+    return result if result[0] == 'raised' else ('returned', result[1].mapping)
 
 
 def labels(n):
@@ -372,3 +384,289 @@ def test_normality_verdicts_match_the_loops_on_quantales(q, data):
     lattice, mul = permuted(q.lattice, q.mul_table, data.draw(st.permutations(range(len(q)))))
     q = Quantale(lattice, mul)
     assert _normality_outcomes(q) == _reference_normality_outcomes(q)
+
+
+# ---------------------------------------------------------------------------
+# derived quantales: intervals, products, decompositions, radical frames
+
+def _perturbed_table(draw, q):
+    'A copy of q whose multiplication table is redrawn in a few entries, unvalidated.'
+    mul = q.mul_table.copy()
+    n = len(q)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+        mul[i, j] = v
+        if draw(st.booleans()):
+            mul[j, i] = v
+    broken = copy.copy(q)
+    broken.mul_table = mul
+    return broken
+
+
+def _redrawn(q, op, pairs):
+    'A copy of q whose join (op "join") is top, or meet (op "meet") bottom, at pairs.'
+    table = getattr(q.lattice, op + '_table').copy()
+    for i, j in pairs:
+        table[i, j] = table[j, i] = q.top if op == 'join' else q.bottom
+    broken = copy.copy(q)
+    broken.lattice = copy.copy(q.lattice)
+    setattr(broken.lattice, op + '_table', table)
+    return broken
+
+
+def _perturbed_bounds(draw, q, op):
+    'A copy of q with a few joins redrawn as top, or a few meets below top as bottom.'
+    points = st.sampled_from([x for x in range(len(q)) if op == 'join' or x != q.top]
+                             or [q.top])
+    return _redrawn(q, op, draw(st.lists(st.tuples(points, points), min_size=1, max_size=3)))
+
+
+@st.composite
+def parents(draw):
+    'A quantale from the pool, or a copy of one with a perturbed table, joins or meets.'
+    q = draw(st.sampled_from(QUANTALES))
+    kind = draw(st.sampled_from(['valid', 'valid', 'table', 'join', 'meet']))
+    if kind == 'table':
+        return _perturbed_table(draw, q)
+    return q if kind == 'valid' else _perturbed_bounds(draw, q, kind)
+
+
+def _interval_outcome(result):
+    if result[0] == 'raised':
+        return result
+    part, u = result[1]
+    return ('returned', part.carrier, part.to_interval, part.elements,
+            part.mul_table.tolist(), u.mapping)
+
+
+def _reference_interval_outcome(result):
+    if result[0] == 'raised':
+        return result
+    carrier, position, part, u = result[1]
+    return ('returned', carrier, position, part.elements, part.mul_table.tolist(), u.mapping)
+
+
+@CASES
+@given(parents(), st.data())
+def test_interval_quantales_match_the_loop(q, data):
+    a = data.draw(st.integers(0, len(q) - 1))
+    assert _interval_outcome(outcome(interval_quantale, q, a)) == (
+        _reference_interval_outcome(outcome(ref.interval_quantale, q, a)))
+
+
+def _product_outcome(fn, factors):
+    result = outcome(fn, factors)
+    if result[0] == 'raised':
+        return result
+    prod, projections = result[1]
+    return ('returned', prod.elements, prod.lattice.poset.leq.tolist(), prod.mul_table.tolist(),
+            [p.mapping for p in projections])
+
+
+SMALL = [q for q in QUANTALES if len(q) <= 6]
+
+
+@st.composite
+def factor_lists(draw):
+    'No factors, or one to three small quantales of at most 36 elements in all, some perturbed.'
+    factors = draw(st.lists(st.sampled_from(SMALL), max_size=3).filter(
+        lambda fs: np.prod([len(f) for f in fs]) <= 36))
+    return [_perturbed_table(draw, f) if draw(st.integers(0, 3)) == 0 else f for f in factors]
+
+
+@CASES
+@given(factor_lists())
+@example([])
+def test_products_and_projections_match_the_loop(factors):
+    assert _product_outcome(product, factors) == _product_outcome(ref.product, factors)
+
+
+def _decomposition_outcome(fn, q, anchors):
+    result = outcome(fn, q, anchors)
+    if result[0] == 'raised':
+        return result
+    u = result[1]
+    return ('returned', u.source.carrier, u.target.elements, u.target.mul_table.tolist(),
+            u.mapping)
+
+
+@st.composite
+def anchor_lists(draw):
+    'A quantale and anchors: its maximal elements, a coprime pair, or any few elements.'
+    q = draw(parents())
+    n = len(q)
+    kind = draw(st.sampled_from(['maxima', 'coprime', 'coprime', 'any']))
+    coprime = [(a, b) for a in range(n) for b in range(n) if q.join(a, b) == q.top]
+    if kind == 'maxima':
+        return q, list(q.maximal_elements)
+    if kind == 'coprime':
+        return q, list(draw(st.sampled_from(coprime)))
+    return q, draw(st.lists(st.integers(0, n - 1), max_size=3))
+
+
+D12 = io.generate('zn:12')
+# 2 v 3 = 1 but the meet table says 2 ^ 3 = 12, the bottom: the map from all
+# of D12 onto [2) x [3) is a morphism but not injective
+WRONG_MEET = (_redrawn(D12, 'meet', [(D12.index_of('2'), D12.index_of('3'))]),
+              [D12.index_of('2'), D12.index_of('3')])
+
+
+@CASES
+@given(anchor_lists())
+@example(WRONG_MEET)
+def test_decompositions_match_the_loop(case):
+    q, anchors = case
+    assert _decomposition_outcome(decompose_by_elements, q, anchors) == (
+        _decomposition_outcome(ref.decompose_by_elements, q, anchors))
+
+
+def _with_radicals(q, changes):
+    'A copy of q whose radical table sends x to r for each (x, r) in changes, unvalidated.'
+    radical = list(q.radical_table)
+    for x, r in changes:
+        radical[x] = r
+    broken = copy.copy(q)
+    broken.radical_table = tuple(radical)
+    return broken
+
+
+@st.composite
+def radical_parents(draw):
+    """A quantale from the pool, or a copy whose radical table is redrawn in a
+    few places: anywhere, or off the radical elements only, onto one of them
+    or onto itself."""
+    q = draw(st.sampled_from(QUANTALES))
+    kind = draw(st.sampled_from(['valid', 'any', 'retarget', 'fix']))
+    fixed = [a for a in range(len(q)) if q.radical_of(a) == a]
+    moving = [a for a in range(len(q)) if q.radical_of(a) != a]
+    if kind == 'valid' or (kind != 'any' and not moving):
+        return q
+    if kind == 'any':
+        change = st.tuples(st.integers(0, len(q) - 1), st.integers(0, len(q) - 1))
+    else:
+        change = st.sampled_from(moving).flatmap(lambda x: st.tuples(
+            st.just(x), st.just(x) if kind == 'fix' else st.sampled_from(fixed)))
+    return _with_radicals(q, draw(st.lists(change, min_size=1, max_size=3)))
+
+
+def _labelled(q, pairs):
+    return [(q.index_of(x), q.index_of(r)) for x, r in pairs]
+
+
+E54 = next(m.quantale for m in suite.enumerated(5) if m.name == 'E5.4')
+W5 = io.generate('downsets:z<x,z<y')
+
+
+@CASES
+@given(radical_parents())
+@example(_with_radicals(E54, _labelled(E54, [('x3', 'x0')])))  # join mismatch at x1, x2
+@example(_with_radicals(W5, _labelled(W5, [('{z}', '{}')])))  # meet mismatch at {x,z}, {y,z}
+def test_radical_frames_match_the_loop(q):
+    ours, theirs = outcome(RadicalFrame, q), outcome(ref.radical_frame, q)
+    if ours[0] == 'returned':
+        frame, (carrier, lattice, to_frame) = ours[1], theirs[1]
+        assert (frame.carrier, frame.to_frame) == (carrier, to_frame)
+        assert frame.lattice.join_table.tolist() == lattice.join_table.tolist()
+        # the loop looked radicals up among the frame's elements
+        if set(q.radical_table) <= set(carrier):
+            assert _mapping_outcome(lambda: frame.radical_morphism) == _mapping_outcome(
+                ref.radical_morphism, q, to_frame, frame.as_quantale)
+    else:
+        assert ours == theirs
+
+
+# ---------------------------------------------------------------------------
+# maps on reticulation classes
+
+def _classes(draw, n, k):
+    'Class numbers for n elements, every class 0..k-1 occurring.'
+    rest = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    return draw(st.permutations(list(range(k)) + rest))
+
+
+@st.composite
+def class_maps(draw):
+    'Classes numbering every class from 0 up, and an image for each element.'
+    n = draw(st.integers(1, 8))
+    classes = _classes(draw, n, draw(st.integers(1, n)))
+    image = [draw(st.integers(0, 2)) if draw(st.booleans()) else classes[x] + 10
+             for x in range(n)]
+    return classes, image
+
+
+class _Map:
+    'Just what the class-map loops read from a morphism.'
+
+    def __init__(self, source, target, mapping, unital=True):
+        self.source, self.target, self.mapping, self.unital = source, target, mapping, unital
+
+    def __call__(self, x):
+        return self.mapping[x]
+
+
+@CASES
+@given(class_maps())
+def test_induced_class_maps_match_the_loops(case):
+    classes, image = case
+    mapping, split = _induced(classes, image)
+    quotient, r = range(max(classes) + 1), SimpleNamespace(lattice=classes)
+    factored = outcome(ref.factor_through, quotient, r, _Map(None, None, classes),
+                       _Map(None, None, image))
+    assert factored == (('returned', mapping) if split is None else (
+        'raised', QuantaleError, 'lifted map does not factor through the quotient', None))
+    members = [[x for x, c in enumerate(classes) if c == k] for k in quotient]
+    assert split == next((k for k, m in enumerate(members) if len({image[x] for x in m}) > 1),
+                         None)
+
+
+@st.composite
+def lift_cases(draw):
+    'An interval surjection, perturbed in a few places or not, or a random map, unvalidated.'
+    q, target, mapping = draw(morphism_cases())
+    return _Map(q, target, mapping, unital=draw(st.integers(0, 7)) > 0)
+
+
+@CASES
+@given(lift_cases())
+def test_lifted_morphisms_match_the_loop(u):
+    assert _mapping_outcome(lift_morphism, u) == _mapping_outcome(ref.lift_morphism, u)
+
+
+@st.composite
+def unicity_cases(draw):
+    """A reticulation, with its classes redrawn or not, a candidate lattice
+    (its own, the radical frame's, or its own with the indices reversed) and a
+    candidate map redrawn in a few places."""
+    q = draw(st.sampled_from(QUANTALES))
+    ret = reticulate(q)
+    reversed_copy = DistLattice(FinitePoset(
+        ret.lattice.elements[::-1], ret.lattice.poset.leq[::-1, ::-1]))
+    lattice = draw(st.sampled_from([ret.lattice, radical_frame(q).lattice, reversed_copy]))
+    lam = list(ret.lam)
+    for _ in range(draw(st.integers(0, 3))):
+        lam[draw(st.integers(0, len(q) - 1))] = draw(st.integers(0, len(lattice) - 1))
+    if draw(st.booleans()):
+        k = len(ret)
+        classes = _classes(draw, len(q), k)
+        ret = copy.copy(ret)
+        ret.lam = tuple(classes)
+        ret.classes = tuple(tuple(x for x in range(len(q)) if classes[x] == c) for c in range(k))
+    return ret, lattice, tuple(lam)
+
+
+def _unicity_join_failure():
+    'The reticulation of Z/36 with the class of 3 moved to class 1: the join axiom fails at (2, 3).'
+    ret = reticulate(io.generate('zn:36'))
+    lam = list(ret.lam)
+    lam[ret.source.index_of('3')] = 1
+    return ret, ret.lattice, tuple(lam)
+
+
+@CASES
+@given(unicity_cases())
+@example(_unicity_join_failure())
+def test_unicity_checks_match_the_loops(case):
+    ours, theirs = outcome(check_unicity, *case), outcome(ref.check_unicity, *case)
+    if ours[0] == 'returned':
+        ours, theirs = ours[1].mapping, theirs[1].mapping
+    assert ours == theirs

@@ -222,3 +222,35 @@ def test_injectivity_cross_check_raises_under_optimisation():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split('\n')[0] == (
         'False QuantaleError kernel criterion disagrees with direct injectivity')
+
+
+CENTER_WITHOUT_TOP = textwrap.dedent("""
+    from functools import cached_property
+
+    from quantales import cli
+    from quantales.quantale import Quantale
+
+    complete = Quantale.center.func
+
+    def center_without_top(self):
+        return tuple(e for e in complete(self) if e != self.top)
+
+    Quantale.center = cached_property(center_without_top)
+    Quantale.center.__set_name__(Quantale, 'center')
+    code = cli.main(['verify', 'fixtures', '--theorems', 'center-laws', '--no-timings'])
+    print(__debug__, code)
+""")
+
+
+def test_mutated_center_is_refuted_through_verify_under_optimisation():
+    'A center that drops the top is REFUTED end to end by verify, with python -O too.'
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(quantales.__file__))
+    env['PYTHONPATH'] = os.pathsep.join(filter(None, [src, env.get('PYTHONPATH')]))
+    done = subprocess.run([sys.executable, '-O', '-c', CENTER_WITHOUT_TOP],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == 'False 1'
+    refuted = [line for line in lines if 'REFUTED' in line and 'center-laws' in line]
+    assert refuted and 'center membership differs from a v a~ = 1' in done.stdout
