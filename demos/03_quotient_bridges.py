@@ -1,9 +1,9 @@
 """The reticulation quotient and the bridges it carries.
 
 An instance is quotiented by "same radical".  The result is a bounded
-distributive lattice; its ideals recover the radical elements, its prime
-ideals recover the m-primes, and its complemented elements recover the
-center.
+distributive lattice; its ideals (each the down-set of one element)
+recover the radical elements, its prime ideals recover the m-primes, and
+its complemented elements recover the center.
 
 Run:  python3 demos/03_quotient_bridges.py
 """
@@ -25,12 +25,13 @@ a, b = q.index_of('2'), q.index_of('3')
 assert ret.lam[q.mul(a, b)] == ret.lattice.meet(ret.lam[a], ret.lam[b])
 print('class(2 * 3) = class(2) ^ class(3)')
 
-# star sends an element to the ideal of classes below it; unstar joins a
-# class ideal back up; the round trip lands on the radical
+# star sends an element to the ideal of classes below it, given by its
+# generator; unstar joins a class ideal back up; the round trip lands on
+# the radical
 four = q.index_of('4')
-ideal = star(q, four)
-print('star(4) =', ideal.labels())
-print('unstar(star(4)) =', q.label(unstar(q, ideal)), '= rho(4)')
+g = star(q, four)
+print('star(4) =', tuple(ret.lattice.label(x) for x in sorted(ret.lattice.down_set(g))))
+print('unstar(star(4)) =', q.label(unstar(q, g)), '= rho(4)')
 
 # the two bridges, both verified as they are built:
 #   radical elements <-> ideals of the quotient   (inverse frame isomorphisms)

@@ -1,4 +1,4 @@
-'Finite posets, bounded distributive lattices, ideals and quotients.'
+'Finite posets, bounded distributive lattices and their morphisms.'
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ class NotALattice(LatticeError):
 
 
 class NotAnIdeal(LatticeError):
-    'The member set is not a join-closed down-set containing bottom.'
+    'A set of elements is not the down-set of its join, or an ideal generator is out of range.'
 
 
 @dataclass(frozen=True)
@@ -277,50 +277,6 @@ class DistLattice(FiniteLattice):
             raise NotALattice('not distributive, witness %r' % (check.witness,))
 
 
-class LatticeIdeal:
-    'Join-closed down-set containing bottom; principal in any finite lattice.'
-
-    def __init__(self, lattice, members):
-        members = frozenset(int(m) for m in members)
-        if lattice.bottom not in members:
-            raise NotAnIdeal('ideal must contain bottom')
-        for x in members:
-            for k in range(len(lattice)):
-                if lattice.leq(k, x) and k not in members:
-                    raise NotAnIdeal('not downward closed at %r' % (lattice.label(k),))
-            for y in members:
-                if lattice.join(x, y) not in members:
-                    raise NotAnIdeal('not join-closed at %r, %r' % (
-                        lattice.label(x), lattice.label(y)))
-        self.lattice = lattice
-        self.members = members
-
-    @cached_property
-    def generator(self):
-        'Largest member; the ideal is exactly its down-set.'
-        return self.lattice.join_all(self.members)
-
-    def labels(self):
-        return tuple(self.lattice.label(i) for i in sorted(self.members))
-
-    def __contains__(self, i):
-        return i in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeIdeal):
-            return NotImplemented
-        return self.lattice is other.lattice and self.members == other.members
-
-    def __hash__(self):
-        return hash((id(self.lattice), self.members))
-
-    def __repr__(self):
-        return 'LatticeIdeal(%s)' % (', '.join(repr(l) for l in self.labels()),)
-
-
 class LatticeMorphism:
     'Map between bounded lattices preserving join, meet, bottom, and top.'
 
@@ -352,55 +308,3 @@ class LatticeMorphism:
 
     def is_injective(self):
         return len(set(self.mapping)) == len(self.source)
-
-
-def all_ideals(lat):
-    'Every ideal, one per element since finite ideals are principal down-sets.'
-    return [LatticeIdeal(lat, lat.down_set(x)) for x in range(len(lat))]
-
-
-def principal_ideal(lat, x):
-    return LatticeIdeal(lat, lat.down_set(x))
-
-
-def prime_ideals(lat):
-    'Proper ideals whose generator is meet-prime.'
-    out = []
-    n = len(lat)
-    for p in range(n):
-        if p == lat.top:
-            continue
-        prime = all(
-            lat.leq(x, p) or lat.leq(y, p)
-            for x in range(n) for y in range(n)
-            if lat.leq(lat.meet(x, y), p))
-        if prime:
-            out.append(principal_ideal(lat, p))
-    return out
-
-
-def maximal_ideals(lat):
-    'Maximal proper ideals; their generators are the coatoms of the carrier.'
-    out = []
-    n = len(lat)
-    for m in range(n):
-        if m == lat.top:
-            continue
-        if all(x == lat.top or x == m for x in range(n) if lat.leq(m, x)):
-            out.append(principal_ideal(lat, m))
-    return out
-
-
-def quotient_by_ideal(lat, ideal):
-    'Quotient by the congruence a ~ b iff a v e = b v e for some ideal member e.'
-    if ideal.lattice is not lat:
-        raise NotAnIdeal('ideal belongs to a different lattice')
-    g = ideal.generator
-    # joining with the generator dominates joining with any member, so classes
-    # are the fibers of x |-> x v g and the quotient is the upper interval [g, 1]
-    reps = [x for x in range(len(lat)) if lat.leq(g, x)]
-    sub = lat.poset.leq[np.ix_(reps, reps)]
-    quotient = DistLattice(FinitePoset([lat.label(x) for x in reps], sub))
-    to_class = {x: qi for qi, x in enumerate(reps)}
-    mapping = tuple(to_class[lat.join(x, g)] for x in range(len(lat)))
-    return quotient, LatticeMorphism(lat, quotient, mapping)

@@ -8,7 +8,6 @@ import numpy as np
 
 from quantales.lattices import Verdict, first_true
 from quantales.quantale import (
-    IntervalQuantale,
     QuantaleMorphism,
     TrivialQuantale,
     decompose_by_elements,
@@ -151,8 +150,7 @@ def local_decomposition(q):
         return Verdict(False, ('anchors-do-not-meet-to-bottom',
                                tuple(q.label(e) for e in anchors)))
     morphism = decompose_by_elements(q, anchors)
-    factors = (morphism.target,) if len(anchors) == 1 else tuple(
-        IntervalQuantale(q, e) for e in anchors)
+    factors = morphism._factors
     for factor in factors:
         if not is_local(factor):
             return Verdict(False, ('factor-not-local', factor.label(factor.bottom)))

@@ -429,6 +429,8 @@ def decompose_by_elements(q, anchors):
     u = QuantaleMorphism(source, target, mapping)
     if len(set(u.mapping)) != len(source) or not u.is_surjective():
         raise QuantaleError('decomposition map is not bijective')
+    # kept so that callers reading the factors do not build them again
+    u._factors = tuple(parts)
     return u
 
 

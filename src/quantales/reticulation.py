@@ -1,4 +1,7 @@
-'Reticulation of a finite quantale: radical classes, star maps, and transport isomorphisms.'
+"""Reticulation of a finite quantale: radical classes, star maps, and transport isomorphisms.
+
+An ideal of the finite reticulation lattice is the down-set of one element,
+its generator, and is passed as that element."""
 
 from __future__ import annotations
 
@@ -9,14 +12,10 @@ import numpy as np
 from quantales.lattices import (
     DistLattice,
     FinitePoset,
-    LatticeIdeal,
     LatticeMorphism,
     NotAnIdeal,
-    all_ideals,
     first_law_failure,
-    prime_ideals,
-    maximal_ideals,
-    quotient_by_ideal,
+    first_true,
     unpreserved,
 )
 from quantales.quantale import (
@@ -109,79 +108,85 @@ def _induced(classes, image):
     return tuple(mapping.tolist()), (int(split.min()) if split.size else None)
 
 
+def _generator(lattice, members):
+    'Join of a mask of lattice elements, which must be exactly the down-set of that join.'
+    members = np.asarray(members, dtype=bool)
+    g = lattice.join_all(np.flatnonzero(members).tolist())
+    # in a finite lattice a set is an ideal iff it is the down-set of its join
+    stray = first_true(members != lattice.poset.leq[:, g])
+    if stray is not None:
+        raise NotAnIdeal('not the down-set of its join %r: differs at %r' % (
+            lattice.label(g), lattice.label(stray[0])))
+    return g
+
+
 def _star(r, a):
-    'Ideal of the classes of the elements below a.'
-    members = {r.lam[c] for c in range(len(r.source)) if r.source.leq(c, a)}
-    return LatticeIdeal(r.lattice, members)
+    'Generator of the ideal of the classes of the elements below a.'
+    members = np.zeros(len(r), dtype=bool)
+    members[np.asarray(r.lam)[r.source.lattice.poset.leq[:, a]]] = True
+    return _generator(r.lattice, members)
 
 
-def _unstar(r, ideal):
-    'Join of the elements whose class lies in the ideal.'
-    if ideal.lattice is not r.lattice:
-        raise NotAnIdeal('ideal does not live in this reticulation lattice')
-    return r.source.join_all(c for c in range(len(r.source)) if r.lam[c] in ideal.members)
+def _unstar(r, x):
+    'Join of the elements whose class lies below the reticulation element x.'
+    if not 0 <= x < len(r):
+        raise NotAnIdeal('%r is not an element of the reticulation lattice' % (x,))
+    below = r.lattice.poset.leq[np.asarray(r.lam), x]
+    return r.source.join_all(np.flatnonzero(below).tolist())
 
 
 def star(q, a):
-    'Ideal {class(c) : c <= a} in the reticulation lattice.'
+    'Generator of the ideal {class(c) : c <= a} of the reticulation lattice.'
     return _star(reticulate(q), a)
 
 
-def unstar(q, ideal):
-    'Join of the elements whose class belongs to the ideal.'
-    return _unstar(reticulate(q), ideal)
+def unstar(q, x):
+    'Join of the elements whose class lies in the ideal generated by x.'
+    return _unstar(reticulate(q), x)
 
 
 def frame_iso(q):
-    'The inverse frame isomorphisms between radical elements and reticulation ideals.'
+    'The inverse frame isomorphisms between radical elements and reticulation ideals, by generator.'
     r = reticulate(q)
     frame = radical_frame(q)
     phi = {a: _star(r, a) for a in frame.carrier}
-    psi = {ideal: _unstar(r, ideal) for ideal in all_ideals(r.lattice)}
-    if len(set(phi.values())) != len(phi) or set(psi) != set(phi.values()):
+    psi = {g: _unstar(r, g) for g in range(len(r))}
+    if sorted(phi.values()) != list(psi):
         raise QuantaleError('star map is not a bijection onto the ideals')
-    for a, ideal in phi.items():
-        if psi[ideal] != a:
+    for a, g in phi.items():
+        if psi[g] != a:
             raise QuantaleError('star and unstar are not mutually inverse at %r' % (
                 q.label(a),))
-    for a in frame.carrier:
-        for b in frame.carrier:
-            ra, rb = frame.to_frame[a], frame.to_frame[b]
-            join_dot = frame.carrier[frame.lattice.join(ra, rb)]
-            if phi[join_dot].members != {
-                    r.lattice.join(i, j) for i in phi[a].members for j in phi[b].members}:
-                raise QuantaleError('star does not preserve frame joins')
-            if phi[frame.carrier[frame.lattice.meet(ra, rb)]].members != (
-                    phi[a].members & phi[b].members):
-                raise QuantaleError('star does not preserve meets')
-    for ideal in psi:
-        for a in frame.carrier:
-            # adjunction: unstar(I) <= a iff I contained in star(a)
-            if q.leq(psi[ideal], a) != (ideal.members <= phi[a].members):
-                raise QuantaleError('adjunction fails at %r' % (q.label(a),))
+    # star preserves the frame's joins and meets, and its bounds
+    LatticeMorphism(frame.lattice, r.lattice, tuple(phi.values()))
+    # adjunction: unstar(g) <= a iff g <= star(a)
+    hit = first_true(q.lattice.poset.leq[list(psi.values())][:, list(frame.carrier)]
+                     != r.lattice.poset.leq[:, list(phi.values())])
+    if hit is not None:
+        raise QuantaleError('adjunction fails at %r' % (q.label(frame.carrier[hit[1]]),))
     return phi, psi
 
 
 def spectrum_homeomorphism(q):
-    'Inverse bijections between the quantale spectrum and the prime reticulation ideals.'
+    'Inverse bijections between the spectrum and the prime reticulation ideals, by generator.'
     r = reticulate(q)
-    primes = prime_ideals(r.lattice)
+    quotient = r.as_quantale
+    primes = quotient.spectrum
     u = {p: _star(r, p) for p in q.spectrum}
-    v = {ideal: _unstar(r, ideal) for ideal in primes}
-    if set(u.values()) != set(primes) or len(set(u.values())) != len(u):
+    v = {g: _unstar(r, g) for g in primes}
+    if sorted(u.values()) != list(primes):
         raise QuantaleError('spectrum does not biject with prime ideals')
-    for p, ideal in u.items():
-        if v[ideal] != p:
+    for p, g in u.items():
+        if v[g] != p:
             raise QuantaleError('spectrum maps are not mutually inverse at %r' % (
                 q.label(p),))
-    for a in range(len(q)):
-        closed = {u[p] for p in q.spectrum if q.leq(a, p)}
-        a_star = _star(r, a)
-        closed_ideal = {P for P in primes if a_star.members <= P.members}
-        if closed != closed_ideal:
-            raise QuantaleError('closed-set correspondence fails at %r' % (q.label(a),))
-    max_image = {u[m] for m in q.maximal_elements}
-    if max_image != set(maximal_ideals(r.lattice)):
+    # [a, p]: a below p against star(a) inside the prime ideal u(p)
+    stars = [_star(r, a) for a in range(len(q))]
+    hit = first_true(q.lattice.poset.leq[:, list(u)]
+                     != quotient.lattice.poset.leq[stars][:, list(u.values())])
+    if hit is not None:
+        raise QuantaleError('closed-set correspondence fails at %r' % (q.label(hit[0]),))
+    if sorted(u[m] for m in q.maximal_elements) != list(quotient.maximal_elements):
         raise QuantaleError('maximal elements do not biject with maximal ideals')
     return u, v
 
@@ -222,17 +227,18 @@ def interval_reticulation_iso(q, a):
     part, u_a = interval_quantale(q, a)
     r = reticulate(q)
     r_part = reticulate(part)
-    a_star = star(q, a)
-    quotient, p = quotient_by_ideal(r.lattice, a_star)
+    g = star(q, a)
+    quotient, p = interval_quantale(r.as_quantale, g)
     lifted = lift_morphism(u_a)
-    if {x for x, y in enumerate(lifted.mapping) if y == r_part.lattice.bottom} != a_star.members:
+    if not np.array_equal(np.asarray(lifted.mapping) == r_part.lattice.bottom,
+                          r.lattice.poset.leq[:, g]):
         raise QuantaleError('kernel of the lifted interval map is not star(a)')
     # factor the lifted map through the quotient: classes of the quotient are
     # fibers of join-with-class(a), so any section through p determines it
     mapping, split = _induced(p.mapping, lifted.mapping)
     if split is not None:
         raise QuantaleError('lifted map does not factor through the quotient')
-    iso = LatticeMorphism(quotient, r_part.lattice, mapping)
+    iso = LatticeMorphism(quotient.lattice, r_part.lattice, mapping)
     if not (iso.is_injective() and iso.is_surjective()):
         raise QuantaleError('interval reticulation comparison is not bijective')
     return iso

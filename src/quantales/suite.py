@@ -17,8 +17,7 @@ import numpy as np
 
 from . import io
 from .lattices import (
-    LatticeError, all_ideals, maximal_ideals, prime_ideals,
-    DistLattice, FiniteLattice, FinitePoset, NotALattice, NotAPoset, first_true)
+    LatticeError, DistLattice, FiniteLattice, FinitePoset, NotALattice, NotAPoset, first_true)
 from .oracles import (
     complement_of, has_id_blp, lattice_is_id_local, normal_witness, radical_by_powers)
 from .properties import (
@@ -355,6 +354,15 @@ def _vacuous(premise):
     return PASS, 'premise is false (%s), implication holds vacuously' % premise
 
 
+def _agreement(legs, values=None, passed=None):
+    """PASS if the values (by default the legs') agree, else REFUTED with the legs as name=value.
+    A PASS shows passed instead when it is given."""
+    detail = ' '.join('%s=%s' % leg for leg in legs.items())
+    if len(set(legs.values() if values is None else values)) != 1:
+        return REFUTED, detail
+    return PASS, detail if passed is None else passed
+
+
 # ---------------------------------------------------------------------------
 # base structure
 
@@ -566,26 +574,26 @@ def _check_unicity(member):
 def _check_star_unstar(member):
     q = member.quantale
     ret = reticulate(q)
-    for ideal in all_ideals(ret.lattice):
-        back = star(q, unstar(q, ideal))
-        if back.members != ideal.members:
-            return REFUTED, 'star(unstar(I)) != I at ideal %r' % (sorted(ideal.labels()),)
+    for g in range(len(ret)):
+        if star(q, unstar(q, g)) != g:
+            return REFUTED, 'star(unstar(I)) != I at ideal %r' % (
+                sorted(map(ret.lattice.label, ret.lattice.down_set(g))),)
     for a in range(len(q)):
         if unstar(q, star(q, a)) != q.radical_of(a):
             return REFUTED, 'unstar(star(a)) != rho(a) at %r' % (q.label(a),)
-    primes = {ideal.members for ideal in prime_ideals(ret.lattice)}
+    primes = ret.as_quantale.spectrum
     for p in q.spectrum:
         image = star(q, p)
-        if image.members not in primes:
+        if image not in primes:
             return REFUTED, 'star of m-prime %r is not a prime ideal' % (q.label(p),)
         if unstar(q, image) != p:
             return REFUTED, 'unstar(star(p)) != p at m-prime %r' % (q.label(p),)
     spectrum = set(q.spectrum)
-    for ideal in prime_ideals(ret.lattice):
-        if unstar(q, ideal) not in spectrum:
+    for g in primes:
+        if unstar(q, g) not in spectrum:
             return REFUTED, 'unstar of prime ideal %r is not m-prime' % (
-                sorted(ideal.labels()),)
-    return PASS, '%d ideals, %d prime' % (len(all_ideals(ret.lattice)), len(primes))
+                sorted(map(ret.lattice.label, ret.lattice.down_set(g))),)
+    return PASS, '%d ideals, %d prime' % (len(ret), len(primes))
 
 
 @_check('star-of-radical',
@@ -593,7 +601,7 @@ def _check_star_unstar(member):
 def _check_star_of_radical(member):
     q = member.quantale
     for a in range(len(q)):
-        if star(q, a).members != star(q, q.radical_of(a)).members:
+        if star(q, a) != star(q, q.radical_of(a)):
             return REFUTED, 'star(a) != star(rho(a)) at %r' % (q.label(a),)
     return PASS, ''
 
@@ -710,10 +718,7 @@ def _check_hyperarchimedean(member):
         shown['radical_frame_zero_dimensional'] = 'n/a (not semiprime)'
     else:
         values.append(zero_dim)
-    detail = ' '.join('%s=%s' % (k, shown[k]) for k in sorted(shown))
-    if len(set(values)) != 1:
-        return REFUTED, detail
-    return PASS, detail
+    return _agreement(dict(sorted(shown.items())), values)
 
 
 # ---------------------------------------------------------------------------
@@ -773,10 +778,7 @@ def _check_lifting_equivalence(member):
         'quotient-b-normal': normal_witness(
             quotient.as_quantale, quotient.as_quantale.center) is None,
     }
-    detail = ' '.join('%s=%s' % (k, v) for k, v in verdicts.items())
-    if len(set(verdicts.values())) != 1:
-        return REFUTED, detail
-    return PASS, detail
+    return _agreement(verdicts)
 
 
 @_check('local-equivalence',
@@ -788,10 +790,7 @@ def _check_local_equivalence(member):
         'frame': is_local(radical_frame(q).as_quantale),
         'quotient': lattice_is_id_local(reticulate(q).lattice),
     }
-    detail = ' '.join('%s=%s' % (k, v) for k, v in values.items())
-    if len(set(values.values())) != 1:
-        return REFUTED, detail
-    return PASS, detail
+    return _agreement(values)
 
 
 @_check('semilocal-equivalence',
@@ -801,11 +800,9 @@ def _check_semilocal_equivalence(member):
     values = {
         'quantale': is_semilocal(q),
         'frame': is_semilocal(radical_frame(q).as_quantale),
-        'quotient': len(maximal_ideals(reticulate(q).lattice)) >= 0,
+        'quotient': len(reticulate(q).as_quantale.maximal_elements) >= 0,
     }
-    if len(set(values.values())) != 1:
-        return REFUTED, ' '.join('%s=%s' % (k, v) for k, v in values.items())
-    return PASS, 'finite carriers are always semilocal'
+    return _agreement(values, passed='finite carriers are always semilocal')
 
 
 @_check('local-implies-lifting', 'a local quantale lifts every central element')
@@ -936,10 +933,7 @@ def _check_normality_equivalence(member):
         'frame': bool(is_normal(radical_frame(q).as_quantale)),
         'quotient': normal_witness(quotient, range(len(quotient))) is None,
     }
-    detail = ' '.join('%s=%s' % (k, v) for k, v in values.items())
-    if len(set(values.values())) != 1:
-        return REFUTED, detail
-    return PASS, detail
+    return _agreement(values)
 
 
 @_check('radical-join-collapse',
@@ -1213,14 +1207,12 @@ def _check_local_decomposition(member):
     recipe = local_decomposition(q)
     conditions['constructed-factoring'] = bool(recipe)
     conditions['searched-factoring'] = _local_family_exists(q)
-    detail = ' '.join('%s=%s' % (k, v) for k, v in conditions.items())
-    if len(set(conditions.values())) != 1:
-        return REFUTED, detail
-    if recipe:
+    status, detail = _agreement(conditions)
+    if status == PASS and recipe:
         detail += ' idempotents=%s sizes=%s' % (
             [q.label(e) for e in recipe.idempotents],
             [len(f) for f in recipe.factors])
-    return PASS, detail
+    return status, detail
 
 
 @_check('semilocal-lifting-agreement',
@@ -1236,7 +1228,4 @@ def _check_semilocal_agreement(member):
         'lifting': bool(has_lp(q)),
         'radical-lifting': bool(element_has_lp(q, r)),
     }
-    detail = ' '.join('%s=%s' % (k, v) for k, v in values.items())
-    if len(set(values.values())) != 1:
-        return REFUTED, detail
-    return PASS, detail
+    return _agreement(values)

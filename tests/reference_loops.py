@@ -2,7 +2,10 @@
 
 These are the scalar loops the library used before its checks and its
 derived structures (intervals, products, decompositions, radical frames,
-maps on reticulation classes) became numpy kernels over whole tables.
+maps on reticulation classes) became numpy kernels over whole tables, and
+the lattice-side ideal layer (ideals as member sets, prime and maximal
+ideals, quotients by an ideal, the star maps) that ideal generators read
+through the meet-quantale replaced.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
 class with the same message and witness, as the loop it replaced.  The
@@ -11,14 +14,15 @@ law suite uses too.
 Nothing under src/ imports this module.
 """
 
+from functools import cached_property
 from itertools import product as cartesian
 
 import numpy as np
 
 from quantales.lattices import (
     DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
-    NotAPoset, Verdict)
-from quantales.oracles import normal_witness
+    NotAnIdeal, NotAPoset, Verdict)
+from quantales.oracles import lattice_boolean_center, normal_witness
 from quantales.quantale import (
     EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
     NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, negation)
@@ -437,3 +441,112 @@ def check_unicity(reticulation, lattice, lam):
         if iso(reticulation.lam[c]) != lam[c]:
             raise NotAReticulation('comparison map breaks the class maps', (q.label(c),))
     return iso
+
+
+class LatticeIdeal:
+    'Join-closed down-set containing bottom; principal in any finite lattice.'
+
+    def __init__(self, lattice, members):
+        members = frozenset(int(m) for m in members)
+        if lattice.bottom not in members:
+            raise NotAnIdeal('ideal must contain bottom')
+        for x in members:
+            for k in range(len(lattice)):
+                if lattice.leq(k, x) and k not in members:
+                    raise NotAnIdeal('not downward closed at %r' % (lattice.label(k),))
+            for y in members:
+                if lattice.join(x, y) not in members:
+                    raise NotAnIdeal('not join-closed at %r, %r' % (
+                        lattice.label(x), lattice.label(y)))
+        self.lattice = lattice
+        self.members = members
+
+    @cached_property
+    def generator(self):
+        'Largest member; the ideal is exactly its down-set.'
+        return self.lattice.join_all(self.members)
+
+    def labels(self):
+        return tuple(self.lattice.label(i) for i in sorted(self.members))
+
+
+def all_ideals(lat):
+    'Every ideal, one per element since finite ideals are principal down-sets.'
+    return [LatticeIdeal(lat, lat.down_set(x)) for x in range(len(lat))]
+
+
+def principal_ideal(lat, x):
+    return LatticeIdeal(lat, lat.down_set(x))
+
+
+def prime_ideals(lat):
+    'Proper ideals whose generator is meet-prime.'
+    out = []
+    n = len(lat)
+    for p in range(n):
+        if p == lat.top:
+            continue
+        prime = all(
+            lat.leq(x, p) or lat.leq(y, p)
+            for x in range(n) for y in range(n)
+            if lat.leq(lat.meet(x, y), p))
+        if prime:
+            out.append(principal_ideal(lat, p))
+    return out
+
+
+def maximal_ideals(lat):
+    'Maximal proper ideals; their generators are the coatoms of the carrier.'
+    out = []
+    n = len(lat)
+    for m in range(n):
+        if m == lat.top:
+            continue
+        if all(x == lat.top or x == m for x in range(n) if lat.leq(m, x)):
+            out.append(principal_ideal(lat, m))
+    return out
+
+
+def quotient_by_ideal(lat, ideal):
+    'Quotient by the congruence a ~ b iff a v e = b v e for some ideal member e.'
+    if ideal.lattice is not lat:
+        raise NotAnIdeal('ideal belongs to a different lattice')
+    g = ideal.generator
+    # joining with the generator dominates joining with any member, so classes
+    # are the fibers of x |-> x v g and the quotient is the upper interval [g, 1]
+    reps = [x for x in range(len(lat)) if lat.leq(g, x)]
+    sub = lat.poset.leq[np.ix_(reps, reps)]
+    quotient = DistLattice(FinitePoset([lat.label(x) for x in reps], sub))
+    to_class = {x: qi for qi, x in enumerate(reps)}
+    mapping = tuple(to_class[lat.join(x, g)] for x in range(len(lat)))
+    return quotient, LatticeMorphism(lat, quotient, mapping)
+
+
+def star(r, a):
+    'Ideal of the classes of the elements below a.'
+    members = {r.lam[c] for c in range(len(r.source)) if r.source.leq(c, a)}
+    return LatticeIdeal(r.lattice, members)
+
+
+def unstar(r, ideal):
+    'Join of the elements whose class lies in the ideal.'
+    if ideal.lattice is not r.lattice:
+        raise NotAnIdeal('ideal does not live in this reticulation lattice')
+    return r.source.join_all(c for c in range(len(r.source)) if r.lam[c] in ideal.members)
+
+
+def has_id_blp(lat):
+    'Whether complemented elements lift along every ideal quotient; witness is (ideal, stranded label).'
+    center = lattice_boolean_center(lat)
+    for ideal in all_ideals(lat):
+        quotient, p = quotient_by_ideal(lat, ideal)
+        lifted = {p(e) for e in center}
+        for e in lattice_boolean_center(quotient):
+            if e not in lifted:
+                return Verdict(False, (ideal, quotient.label(e)))
+    return Verdict(True)
+
+
+def lattice_is_id_local(lat):
+    'Exactly one maximal ideal.'
+    return len(maximal_ideals(lat)) == 1

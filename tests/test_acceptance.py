@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from quantales import cli, io, suite
-from quantales.lattices import DistLattice, FinitePoset, prime_ideals
+from quantales.lattices import DistLattice, FinitePoset
 from quantales.oracles import has_id_blp, normal_witness, radical_by_powers
 from quantales.properties import (
     element_has_lp, has_lp, has_property_star, hyperarchimedean_equivalents,
@@ -142,11 +142,11 @@ def test_criterion_04_frame_and_spectrum_isomorphisms(corpus):
         q = member.quantale
         frame_iso(q)
         u, v = spectrum_homeomorphism(q)
-        primes = prime_ideals(reticulate(q).lattice)
+        ret = reticulate(q)
+        # ideals by generator: the ideal of star(a) lies in that of P iff star(a) <= P
         for a in range(len(q)):
-            image = {u[p].members for p in q.spectrum if q.leq(a, p)}
-            direct = {P.members for P in primes
-                      if star(q, a).members <= P.members}
+            image = {u[p] for p in q.spectrum if q.leq(a, p)}
+            direct = {P for P in ret.as_quantale.spectrum if ret.lattice.leq(star(q, a), P)}
             assert image == direct, (member.name, q.label(a))
             closed_points += 1
     _line(4, True,

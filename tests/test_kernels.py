@@ -11,7 +11,10 @@ they read nothing but which joins are top and which products are bottom.
 The derived structures (intervals, products, decompositions, radical
 frames) and the maps on reticulation classes are driven by the same pools
 with perturbed multiplication tables, radical tables and class maps, so
-that every raise is reached.
+that every raise is reached.  Ideals of a finite lattice are read as their
+generators through the meet-quantale; the ideal loops they replaced are
+driven by the distributive lattices up to six elements and the
+reticulations of the corpus, and the ideal criterion by random subsets.
 """
 
 import copy
@@ -24,14 +27,16 @@ from hypothesis import example, given, settings, strategies as st
 import reference_loops as ref
 from quantales import io, suite
 from quantales.lattices import (
-    DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, blocks,
+    DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotAnIdeal, blocks,
     is_distributive)
+from quantales.oracles import has_id_blp, lattice_is_id_local
 from quantales.properties import is_b_normal, is_normal
 from quantales.quantale import (
     Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, decompose_by_elements,
     interval_quantale, product, radical_frame)
 from quantales.reticulation import (
-    Reticulation, _induced, check_unicity, lift_morphism, reticulate)
+    Reticulation, _generator, _induced, _star, check_unicity, lift_morphism, reticulate, star,
+    unstar)
 
 CASES = settings(max_examples=150, deadline=None)
 
@@ -670,3 +675,104 @@ def test_unicity_checks_match_the_loops(case):
     if ours[0] == 'returned':
         ours, theirs = ours[1].mapping, theirs[1].mapping
     assert ours == theirs
+
+
+# ---------------------------------------------------------------------------
+# ideals of a finite lattice as their generators
+
+DISTRIBUTIVE = [lat for lat in LATTICES + list(suite.enumerate_lattices(6))
+                if is_distributive(lat)] + [reticulate(q).lattice for q in QUANTALES]
+
+
+@CASES
+@given(st.sampled_from(DISTRIBUTIVE), st.data())
+def test_ideal_generators_match_the_ideal_loops(lattice, data):
+    meet = Quantale(lattice, lattice.meet_table)
+    assert meet.spectrum == tuple(ideal.generator for ideal in ref.prime_ideals(lattice))
+    assert meet.maximal_elements == tuple(
+        ideal.generator for ideal in ref.maximal_ideals(lattice))
+    g = data.draw(st.integers(0, len(lattice) - 1))
+    quotient, p = ref.quotient_by_ideal(lattice, ref.principal_ideal(lattice, g))
+    part, u = interval_quantale(meet, g)
+    assert (part.elements, part.lattice.poset.leq.tolist(), part.mul_table.tolist(),
+            u.mapping) == (quotient.elements, quotient.poset.leq.tolist(),
+                           quotient.meet_table.tolist(), p.mapping)
+
+
+@CASES
+@given(st.sampled_from(DISTRIBUTIVE))
+def test_lattice_side_oracles_match_the_ideal_loops(lattice):
+    ours, theirs = has_id_blp(lattice), ref.has_id_blp(lattice)
+    assert ours.holds == theirs.holds
+    if not theirs:
+        ideal, stranded = theirs.witness
+        assert ours.witness == (lattice.label(ideal.generator), stranded)
+    assert lattice_is_id_local(lattice) == ref.lattice_is_id_local(lattice)
+
+
+@CASES
+@given(st.sampled_from(QUANTALES), st.data())
+def test_star_maps_match_the_loops(q, data):
+    r = reticulate(q)
+    a = data.draw(st.integers(0, len(q) - 1))
+    assert r.lattice.down_set(star(q, a)) == ref.star(r, a).members
+    x = data.draw(st.integers(0, len(r) - 1))
+    assert unstar(q, x) == ref.unstar(r, ref.principal_ideal(r.lattice, x))
+
+
+def _ideal_outcome(fn, *args):
+    'What a call returns, or the class of what it raises.'
+    result = outcome(fn, *args)
+    return result[:2]
+
+
+@st.composite
+def subsets(draw):
+    'A lattice and a subset as a mask: random, or a down-set with a few memberships flipped.'
+    lattice = draw(st.sampled_from(LATTICES))
+    n = len(lattice)
+    if draw(st.booleans()):
+        return lattice, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    members = lattice.poset.leq[:, draw(st.integers(0, n - 1))].tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        x = draw(st.integers(0, n - 1))
+        members[x] = not members[x]
+    return lattice, members
+
+
+@CASES
+@given(subsets())
+@example((suite.enumerate_lattices(1)[0], [False]))
+def test_the_ideal_criterion_matches_the_ideal_loop(case):
+    # a set is an ideal iff it is the down-set of its join, in any finite lattice
+    lattice, members = case
+    ours = _ideal_outcome(_generator, lattice, members)
+    theirs = _ideal_outcome(
+        lambda: ref.LatticeIdeal(lattice, np.flatnonzero(members)).generator)
+    assert ours == theirs
+    assert ours[0] == 'returned' or ours[1] is NotAnIdeal
+
+
+@CASES
+@given(reticulation_maps(), st.data())
+def test_star_on_corrupted_class_maps_matches_the_loop(ret, data):
+    a = data.draw(st.integers(0, len(ret.source) - 1))
+    ours, theirs = _ideal_outcome(_star, ret, a), _ideal_outcome(ref.star, ret, a)
+    assert ours[0] == theirs[0]
+    if ours[0] == 'returned':
+        assert ret.lattice.down_set(ours[1]) == ref.star(ret, a).members
+    else:
+        assert ours[1] is theirs[1] is NotAnIdeal
+
+
+def test_star_refuses_a_corrupted_class_map():
+    q = io.generate('zn:12')
+    ret = copy.copy(reticulate(q))
+    lam = list(ret.lam)
+    # bottom's class moved to the top: the classes below bottom are {top}
+    lam[q.bottom] = ret.lattice.top
+    ret.lam = tuple(lam)
+    with pytest.raises(NotAnIdeal):
+        _star(ret, q.bottom)
+    # the copy left the cached reticulation alone
+    assert star(q, q.bottom) == reticulate(q).lattice.bottom

@@ -1,20 +1,21 @@
 """Order-theoretic layer: posets, lattices, ideals, quotients.
 
-Ideal and quotient computations are cross-checked against brute-force
-enumerations so the fast paths cannot drift.
+An ideal of a finite lattice is read as its generator: prime and maximal
+ideals through the meet-quantale, quotients as intervals.  These readings
+are cross-checked against brute-force enumerations so they cannot drift.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantales.lattices import (
-    DistLattice, LatticeIdeal, LatticeMorphism, NotALattice, NotAPoset, all_ideals,
-    build_lattice, is_distributive, maximal_ideals, prime_ideals, principal_ideal,
-    quotient_by_ideal)
+    DistLattice, LatticeMorphism, NotALattice, NotAnIdeal, NotAPoset, build_lattice,
+    is_distributive)
 from quantales.oracles import (
     complement_of, has_id_blp, lattice_boolean_center, lattice_is_id_local,
     normal_witness)
-from quantales.quantale import Quantale, find_quantale_isomorphism
+from quantales.quantale import Quantale, find_quantale_isomorphism, interval_quantale
+from quantales.reticulation import _generator
 from quantales.suite import enumerate_lattices
 
 DIVISORS_12 = ['1', '2', '3', '4', '6', '12']
@@ -106,11 +107,12 @@ def _brute_ideals(lat):
 @pytest.mark.parametrize('make', [divisor_lattice, pentagon, diamond])
 def test_all_ideals_matches_brute_force(make):
     lat = make()
-    fast = {ideal.members for ideal in all_ideals(lat)}
-    assert fast == _brute_ideals(lat)
+    brute = _brute_ideals(lat)
     # in a finite lattice every ideal is principal
-    for ideal in all_ideals(lat):
-        assert ideal.members == frozenset(lat.down_set(ideal.generator))
+    assert brute == {lat.down_set(g) for g in range(len(lat))}
+    for members in brute:
+        g = _generator(lat, [x in members for x in range(len(lat))])
+        assert lat.down_set(g) == members
 
 
 def test_prime_ideals_match_brute_force():
@@ -124,24 +126,25 @@ def test_prime_ideals_match_brute_force():
                     if lat.meet(a, b) in members)
         if prime:
             brute.add(members)
-    assert {ideal.members for ideal in prime_ideals(lat)} == brute
+    assert {lat.down_set(p) for p in meet_quantale(lat).spectrum} == brute
 
 
 def test_maximal_ideals_are_maximal_proper():
     lat = divisor_lattice()
     proper = [m for m in _brute_ideals(lat) if m != frozenset(range(len(lat)))]
     brute = {m for m in proper if not any(m < other for other in proper)}
-    assert {ideal.members for ideal in maximal_ideals(lat)} == brute
+    assert {lat.down_set(m) for m in meet_quantale(lat).maximal_elements} == brute
 
 
 def test_quotient_congruence_matches_two_sided_definition():
     lat = divisor_lattice()
-    ideal = principal_ideal(lat, _ix(lat, '4'))
-    quotient, morphism = quotient_by_ideal(lat, ideal)
+    g = _ix(lat, '4')
+    # the quotient by the ideal below g is the interval [g) under x |-> x v g
+    quotient, morphism = interval_quantale(meet_quantale(lat), g)
     for a in range(len(lat)):
         for b in range(len(lat)):
             # a ~ b iff a v e = b v e for some ideal element e
-            related = any(lat.join(a, e) == lat.join(b, e) for e in ideal.members)
+            related = any(lat.join(a, e) == lat.join(b, e) for e in lat.down_set(g))
             assert related == (morphism(a) == morphism(b))
     assert morphism.is_surjective()
 
@@ -158,9 +161,8 @@ def test_complement_and_boolean_center():
 
 def test_ideal_rejects_non_down_sets():
     lat = divisor_lattice()
-    from quantales.lattices import NotAnIdeal
     with pytest.raises(NotAnIdeal):
-        LatticeIdeal(lat, {_ix(lat, '2')})
+        _generator(lat, [x == _ix(lat, '2') for x in range(len(lat))])
 
 
 def test_morphism_validation():

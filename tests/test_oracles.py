@@ -2,7 +2,8 @@
 
 The oracles decide each concept a second way, so that the suite can compare
 the library against something that shares none of its code.  A library
-module that imported them would blur that line, so the source is scanned.
+module that imported them would blur that line, and so would an oracle that
+called the library, so the source is scanned both ways.
 """
 
 import ast
@@ -52,3 +53,25 @@ def test_the_scan_recognises_every_import_form():
     for source in ('from . import io', 'from .lattices import Verdict',
                    'import quantales', 'from quantales import suite'):
         assert not _imports_oracles(ast.parse(source)), source
+
+
+def _names_taken_from_the_package(tree):
+    'Every dotted name an import statement takes from quantales.'
+    return {name for name in _imported_names(tree)
+            if name == 'quantales' or name.startswith('quantales.')}
+
+
+def test_the_oracles_take_nothing_from_the_library_but_verdict():
+    tree = ast.parse((PACKAGE / 'oracles.py').read_text(encoding='utf-8'))
+    assert _names_taken_from_the_package(tree) <= {
+        'quantales.lattices', 'quantales.lattices.Verdict'}
+    # the oracles do import Verdict, so the scan is seen to find an import
+    assert 'quantales.lattices.Verdict' in _names_taken_from_the_package(tree)
+
+
+def test_the_verdict_scan_recognises_other_imports():
+    for source in ('from quantales.lattices import Verdict, all_ideals',
+                   'from .reticulation import star', 'import quantales.quantale',
+                   'from . import lattices', 'from quantales import Verdict'):
+        found = _names_taken_from_the_package(ast.parse(source))
+        assert not found <= {'quantales.lattices', 'quantales.lattices.Verdict'}, source

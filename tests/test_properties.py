@@ -129,6 +129,15 @@ def test_d12_local_decomposition_golden(d12):
     assert sum(len(f.maximal_elements) for f in dec.factors) == 2
 
 
+def test_decomposition_factors_are_the_intervals_above_the_idempotents(corpus, small_corpus):
+    for member in list(corpus) + list(small_corpus):
+        q = member.quantale
+        dec = local_decomposition(q) if len(q) > 1 else None
+        if isinstance(dec, Decomposition):
+            assert [(f.parent, f.anchor) for f in dec.factors] == [
+                (q, e) for e in dec.idempotents], member.name
+
+
 def test_w5_decomposition_fails_at_the_radical(w5):
     verdict = local_decomposition(w5)
     assert not verdict

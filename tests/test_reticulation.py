@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantales import io
-from quantales.lattices import DistLattice, FinitePoset, all_ideals, prime_ideals
+from quantales.lattices import DistLattice, FinitePoset, NotAnIdeal
 from quantales.quantale import radical_frame
 from quantales.reticulation import (
     NotAReticulation, boolean_isos, check_unicity, frame_iso,
@@ -49,15 +49,21 @@ def test_unstar_of_star_is_the_radical(corpus):
 
 def test_star_is_a_bijection_on_ideals(corpus):
     for q in _members(corpus):
-        ret = reticulate(q)
-        for ideal in all_ideals(ret.lattice):
-            assert star(q, unstar(q, ideal)).members == ideal.members
+        # every ideal of the finite quotient is the down-set of its generator
+        for g in range(len(reticulate(q))):
+            assert star(q, unstar(q, g)) == g
 
 
 def test_star_matches_primes_both_ways(d12):
-    primes = {ideal.members for ideal in prime_ideals(reticulate(d12).lattice)}
-    images = {star(d12, p).members for p in d12.spectrum}
+    primes = set(reticulate(d12).as_quantale.spectrum)
+    images = {star(d12, p) for p in d12.spectrum}
     assert images == primes
+
+
+def test_unstar_refuses_generators_out_of_range(d12):
+    for x in (-1, len(reticulate(d12))):
+        with pytest.raises(NotAnIdeal):
+            unstar(d12, x)
 
 
 def test_frame_and_spectrum_isomorphisms_hold_everywhere(corpus):

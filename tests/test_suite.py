@@ -160,6 +160,15 @@ def test_crashing_check_is_reported_not_raised(corpus):
         del suite.CHECKS[name]
 
 
+def test_disagreeing_legs_are_refuted_with_every_leg_shown(corpus, monkeypatch):
+    # the quotient leg now claims every quotient is local
+    monkeypatch.setattr(suite, 'lattice_is_id_local', lambda lattice: True)
+    report = suite.run_suite(corpus, checks=['local-equivalence'])
+    details = {r.member: (r.status, r.detail) for r in report.results}
+    assert details['D12'] == (suite.REFUTED, 'quantale=False frame=False quotient=True')
+    assert details['C3'] == (suite.PASS, 'quantale=True frame=True quotient=True')
+
+
 def test_report_text_layout(corpus):
     report = suite.run_suite(corpus, checks=['quantale-axioms'])
     text = report.to_text()
