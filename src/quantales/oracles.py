@@ -2,9 +2,9 @@
 
 Each function decides a concept a second way, apart from the code it
 checks: the radical by iterating powers, the Boolean center, ideal lifting
-and localness on the lattice side, and normality by a plain loop.  Only the
-law suite and the tests import this module; no library module does, so an
-oracle never shares a fault with what it checks.
+and localness on the lattice side, lifting anchor by anchor, and normality
+by a plain loop.  Only the law suite and the tests import this module; no
+library module does, so an oracle never shares a fault with what it checks.
 """
 
 from quantales.lattices import Verdict
@@ -51,6 +51,22 @@ def lattice_is_id_local(lat):
     maximal = [m for m in range(n) if m != lat.top
                and all(x in (m, lat.top) for x in range(n) if lat.leq(m, x))]
     return len(maximal) == 1
+
+
+def has_lp_per_anchor(q):
+    'Whether each [a) lifts its complemented elements from the center; witness (anchor, stranded).'
+    n = len(q)
+    center = [e for e in range(n)
+              if any(q.join(e, f) == q.top and q.mul(e, f) == q.bottom for f in range(n))]
+    for a in range(n):
+        lifted = {q.join(c, a) for c in center}
+        up = [x for x in range(n) if q.leq(a, x)]
+        # in [a) the product is x*y v a and the bottom is a
+        for x in up:
+            if x not in lifted and any(
+                    q.join(x, y) == q.top and q.leq(q.mul(x, y), a) for y in up):
+                return Verdict(False, (q.label(a), q.label(x)))
+    return Verdict(True)
 
 
 def normal_witness(q, pool):

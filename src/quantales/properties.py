@@ -6,30 +6,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quantales.lattices import Verdict, first_true
+from quantales.lattices import Verdict, blocks, first_true
 from quantales.quantale import (
     QuantaleMorphism,
     TrivialQuantale,
     decompose_by_elements,
-    interval_quantale,
     jacobson_radical,
     radical_frame,
 )
 from quantales.reticulation import reticulate
 
 
+def _stranded(q, anchors):
+    """stranded[i, x]: x is complemented in [a) for a = anchors[i], but is
+    c v a for no complemented c of q.
+
+    x is complemented in [a) when x >= a and some y >= a has x v y = 1 and
+    x*y <= a, since the product of [a) is x*y v a and its bottom is a.  Any
+    y with x v y = 1 and x*y <= a will do, because y v a then lies in [a)
+    and x*(y v a) = x*y v x*a <= a.  An interval's carrier and center ascend
+    in the order of q, so the first True entry of a row is the first
+    stranded element of that interval."""
+    anchors = np.asarray(anchors, dtype=np.intp)
+    n, k = len(q), len(anchors)
+    leq, join = q.lattice.poset.leq, q.lattice.join_table
+    coprime = join == q.top
+    above, below = leq[anchors], leq[:, anchors]
+    complemented = np.zeros((n, k), dtype=bool)
+    for rows, cols in blocks(n, k):
+        # [x, y, i]: x v y = 1 and x*y <= a
+        splits = coprime[rows, cols, None] & below[q.mul_table[rows, cols]]
+        complemented[rows] |= splits.any(axis=1)
+    stranded = complemented.T & above
+    stranded[np.arange(k)[:, None], join[np.ix_(anchors, q.center)]] = False
+    return stranded
+
+
 def element_has_lp(q, a):
-    'Whether every complemented element of [a) is x v a for complemented x.'
-    _, u = interval_quantale(q, a)
-    return u.boolean_is_surjective()
+    'Whether every complemented element of [a) is c v a for complemented c; witness the first not.'
+    hit = first_true(_stranded(q, [a])[0])
+    if hit is not None:
+        return Verdict(False, q.label(hit[0]))
+    return Verdict(True)
 
 
 def has_lp(q):
-    'Lifting property for every anchor; witness is the first failing anchor.'
-    for a in range(len(q)):
-        lifted = element_has_lp(q, a)
-        if not lifted:
-            return Verdict(False, (q.label(a), lifted.witness))
+    'Lifting property at every anchor; witness the first (anchor, stranded element) in row-major order.'
+    hit = first_true(_stranded(q, np.arange(len(q))))
+    if hit is not None:
+        a, x = hit
+        return Verdict(False, (q.label(a), q.label(x)))
     return Verdict(True)
 
 

@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 
 from quantales.lattices import (
-    DistLattice, FiniteLattice, FinitePoset, Verdict, blocks, distributivity_failure,
+    DistLattice, FiniteLattice, FinitePoset, blocks, distributivity_failure,
     first_in_blocks, first_law_failure, first_true, unpreserved)
 
 
@@ -335,14 +335,6 @@ class QuantaleMorphism:
         if not out <= frozenset(self.target.center):
             raise QuantaleError('a complemented element maps outside the target center')
         return out
-
-    def boolean_is_surjective(self):
-        'Whether every complemented target element has a complemented preimage.'
-        image = self.boolean_image()
-        for e in self.target.center:
-            if e not in image:
-                return Verdict(False, self.target.label(e))
-        return Verdict(True)
 
 
 def kernel(u):

@@ -19,7 +19,8 @@ from . import io
 from .lattices import (
     LatticeError, DistLattice, FiniteLattice, FinitePoset, NotALattice, NotAPoset, first_true)
 from .oracles import (
-    complement_of, has_id_blp, lattice_is_id_local, normal_witness, radical_by_powers)
+    complement_of, has_id_blp, has_lp_per_anchor, lattice_is_id_local, normal_witness,
+    radical_by_powers)
 from .properties import (
     element_has_lp, has_lp, has_property_star, hyperarchimedean_equivalents,
     is_b_normal, is_hyperarchimedean, is_local, is_normal, is_semilocal,
@@ -769,9 +770,15 @@ def _check_lifting_equivalence(member):
     q = member.quantale
     frame = radical_frame(q).as_quantale
     quotient = reticulate(q)
+    lifting = {}
+    for name, part in (('quantale', q), ('frame', frame)):
+        lifting[name] = has_lp(part)
+        oracle = has_lp_per_anchor(part)
+        if lifting[name] != oracle:
+            return REFUTED, '%s-lifting %r, per-anchor oracle %r' % (name, lifting[name], oracle)
     verdicts = {
-        'quantale-lifting': bool(has_lp(q)),
-        'frame-lifting': bool(has_lp(frame)),
+        'quantale-lifting': bool(lifting['quantale']),
+        'frame-lifting': bool(lifting['frame']),
         'quotient-ideal-lifting': bool(has_id_blp(quotient.lattice)),
         'quantale-b-normal': bool(is_b_normal(q)),
         'frame-b-normal': bool(is_b_normal(frame)),

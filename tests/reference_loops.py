@@ -2,7 +2,8 @@
 
 These are the scalar loops the library used before its checks and its
 derived structures (intervals, products, decompositions, radical frames,
-maps on reticulation classes) became numpy kernels over whole tables, and
+maps on reticulation classes) and the lifting property (one interval per
+anchor) became numpy kernels over whole tables, and
 the lattice-side ideal layer (ideals as member sets, prime and maximal
 ideals, quotients by an ideal, the star maps) that ideal generators read
 through the meet-quantale replaced.
@@ -290,6 +291,28 @@ def interval_quantale(parent, anchor):
     u = QuantaleMorphism(
         parent, part, tuple(position[parent.join(x, anchor)] for x in range(len(parent))))
     return tuple(carrier), position, part, u
+
+
+def element_has_lp(q, a):
+    'Whether [a) lifts its center, as the interval and its canonical surjection decided it.'
+    _, _, part, u = interval_quantale(q, a)
+    image = frozenset(u.mapping[e] for e in center(q))
+    part_center = center(part)
+    if not image <= frozenset(part_center):
+        raise QuantaleError('a complemented element maps outside the target center')
+    for e in part_center:
+        if e not in image:
+            return Verdict(False, part.label(e))
+    return Verdict(True)
+
+
+def has_lp(q):
+    'Lifting property, one interval per anchor; witness (anchor, stranded element).'
+    for a in range(len(q)):
+        lifted = element_has_lp(q, a)
+        if not lifted:
+            return Verdict(False, (q.label(a), lifted.witness))
+    return Verdict(True)
 
 
 def product(factors):

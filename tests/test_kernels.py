@@ -8,6 +8,8 @@ small enumerated lattices and the fixtures, and monotone commutative
 tables on chains, the family that reaches the associativity check most
 often.  The normality verdicts are also driven by arbitrary tables, since
 they read nothing but which joins are top and which products are bottom.
+The lifting verdicts, for the whole quantale and for each anchor, are
+driven by the pool, permuted copies of it and products without lifting.
 The derived structures (intervals, products, decompositions, radical
 frames) and the maps on reticulation classes are driven by the same pools
 with perturbed multiplication tables, radical tables and class maps, so
@@ -29,8 +31,8 @@ from quantales import io, suite
 from quantales.lattices import (
     DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotAnIdeal, blocks,
     is_distributive)
-from quantales.oracles import has_id_blp, lattice_is_id_local
-from quantales.properties import is_b_normal, is_normal
+from quantales.oracles import has_id_blp, has_lp_per_anchor, lattice_is_id_local
+from quantales.properties import _stranded, element_has_lp, has_lp, is_b_normal, is_normal
 from quantales.quantale import (
     Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, decompose_by_elements,
     interval_quantale, product, radical_frame)
@@ -389,6 +391,46 @@ def test_normality_verdicts_match_the_loops_on_quantales(q, data):
     lattice, mul = permuted(q.lattice, q.mul_table, data.draw(st.permutations(range(len(q)))))
     q = Quantale(lattice, mul)
     assert _normality_outcomes(q) == _reference_normality_outcomes(q)
+
+
+# ---------------------------------------------------------------------------
+# the lifting property
+
+NOT_LIFTING = [io.generate(spec) for spec in (
+    'downsets:z<x,z<y', 'product:zn:8;downsets:z<x,z<y', 'product:downsets:z<x,z<y;chain:2,frame')]
+
+
+@st.composite
+def lifting_cases(draw):
+    'A quantale from the pool or one without lifting, in its own index order or a permuted one.'
+    q = draw(st.sampled_from(QUANTALES + NOT_LIFTING))
+    if draw(st.booleans()):
+        q = Quantale(*permuted(q.lattice, q.mul_table, draw(st.permutations(range(len(q))))))
+    return q
+
+
+def _lifting_outcomes(q, whole, per_anchor):
+    return outcome(whole, q), [outcome(per_anchor, q, a) for a in range(len(q))]
+
+
+@CASES
+@given(lifting_cases())
+@example(NOT_LIFTING[1])
+def test_lifting_matches_the_interval_loop(q):
+    assert _lifting_outcomes(q, has_lp, element_has_lp) == _lifting_outcomes(
+        q, ref.has_lp, ref.element_has_lp)
+    for fn in (element_has_lp, ref.element_has_lp):
+        with pytest.raises(IndexError):
+            fn(q, len(q))
+
+
+def test_lifting_rows_match_the_whole_table_when_blocks_split_rows():
+    'Above 90 elements the blocks of the whole table split its rows, and those of one row never do.'
+    q = io.generate('product:downsets:z<x,z<y;chain:20,frame')
+    whole = _stranded(q, np.arange(len(q)))
+    assert whole.any()
+    assert whole.tolist() == [_stranded(q, [a])[0].tolist() for a in range(len(q))]
+    assert has_lp(q) == has_lp_per_anchor(q)
 
 
 # ---------------------------------------------------------------------------

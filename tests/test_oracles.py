@@ -3,13 +3,20 @@
 The oracles decide each concept a second way, so that the suite can compare
 the library against something that shares none of its code.  A library
 module that imported them would blur that line, and so would an oracle that
-called the library, so the source is scanned both ways.
+called the library, so the source is scanned both ways.  The per-anchor
+lifting oracle is also held to the library's lifting kernel, on the pool
+that test_kernels.py holds that kernel to the interval loop on.
 """
 
 import ast
 from pathlib import Path
 
+from hypothesis import example, given, settings
+
 import quantales
+from quantales.oracles import has_lp_per_anchor
+from quantales.properties import has_lp
+from test_kernels import NOT_LIFTING, lifting_cases
 
 PACKAGE = Path(quantales.__file__).parent
 
@@ -75,3 +82,10 @@ def test_the_verdict_scan_recognises_other_imports():
                    'from . import lattices', 'from quantales import Verdict'):
         found = _names_taken_from_the_package(ast.parse(source))
         assert not found <= {'quantales.lattices', 'quantales.lattices.Verdict'}, source
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifting_cases())
+@example(NOT_LIFTING[1])
+def test_the_per_anchor_lifting_oracle_matches_the_kernel(q):
+    assert has_lp_per_anchor(q) == has_lp(q)

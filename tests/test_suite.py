@@ -263,3 +263,33 @@ def test_mutated_center_is_refuted_through_verify_under_optimisation():
     assert lines[-1] == 'False 1'
     refuted = [line for line in lines if 'REFUTED' in line and 'center-laws' in line]
     assert refuted and 'center membership differs from a v a~ = 1' in done.stdout
+
+
+KERNEL_STRANDS_NOTHING = textwrap.dedent("""
+    import numpy as np
+
+    from quantales import cli, properties
+
+    def strands_nothing(q, anchors):
+        return np.zeros((len(anchors), len(q)), dtype=bool)
+
+    properties._stranded = strands_nothing
+    code = cli.main(['verify', 'fixtures', '--theorems', 'lifting-equivalence', '--no-timings'])
+    print(__debug__, code)
+""")
+
+
+def test_lifting_kernel_that_strands_nothing_is_refuted_through_verify_under_optimisation():
+    'A lifting kernel that never strands an element is REFUTED by the per-anchor oracle on W5.'
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(quantales.__file__))
+    env['PYTHONPATH'] = os.pathsep.join(filter(None, [src, env.get('PYTHONPATH')]))
+    done = subprocess.run([sys.executable, '-O', '-c', KERNEL_STRANDS_NOTHING],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == 'False 1'
+    refuted = [line.split()[:3] for line in lines[2:-2] if 'REFUTED' in line]
+    assert refuted == [['lifting-equivalence', 'W5', 'REFUTED']]
+    assert ("quantale-lifting Verdict(holds=True, witness=None), per-anchor oracle "
+            "Verdict(holds=False, witness=('{z}', '{x,z}'))") in done.stdout
