@@ -110,11 +110,7 @@ def _cmd_verify(args):
 
 
 def _cmd_enumerate(args):
-    try:
-        corpus = suite.enumerated(args.max_size)
-    except suite.BoundExceeded as exc:
-        print('error: %s' % exc, file=sys.stderr)
-        return 2
+    corpus = suite.enumerated(args.max_size)
     for member in corpus:
         q = member.quantale
         if args.emit_dir:
@@ -172,6 +168,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse takes any integer, and a negative size bound would enumerate nothing
+    for dest in ('max_size', 'enumerate_up_to'):
+        if (getattr(args, dest, None) or 0) < 0:
+            print('error: --%s must not be negative' % dest.replace('_', '-'), file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except (OSError, io.InstanceError, QuantaleError, LatticeError) as exc:

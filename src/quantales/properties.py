@@ -10,6 +10,7 @@ from quantales.lattices import Verdict, blocks, first_true
 from quantales.quantale import (
     QuantaleMorphism,
     TrivialQuantale,
+    _element_index,
     decompose_by_elements,
     jacobson_radical,
     radical_frame,
@@ -44,7 +45,7 @@ def _stranded(q, anchors):
 
 def element_has_lp(q, a):
     'Whether every complemented element of [a) is c v a for complemented c; witness the first not.'
-    hit = first_true(_stranded(q, [a])[0])
+    hit = first_true(_stranded(q, [_element_index(q, a)])[0])
     if hit is not None:
         return Verdict(False, q.label(hit[0]))
     return Verdict(True)

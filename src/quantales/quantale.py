@@ -375,9 +375,16 @@ def _into(part, xs):
     return np.searchsorted(part.carrier, part.parent.lattice.join_table[xs, part.anchor])
 
 
+def _element_index(q, a):
+    'a, once it is known to index an element of q; numpy would read a negative index from the end.'
+    if not 0 <= a < len(q):
+        raise IndexError('element index %r out of range for %d elements' % (a, len(q)))
+    return a
+
+
 def interval_quantale(q, a):
     'The quantale on [a) together with the canonical surjection x -> x v a.'
-    part = IntervalQuantale(q, a)
+    part = IntervalQuantale(q, _element_index(q, a))
     return part, QuantaleMorphism(q, part, _into(part, np.arange(len(q))))
 
 
@@ -426,39 +433,42 @@ def decompose_by_elements(q, anchors):
     return u
 
 
-def find_quantale_isomorphism(source, target):
-    'Bijection preserving order and multiplication, or None; backtracking search.'
-    if len(source) != len(target):
+def _isomorphism(source, target):
+    """Bijection carrying one (leq, op) pair of tables onto another, or None; op is
+    commutative, and each element tries the targets of its profile in index order."""
+    (src_leq, src_op), (tgt_leq, tgt_op) = source, target
+    n = len(src_leq)
+    if len(tgt_leq) != n:
         return None
-    n = len(source)
 
-    def profile(q, x):
-        row = q.mul_table[x]
-        return (len(q.lattice.down_set(x)), len(q.lattice.up_set(x)),
-                int((row == x).sum()), int((row == q.bottom).sum()))
+    def profile(leq, op):
+        bottom = np.flatnonzero(leq.all(axis=1))[0]
+        return list(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist(),
+                        (op == np.arange(n)[:, None]).sum(axis=1).tolist(),
+                        (op == bottom).sum(axis=1).tolist()))
 
-    src_prof = [profile(source, x) for x in range(n)]
-    tgt_prof = [profile(target, x) for x in range(n)]
+    src_prof, tgt_prof = profile(src_leq, src_op), profile(tgt_leq, tgt_op)
     if sorted(src_prof) != sorted(tgt_prof):
         return None
+    src_leq, src_op, tgt_leq, tgt_op = (t.tolist() for t in (src_leq, src_op, tgt_leq, tgt_op))
     assignment = [-1] * n
     used = [False] * n
 
     def extend(x):
         if x == n:
             return all(
-                assignment[source.mul(a, b)] == target.mul(assignment[a], assignment[b])
+                assignment[src_op[a][b]] == tgt_op[assignment[a]][assignment[b]]
                 for a in range(n) for b in range(a, n))
         for y in range(n):
             if used[y] or src_prof[x] != tgt_prof[y]:
                 continue
             ok = all(
-                source.leq(x, z) == target.leq(y, assignment[z])
-                and source.leq(z, x) == target.leq(assignment[z], y)
+                src_leq[x][z] == tgt_leq[y][assignment[z]]
+                and src_leq[z][x] == tgt_leq[assignment[z]][y]
                 for z in range(x))
             if ok and all(
-                    assignment[source.mul(x, z)] == target.mul(y, assignment[z])
-                    for z in range(x) if source.mul(x, z) < x):
+                    assignment[src_op[x][z]] == tgt_op[y][assignment[z]]
+                    for z in range(x) if src_op[x][z] < x):
                 assignment[x] = y
                 used[y] = True
                 if extend(x + 1):
@@ -470,6 +480,12 @@ def find_quantale_isomorphism(source, target):
     if extend(0):
         return tuple(assignment)
     return None
+
+
+def find_quantale_isomorphism(source, target):
+    'Bijection preserving order and multiplication, or None; backtracking search.'
+    return _isomorphism((source.lattice.poset.leq, source.mul_table),
+                        (target.lattice.poset.leq, target.mul_table))
 
 
 def is_isomorphic(source, target):

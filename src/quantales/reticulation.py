@@ -22,6 +22,7 @@ from quantales.quantale import (
     NotUnital,
     Quantale,
     QuantaleError,
+    _element_index,
     interval_quantale,
     radical_frame,
 )
@@ -137,7 +138,7 @@ def _unstar(r, x):
 
 def star(q, a):
     'Generator of the ideal {class(c) : c <= a} of the reticulation lattice.'
-    return _star(reticulate(q), a)
+    return _star(reticulate(q), _element_index(q, a))
 
 
 def unstar(q, x):

@@ -10,7 +10,7 @@ tracked rather than asserted.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations, product as cartesian
+from itertools import combinations, product as cartesian
 from time import perf_counter
 
 import numpy as np
@@ -27,7 +27,7 @@ from .properties import (
     local_decomposition)
 from .quantale import (
     AxiomError, IntervalQuantale, Quantale, QuantaleError,
-    QuantaleMorphism, TrivialQuantale, decompose_by_elements,
+    QuantaleMorphism, TrivialQuantale, _isomorphism, decompose_by_elements,
     find_quantale_isomorphism, interval_quantale, jacobson_radical, kernel,
     is_injective, negation, product, radical_frame, residuum)
 from .reticulation import (
@@ -104,7 +104,6 @@ def enumerate_lattices(n):
     'All lattices on n points up to isomorphism, in a deterministic order.'
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     labels = ['x%d' % i for i in range(n)]
-    seen = set()
     out = []
     for mask in range(1 << len(slots)):
         rel = np.eye(n, dtype=bool)
@@ -116,11 +115,9 @@ def enumerate_lattices(n):
             lattice = FiniteLattice(FinitePoset(labels, rel))
         except (NotAPoset, NotALattice):
             continue
-        canon = min(
-            tuple(bool(rel[p[i], p[j]]) for i in range(n) for j in range(n))
-            for p in permutations(range(n)))
-        if canon not in seen:
-            seen.add(canon)
+        # non-distributive lattices have no meet-quantale, so compare tables
+        tables = (lattice.poset.leq, lattice.meet_table)
+        if all(_isomorphism(tables, (k.poset.leq, k.meet_table)) is None for k in out):
             out.append(lattice)
     return tuple(out)
 
@@ -140,40 +137,23 @@ def _mul_candidates(lattice):
         yield mul
 
 
-def _canonical_form(q):
-    n = len(q)
-    leq = q.lattice.poset.leq
-    mul = q.mul_table
-    best = None
-    for p in permutations(range(n)):
-        inverse = [0] * n
-        for new, old in enumerate(p):
-            inverse[old] = new
-        form = (
-            tuple(bool(leq[p[i], p[j]]) for i in range(n) for j in range(n)),
-            tuple(inverse[mul[p[i], p[j]]] for i in range(n) for j in range(n)))
-        if best is None or form < best:
-            best = form
-    return best
-
-
 def enumerate_quantales(max_size, bound=5):
     'Every quantale with at most max_size elements, one per isomorphism class.'
     if max_size > bound:
         raise BoundExceeded('size %d exceeds the enumeration bound %d' % (max_size, bound))
     out = []
     for n in range(1, max_size + 1):
-        seen = set()
         for lattice in enumerate_lattices(n):
+            # the lattices are pairwise non-isomorphic, so only classes on this one can match
+            kept = []
             for mul in _mul_candidates(lattice):
                 try:
                     q = Quantale(lattice, mul)
                 except AxiomError:
                     continue
-                canon = _canonical_form(q)
-                if canon not in seen:
-                    seen.add(canon)
-                    out.append(q)
+                if all(find_quantale_isomorphism(q, k) is None for k in kept):
+                    kept.append(q)
+            out.extend(kept)
     return tuple(out)
 
 

@@ -6,17 +6,20 @@ maps on reticulation classes) and the lifting property (one interval per
 anchor) became numpy kernels over whole tables, and
 the lattice-side ideal layer (ideals as member sets, prime and maximal
 ideals, quotients by an ideal, the star maps) that ideal generators read
-through the meet-quantale replaced.
+through the meet-quantale replaced, and the enumeration that removed
+duplicate isomorphism classes by n! canonical forms before the
+isomorphism search did.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
-class with the same message and witness, as the loop it replaced.  The
+class with the same message and witness, as the loop it replaced, and the
+search to find an isomorphism exactly when the canonical forms agree.  The
 normality verdicts wrap quantales.oracles.normal_witness, the loop the
 law suite uses too.
 Nothing under src/ imports this module.
 """
 
 from functools import cached_property
-from itertools import product as cartesian
+from itertools import permutations, product as cartesian
 
 import numpy as np
 
@@ -25,9 +28,10 @@ from quantales.lattices import (
     NotAnIdeal, NotAPoset, Verdict)
 from quantales.oracles import lattice_boolean_center, normal_witness
 from quantales.quantale import (
-    EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
+    AxiomError, EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
     NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, negation)
 from quantales.reticulation import AxiomViolation, NotAReticulation, reticulate
+from quantales.suite import BoundExceeded, _mul_candidates
 
 
 def poset_checks(elements, leq):
@@ -573,3 +577,77 @@ def has_id_blp(lat):
 def lattice_is_id_local(lat):
     'Exactly one maximal ideal.'
     return len(maximal_ideals(lat)) == 1
+
+
+# ---------------------------------------------------------------------------
+# enumeration by n! canonical forms, as it was before the isomorphism search
+
+def enumerate_lattices(n):
+    'All lattices on n points up to isomorphism, in a deterministic order.'
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    labels = ['x%d' % i for i in range(n)]
+    seen = set()
+    out = []
+    for mask in range(1 << len(slots)):
+        rel = np.eye(n, dtype=bool)
+        for bit, (i, j) in enumerate(slots):
+            # index order is a linear extension, so i < j covers every poset
+            if mask >> bit & 1:
+                rel[i, j] = True
+        try:
+            lattice = FiniteLattice(FinitePoset(labels, rel))
+        except (NotAPoset, NotALattice):
+            continue
+        canon = min(
+            tuple(bool(rel[p[i], p[j]]) for i in range(n) for j in range(n))
+            for p in permutations(range(n)))
+        if canon not in seen:
+            seen.add(canon)
+            out.append(lattice)
+    return tuple(out)
+
+
+def relation_canon(lattice):
+    'The canonical form enumerate_lattices computes inline: the least relabelled order relation.'
+    n = len(lattice)
+    rel = lattice.poset.leq
+    return min(
+        tuple(bool(rel[p[i], p[j]]) for i in range(n) for j in range(n))
+        for p in permutations(range(n)))
+
+
+def _canonical_form(q):
+    n = len(q)
+    leq = q.lattice.poset.leq
+    mul = q.mul_table
+    best = None
+    for p in permutations(range(n)):
+        inverse = [0] * n
+        for new, old in enumerate(p):
+            inverse[old] = new
+        form = (
+            tuple(bool(leq[p[i], p[j]]) for i in range(n) for j in range(n)),
+            tuple(inverse[mul[p[i], p[j]]] for i in range(n) for j in range(n)))
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def enumerate_quantales(max_size, bound=5):
+    'Every quantale with at most max_size elements, one per isomorphism class.'
+    if max_size > bound:
+        raise BoundExceeded('size %d exceeds the enumeration bound %d' % (max_size, bound))
+    out = []
+    for n in range(1, max_size + 1):
+        seen = set()
+        for lattice in enumerate_lattices(n):
+            for mul in _mul_candidates(lattice):
+                try:
+                    q = Quantale(lattice, mul)
+                except AxiomError:
+                    continue
+                canon = _canonical_form(q)
+                if canon not in seen:
+                    seen.add(canon)
+                    out.append(q)
+    return tuple(out)

@@ -109,6 +109,23 @@ def test_enumerate_above_bound_exits_2(capsys):
     assert cli.main(['enumerate', '--max-size', '9']) == 2
 
 
+@pytest.mark.parametrize('argv', [
+    ['enumerate', '--max-size', '-1'],
+    ['verify', 'fixtures', '--enumerate-up-to', '-2', '--no-timings'],
+], ids=['enumerate-max-size', 'verify-enumerate-up-to'])
+def test_negative_size_exits_2_with_one_error_line(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ''
+    assert err.startswith('error: --') and 'must not be negative' in err, err
+    assert len(err.splitlines()) == 1
+
+
+def test_enumerate_to_size_zero_lists_nothing(capsys):
+    assert cli.main(['enumerate', '--max-size', '0']) == 0
+    assert capsys.readouterr().out == 'total: 0\n'
+
+
 def test_enumerate_emits_instances(capsys, tmp_path):
     out_dir = tmp_path / 'emitted'
     assert cli.main(['enumerate', '--max-size', '2',

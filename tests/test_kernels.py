@@ -17,9 +17,14 @@ that every raise is reached.  Ideals of a finite lattice are read as their
 generators through the meet-quantale; the ideal loops they replaced are
 driven by the distributive lattices up to six elements and the
 reticulations of the corpus, and the ideal criterion by random subsets.
+The isomorphism search must find an isomorphism exactly when the n!
+canonical forms it replaced agree, on relabelled enumerated quantales and
+on relabelled lattices of at most five points, and enumeration must
+return what the canonical-form loops returned, table for table.
 """
 
 import copy
+from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,9 +38,10 @@ from quantales.lattices import (
     is_distributive)
 from quantales.oracles import has_id_blp, has_lp_per_anchor, lattice_is_id_local
 from quantales.properties import _stranded, element_has_lp, has_lp, is_b_normal, is_normal
+from quantales.lattices import build_lattice
 from quantales.quantale import (
-    Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, decompose_by_elements,
-    interval_quantale, product, radical_frame)
+    Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _isomorphism, decompose_by_elements,
+    find_quantale_isomorphism, interval_quantale, product, radical_frame)
 from quantales.reticulation import (
     Reticulation, _generator, _induced, _star, check_unicity, lift_morphism, reticulate, star,
     unstar)
@@ -155,12 +161,9 @@ def _lattice_pool():
     return pool
 
 
-def _quantale_pool():
-    return list(suite.enumerate_quantales(5)) + [m.quantale for m in suite.fixtures()]
-
-
+ENUMERATED = suite.enumerate_quantales(5)
 LATTICES = _lattice_pool()
-QUANTALES = _quantale_pool()
+QUANTALES = list(ENUMERATED) + [m.quantale for m in suite.fixtures()]
 
 
 def checked(fn, *args):
@@ -818,3 +821,119 @@ def test_star_refuses_a_corrupted_class_map():
         _star(ret, q.bottom)
     # the copy left the cached reticulation alone
     assert star(q, q.bottom) == reticulate(q).lattice.bottom
+
+
+# ---------------------------------------------------------------------------
+# the isomorphism search against the n! canonical forms
+
+def _relabelled(lattice, table, draw):
+    return permuted(lattice, table, draw(st.permutations(range(len(lattice)))))
+
+
+def _is_isomorphism(bijection, source, target):
+    'Whether bijection carries the (leq, op) tables of source onto those of target.'
+    f = np.asarray(bijection)
+    (src_leq, src_op), (tgt_leq, tgt_op) = source, target
+    return (sorted(bijection) == list(range(len(f)))
+            and (tgt_leq[np.ix_(f, f)] == src_leq).all()
+            and (tgt_op[np.ix_(f, f)] == f[src_op]).all())
+
+
+@st.composite
+def quantale_pairs(draw):
+    'Two enumerated quantales of one size, often the same one, each maybe relabelled.'
+    a = b = draw(st.sampled_from(ENUMERATED))
+    if draw(st.booleans()):
+        b = draw(st.sampled_from([q for q in ENUMERATED if len(q) == len(a)]))
+    return tuple(Quantale(*_relabelled(q.lattice, q.mul_table, draw)) if draw(st.booleans()) else q
+                 for q in (a, b))
+
+
+@CASES
+@given(quantale_pairs())
+def test_quantale_search_agrees_with_canonical_forms(pair):
+    a, b = pair
+    found = find_quantale_isomorphism(a, b)
+    assert (found is not None) == (ref._canonical_form(a) == ref._canonical_form(b))
+    if found is not None:
+        assert _is_isomorphism(found, (a.lattice.poset.leq, a.mul_table),
+                               (b.lattice.poset.leq, b.mul_table))
+
+
+def _labelled_lattices(n):
+    'Every lattice on n points whose index order is a linear extension, duplicates kept.'
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    for mask in range(1 << len(slots)):
+        rel = np.eye(n, dtype=bool)
+        for bit, (i, j) in enumerate(slots):
+            rel[i, j] = bool(mask >> bit & 1)
+        try:
+            out.append(FiniteLattice(FinitePoset(labels(n), rel)))
+        except LatticeError:
+            pass
+    return out
+
+
+M3 = build_lattice('0abc1', [('0', x) for x in 'abc'] + [(x, '1') for x in 'abc'])
+N5 = build_lattice('0abc1', [('0', 'a'), ('a', 'b'), ('b', '1'), ('0', 'c'), ('c', '1')])
+RAW_LATTICES = [lat for n in range(1, 6) for lat in _labelled_lattices(n)] + [M3, N5]
+
+
+def _bottom_op(lattice):
+    'The operation that is constantly the bottom: the search then reads the order alone.'
+    return np.full((len(lattice), len(lattice)), lattice.bottom)
+
+
+@st.composite
+def lattice_pairs(draw):
+    'Two labelled lattices of one size, often the same one, each maybe relabelled.'
+    a = b = draw(st.sampled_from(RAW_LATTICES))
+    if draw(st.booleans()):
+        b = draw(st.sampled_from([l for l in RAW_LATTICES if len(l) == len(a)]))
+    return tuple(_relabelled(l, l.meet_table, draw)[0] if draw(st.booleans()) else l
+                 for l in (a, b))
+
+
+@CASES
+@given(lattice_pairs())
+@example((M3, N5))
+@example((N5, permuted(N5, N5.meet_table, [4, 2, 0, 3, 1])[0]))
+def test_lattice_search_agrees_with_the_relation_canon(pair):
+    same = ref.relation_canon(pair[0]) == ref.relation_canon(pair[1])
+    for op in (lambda l: l.meet_table, _bottom_op):
+        a, b = ((l.poset.leq, op(l)) for l in pair)
+        found = _isomorphism(a, b)
+        assert (found is not None) == same
+        if found is not None:
+            assert _is_isomorphism(found, a, b)
+
+
+def test_order_search_on_every_relabelling_of_two_two_chains():
+    'Swapping b and d keeps every down-set and up-set size, so the order checks must refuse it.'
+    h6 = build_lattice('0abcd1', [
+        ('0', 'a'), ('a', 'b'), ('b', '1'), ('0', 'c'), ('c', 'd'), ('d', '1')])
+    for order in ([0, 1, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [5, 4, 2, 3, 1, 0]):
+        source = permuted(h6, h6.meet_table, order)[0]
+        for perm in permutations(range(6)):
+            target = permuted(h6, h6.meet_table, perm)[0]
+            a, b = ((l.poset.leq, _bottom_op(l)) for l in (source, target))
+            found = _isomorphism(a, b)
+            assert found is not None and _is_isomorphism(found, a, b), (order, perm)
+
+
+def _lattice_tables(lat):
+    return lat.elements, lat.poset.leq.tolist(), lat.join_table.tolist(), lat.meet_table.tolist()
+
+
+@pytest.mark.parametrize('n', range(1, 7))
+def test_lattice_enumeration_matches_the_canonical_form_loop(n):
+    assert ([_lattice_tables(lat) for lat in suite.enumerate_lattices(n)]
+            == [_lattice_tables(lat) for lat in ref.enumerate_lattices(n)])
+
+
+def test_quantale_enumeration_matches_the_canonical_form_loop():
+    def tables(quantales):
+        return [(q.elements, q.lattice.poset.leq.tolist(), q.mul_table.tolist()) for q in quantales]
+
+    assert tables(ENUMERATED) == tables(ref.enumerate_quantales(5))

@@ -19,6 +19,8 @@ from quantales.quantale import (
     find_quantale_isomorphism, interval_quantale, is_isomorphic,
     jacobson_radical, kernel, negation, product, radical_frame, residuum)
 from quantales.oracles import radical_by_powers
+from quantales.properties import element_has_lp
+from quantales.reticulation import star
 
 DIVISORS = ['1', '2', '3', '4', '6', '12']
 
@@ -238,6 +240,15 @@ def test_quantale_isomorphism_detection(d12, c3):
     # same lattice shape as the divisor instance but a frame: not isomorphic
     assert len(prod) == len(d12)
     assert find_quantale_isomorphism(d12, prod) is None
+
+
+@pytest.mark.parametrize('fn', [element_has_lp, interval_quantale, star])
+def test_element_indices_outside_the_carrier_are_refused(w5, fn):
+    # numpy would read -1 as the top and -len(q) as the bottom
+    for a in (-1, -len(w5), len(w5)):
+        with pytest.raises(IndexError, match='element index %d out of range' % a):
+            fn(w5, a)
+    fn(w5, len(w5) - 1)
 
 
 def test_morphism_validation(c3):
