@@ -454,31 +454,37 @@ def _isomorphism(source, target):
     assignment = [-1] * n
     used = [False] * n
 
-    def extend(x):
+    def fits(x, y):
+        return src_prof[x] == tgt_prof[y] and all(
+            src_leq[x][z] == tgt_leq[y][assignment[z]]
+            and src_leq[z][x] == tgt_leq[assignment[z]][y]
+            for z in range(x)) and all(
+                assignment[src_op[x][z]] == tgt_op[y][assignment[z]]
+                for z in range(x) if src_op[x][z] < x)
+
+    # depth first without recursion, so that carriers up to io.MAX_ELEMENTS fit the
+    # interpreter's stack: assignment is the stack, tried[x] the next target for x
+    tried = [0] * n
+    x = 0
+    while x >= 0:
         if x == n:
-            return all(
-                assignment[src_op[a][b]] == tgt_op[assignment[a]][assignment[b]]
-                for a in range(n) for b in range(a, n))
-        for y in range(n):
-            if used[y] or src_prof[x] != tgt_prof[y]:
-                continue
-            ok = all(
-                src_leq[x][z] == tgt_leq[y][assignment[z]]
-                and src_leq[z][x] == tgt_leq[assignment[z]][y]
-                for z in range(x))
-            if ok and all(
-                    assignment[src_op[x][z]] == tgt_op[y][assignment[z]]
-                    for z in range(x) if src_op[x][z] < x):
+            if all(assignment[src_op[a][b]] == tgt_op[assignment[a]][assignment[b]]
+                   for a in range(n) for b in range(a, n)):
+                return tuple(assignment)
+            x -= 1
+        elif assignment[x] >= 0:
+            used[assignment[x]] = False
+            assignment[x] = -1
+        else:
+            y = next((y for y in range(tried[x], n) if not used[y] and fits(x, y)), None)
+            if y is None:
+                tried[x] = 0
+                x -= 1
+            else:
                 assignment[x] = y
                 used[y] = True
-                if extend(x + 1):
-                    return True
-                used[y] = False
-                assignment[x] = -1
-        return False
-
-    if extend(0):
-        return tuple(assignment)
+                tried[x] = y + 1
+                x += 1
     return None
 
 

@@ -10,7 +10,7 @@ tracked rather than asserted.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product as cartesian
+from itertools import combinations
 from time import perf_counter
 
 import numpy as np
@@ -100,17 +100,36 @@ def fixtures():
         CorpusMember(name, io.generate(gen), gen) for name, gen in FIXTURE_GENERATORS)
 
 
+def _bounded_orders(n):
+    """Order relations on range(n) with 0 at the bottom, n - 1 at the top and index
+    order a linear extension, as boolean matrices.  The up-sets are chosen from
+    row n - 2 down to row 1, each row's up-sets ascending as bit masks, which is
+    the order of the masks over all pairs i < j that such a relation sets."""
+    ups = [(1 << n) - 1 if i == 0 else 1 << i for i in range(n)]
+
+    def rows(i):
+        if i < 1:
+            yield np.array([[u >> j & 1 for j in range(n)] for u in ups], dtype=bool).reshape(n, n)
+            return
+        for free in range(1 << (n - 2 - i)):
+            above = (free << (i + 1)) | (1 << (n - 1))
+            closure = 0
+            for j in range(i + 1, n):
+                if above >> j & 1:
+                    closure |= ups[j]
+            # transitive: whatever lies above an element above i lies above i
+            if closure == above:
+                ups[i] = 1 << i | above
+                yield from rows(i - 1)
+
+    yield from rows(n - 2)
+
+
 def enumerate_lattices(n):
     'All lattices on n points up to isomorphism, in a deterministic order.'
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     labels = ['x%d' % i for i in range(n)]
     out = []
-    for mask in range(1 << len(slots)):
-        rel = np.eye(n, dtype=bool)
-        for bit, (i, j) in enumerate(slots):
-            # index order is a linear extension, so i < j covers every poset
-            if mask >> bit & 1:
-                rel[i, j] = True
+    for rel in _bounded_orders(n):
         try:
             lattice = FiniteLattice(FinitePoset(labels, rel))
         except (NotAPoset, NotALattice):
@@ -123,18 +142,69 @@ def enumerate_lattices(n):
 
 
 def _mul_candidates(lattice):
-    'Symmetric unital tables within the derived bound x*y <= x^y.'
+    """Symmetric unital tables within the derived bound x*y <= x^y that pass the
+    laws Quantale._validate checks, in the order of the cartesian product of the
+    entries' ranges.  Entries are filled depth first; each assignment checks the
+    laws it has just made decidable, so a failing branch is cut where it fails."""
     n = len(lattice)
     top = lattice.top
     pairs = [(i, j) for i in range(n) for j in range(i, n) if top not in (i, j)]
     domains = [sorted(lattice.down_set(lattice.meet(i, j))) for i, j in pairs]
-    for choice in cartesian(*domains):
-        mul = np.empty((n, n), dtype=np.intp)
-        mul[top] = np.arange(n)
-        mul[:, top] = np.arange(n)
-        for (i, j), value in zip(pairs, choice):
-            mul[i, j] = mul[j, i] = value
-        yield mul
+    join = lattice.join_table.tolist()
+    mul = [[-1] * n for _ in range(n)]
+    step = [[-1] * n for _ in range(n)]
+    mul[top] = list(range(n))
+    for x in range(n):
+        mul[x][top] = x
+    for k, (i, j) in enumerate(pairs):
+        step[i][j] = step[j][i] = k
+    # triples through the top hold in every such table (unit, and x*y <= x), so
+    # only triples of other elements are checked.  A distributivity triple
+    # x*(y v z) = x*y v x*z, y <= z, is decided at the step of the last entry it
+    # reads.  An associativity triple (x*y)*z = x*(y*z), x <= y <= z by index (the
+    # only ones Quantale._validate scans), is queued at the step of its later
+    # direct entry and decided once the two entries its products pick are set.
+    rest = [x for x in range(n) if x != top]
+    distributive = [[] for _ in pairs]
+    associative = [[] for _ in pairs]
+    for x in rest:
+        for y in rest:
+            for z in rest:
+                if y <= z:
+                    yz = join[y][z]
+                    distributive[max(step[x][yz], step[x][y], step[x][z])].append((x, yz, y, z))
+                if x <= y <= z:
+                    associative[max(step[x][y], step[y][z])].append((x, y, z))
+    pending = [[] for _ in pairs]
+
+    def holds(k, queued):
+        for x, yz, y, z in distributive[k]:
+            if mul[x][yz] != join[mul[x][y]][mul[x][z]]:
+                return False
+        for x, y, z in associative[k]:
+            xy, yz = mul[x][y], mul[y][z]
+            last = max(step[xy][z], step[x][yz])
+            if last > k:
+                pending[last].append((x, y, z))
+                queued.append(last)
+            elif mul[xy][z] != mul[x][yz]:
+                return False
+        return all(mul[mul[x][y]][z] == mul[x][mul[y][z]] for x, y, z in pending[k])
+
+    def fill(k):
+        if k == len(pairs):
+            yield np.array(mul, dtype=np.intp)
+            return
+        i, j = pairs[k]
+        for value in domains[k]:
+            mul[i][j] = mul[j][i] = value
+            queued = []
+            if holds(k, queued):
+                yield from fill(k + 1)
+            for last in queued:
+                pending[last].pop()
+
+    yield from fill(0)
 
 
 def enumerate_quantales(max_size, bound=5):

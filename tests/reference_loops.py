@@ -8,11 +8,14 @@ the lattice-side ideal layer (ideals as member sets, prime and maximal
 ideals, quotients by an ideal, the star maps) that ideal generators read
 through the meet-quantale replaced, and the enumeration that removed
 duplicate isomorphism classes by n! canonical forms before the
-isomorphism search did.
+isomorphism search did, and the generate-and-test enumeration (every
+cartesian candidate table, every relation mask) that the backtracking fill
+and the walk over bounded orders replaced.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
-class with the same message and witness, as the loop it replaced, and the
-search to find an isomorphism exactly when the canonical forms agree.  The
+class with the same message and witness, as the loop it replaced, the
+search to find an isomorphism exactly when the canonical forms agree, and
+the fill and the walk to keep what the generate-and-test loops kept.  The
 normality verdicts wrap quantales.oracles.normal_witness, the loop the
 law suite uses too.
 Nothing under src/ imports this module.
@@ -29,9 +32,10 @@ from quantales.lattices import (
 from quantales.oracles import lattice_boolean_center, normal_witness
 from quantales.quantale import (
     AxiomError, EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
-    NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, negation)
+    NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, _isomorphism,
+    negation)
 from quantales.reticulation import AxiomViolation, NotAReticulation, reticulate
-from quantales.suite import BoundExceeded, _mul_candidates
+from quantales.suite import BoundExceeded
 
 
 def poset_checks(elements, leq):
@@ -580,6 +584,47 @@ def lattice_is_id_local(lat):
 
 
 # ---------------------------------------------------------------------------
+# enumeration by generate-and-test, as it was before the backtracking fill and
+# the walk over bounded orders
+
+def mul_candidates(lattice):
+    'Symmetric unital tables within the derived bound x*y <= x^y.'
+    n = len(lattice)
+    top = lattice.top
+    pairs = [(i, j) for i in range(n) for j in range(i, n) if top not in (i, j)]
+    domains = [sorted(lattice.down_set(lattice.meet(i, j))) for i, j in pairs]
+    for choice in cartesian(*domains):
+        mul = np.empty((n, n), dtype=np.intp)
+        mul[top] = np.arange(n)
+        mul[:, top] = np.arange(n)
+        for (i, j), value in zip(pairs, choice):
+            mul[i, j] = mul[j, i] = value
+        yield mul
+
+
+def lattices_by_mask_scan(n):
+    'All lattices on n points up to isomorphism, in a deterministic order.'
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    labels = ['x%d' % i for i in range(n)]
+    out = []
+    for mask in range(1 << len(slots)):
+        rel = np.eye(n, dtype=bool)
+        for bit, (i, j) in enumerate(slots):
+            # index order is a linear extension, so i < j covers every poset
+            if mask >> bit & 1:
+                rel[i, j] = True
+        try:
+            lattice = FiniteLattice(FinitePoset(labels, rel))
+        except (NotAPoset, NotALattice):
+            continue
+        # non-distributive lattices have no meet-quantale, so compare tables
+        tables = (lattice.poset.leq, lattice.meet_table)
+        if all(_isomorphism(tables, (k.poset.leq, k.meet_table)) is None for k in out):
+            out.append(lattice)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # enumeration by n! canonical forms, as it was before the isomorphism search
 
 def enumerate_lattices(n):
@@ -641,7 +686,7 @@ def enumerate_quantales(max_size, bound=5):
     for n in range(1, max_size + 1):
         seen = set()
         for lattice in enumerate_lattices(n):
-            for mul in _mul_candidates(lattice):
+            for mul in mul_candidates(lattice):
                 try:
                     q = Quantale(lattice, mul)
                 except AxiomError:

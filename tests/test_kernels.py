@@ -20,7 +20,11 @@ reticulations of the corpus, and the ideal criterion by random subsets.
 The isomorphism search must find an isomorphism exactly when the n!
 canonical forms it replaced agree, on relabelled enumerated quantales and
 on relabelled lattices of at most five points, and enumeration must
-return what the canonical-form loops returned, table for table.
+return what the canonical-form loops returned, table for table.  The
+backtracking fill must keep, in order, the tables the cartesian loop kept
+on every relabelled lattice of at most five points and fixture lattice of
+at most six, and the walk over bounded orders must give the lattices the
+scan over every relation mask gave.
 """
 
 import copy
@@ -40,7 +44,8 @@ from quantales.oracles import has_id_blp, has_lp_per_anchor, lattice_is_id_local
 from quantales.properties import _stranded, element_has_lp, has_lp, is_b_normal, is_normal
 from quantales.lattices import build_lattice
 from quantales.quantale import (
-    Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _isomorphism, decompose_by_elements,
+    AxiomError, Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _isomorphism,
+    decompose_by_elements,
     find_quantale_isomorphism, interval_quantale, product, radical_frame)
 from quantales.reticulation import (
     Reticulation, _generator, _induced, _star, check_unicity, lift_morphism, reticulate, star,
@@ -937,3 +942,60 @@ def test_quantale_enumeration_matches_the_canonical_form_loop():
         return [(q.elements, q.lattice.poset.leq.tolist(), q.mul_table.tolist()) for q in quantales]
 
     assert tables(ENUMERATED) == tables(ref.enumerate_quantales(5))
+
+
+# ---------------------------------------------------------------------------
+# enumeration: the backtracking fill and the walk over bounded orders
+
+def _accepted(lattice, candidates):
+    'The candidate tables Quantale accepts, in the order they come.'
+    out = []
+    for mul in candidates:
+        try:
+            Quantale(lattice, mul)
+        except AxiomError:
+            continue
+        out.append(mul.tolist())
+    return out
+
+
+FILL_POOL = [lat for lat in LATTICES if len(lat) <= 6]
+
+
+@pytest.mark.parametrize('lattice', FILL_POOL)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_the_fill_keeps_what_the_cartesian_loop_keeps(lattice, data):
+    # a relabelling moves the top and the bottom away from the ends
+    order = data.draw(st.permutations(range(len(lattice))))
+    lattice = permuted(lattice, lattice.meet_table, order)[0]
+    filled = [mul.tolist() for mul in suite._mul_candidates(lattice)]
+    # the fill prunes by the validator's own laws, so it yields only tables that Quantale accepts
+    assert (filled == _accepted(lattice, suite._mul_candidates(lattice))
+            == _accepted(lattice, ref.mul_candidates(lattice)))
+
+
+def test_the_fill_keeps_the_table_the_sorted_scan_misses():
+    'A prune by every associativity triple would cut this table, which Quantale accepts.'
+    lattice, table = SORTED_SCAN_MISSES
+    assert [table.tolist()] == [
+        mul.tolist() for mul in suite._mul_candidates(lattice) if np.array_equal(mul, table)]
+
+
+def _bounded_masks(n):
+    'The relations of the mask scan that are orders with 0 at the bottom and n - 1 at the top.'
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(slots)):
+        rel = np.eye(n, dtype=bool)
+        for bit, (i, j) in enumerate(slots):
+            rel[i, j] = bool(mask >> bit & 1)
+        transitive = not (((rel.astype(int) @ rel) > 0) & ~rel).any()
+        if transitive and rel[0].all() and rel[:, n - 1].all():
+            yield rel.tolist()
+
+
+@pytest.mark.parametrize('n', range(1, 7))
+def test_the_bounded_order_walk_matches_the_mask_scan(n):
+    assert [rel.tolist() for rel in suite._bounded_orders(n)] == list(_bounded_masks(n))
+    assert ([_lattice_tables(lat) for lat in suite.enumerate_lattices(n)]
+            == [_lattice_tables(lat) for lat in ref.lattices_by_mask_scan(n)])

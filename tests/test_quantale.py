@@ -15,7 +15,7 @@ from quantales.lattices import build_lattice
 from quantales.quantale import (
     NotAssociative, NotCommutative, NotDistributive, NotUnital,
     PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism,
-    TrivialQuantale, build_quantale, decompose_by_elements,
+    TrivialQuantale, _isomorphism, build_quantale, decompose_by_elements,
     find_quantale_isomorphism, interval_quantale, is_isomorphic,
     jacobson_radical, kernel, negation, product, radical_frame, residuum)
 from quantales.oracles import radical_by_powers
@@ -240,6 +240,13 @@ def test_quantale_isomorphism_detection(d12, c3):
     # same lattice shape as the divisor instance but a frame: not isomorphic
     assert len(prod) == len(d12)
     assert find_quantale_isomorphism(d12, prod) is None
+
+
+def test_isomorphism_search_reaches_the_input_bound():
+    'The search keeps its own stack: the order and meet of a chain at the input bound map to themselves.'
+    ar = np.arange(io.MAX_ELEMENTS)
+    tables = (ar[:, None] <= ar, np.minimum.outer(ar, ar))
+    assert _isomorphism(tables, tables) == tuple(range(io.MAX_ELEMENTS))
 
 
 @pytest.mark.parametrize('fn', [element_has_lp, interval_quantale, star])
