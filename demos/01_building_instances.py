@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from quantales import build_lattice, build_quantale, generate, parse_instance, emit_instance
+from quantales import Quantale, build_lattice, generate, parse_instance, emit_instance
 from quantales import NotDistributive
 
 # ---------------------------------------------------------------------------
@@ -23,7 +23,7 @@ mul = np.zeros((6, 6), dtype=np.intp)
 for a in divisors:
     for b in divisors:
         mul[ix[a], ix[b]] = ix[str(math.gcd(int(a) * int(b), 12))]
-d12 = build_quantale(lat, mul)
+d12 = Quantale(lat, mul)
 print('hand-built instance:', d12.elements)
 print('unit is the top:', d12.label(d12.top))
 print('2 * 6 =', d12.label(d12.mul(ix['2'], ix['6'])))
@@ -56,6 +56,6 @@ print('JSON round trip is exact (%d bytes)' % len(doc))
 broken = mul.copy()
 broken[ix['2'], ix['2']] = ix['1']  # a product may never climb above its factors
 try:
-    build_quantale(lat, broken)
+    Quantale(lat, broken)
 except NotDistributive as err:
     print('mutation rejected: NotDistributive, witness', err.witness)

@@ -3,7 +3,7 @@
 Run:  python3 demos/02_spectrum_and_radical.py
 """
 
-from quantales import generate, interval_quantale, jacobson_radical, kernel, radical_frame
+from quantales import generate, interval_quantale, jacobson_radical, kernel
 from quantales.oracles import radical_by_powers
 
 q = generate('zn:12')
@@ -23,7 +23,7 @@ print('the two radical computations agree on every element')
 
 # radical fixed points form a frame: join is radical-of-join, meet is meet,
 # and multiplication collapses to meet
-frame = radical_frame(q)
+frame = q.radical_frame
 print('radical elements:', labels(frame.carrier))
 rq = frame.as_quantale
 assert all(rq.mul(i, j) == rq.meet(i, j) for i in range(len(rq)) for j in range(len(rq)))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import io, suite
 from .lattices import LatticeError
-from .properties import PropertyReport
+from .properties import PropertyReport, has_lp
 from .quantale import QuantaleError, TrivialQuantale, jacobson_radical
 from .reticulation import reticulate
 
@@ -117,8 +117,7 @@ def _cmd_enumerate(args):
             out = Path(args.emit_dir)
             out.mkdir(parents=True, exist_ok=True)
             (out / ('%s.json' % member.name)).write_text(io.emit_instance(q), encoding='utf-8')
-        report = PropertyReport.analyze(q)
-        lifting = '-' if report.trivial else str(report.verdicts['lp'])
+        lifting = '-' if len(q) == 1 else str(bool(has_lp(q)))
         print('%-6s size %d  maximal %d  center %d  lifting %s' % (
             member.name, len(q), len(q.maximal_elements), len(q.center), lifting))
     print('total: %d' % len(corpus))

@@ -12,7 +12,9 @@ import re
 from itertools import combinations
 from math import gcd, isqrt, prod
 
-from .lattices import LatticeError, build_lattice
+import numpy as np
+
+from .lattices import FinitePoset, LatticeError, build_lattice
 from .quantale import AxiomError, Quantale, product
 from .reticulation import reticulate
 
@@ -339,15 +341,10 @@ def export_dot(q, view='lattice'):
     if view == 'spec':
         spec = list(q.spectrum)
         maxima = set(q.maximal_elements)
-        edges = []
-        for si, p in enumerate(spec):
-            for sj, r in enumerate(spec):
-                if p == r or not q.leq(p, r):
-                    continue
-                if not any(q.leq(p, t) and q.leq(t, r) for t in spec if t not in (p, r)):
-                    edges.append((si, sj))
+        labels = [q.label(p) for p in spec]
+        edges = FinitePoset(labels, q.lattice.poset.leq[np.ix_(spec, spec)]).covers
         shapes = {si: ', peripheries=2' for si, p in enumerate(spec) if p in maxima}
-        return _dot_graph([q.label(p) for p in spec], edges, shapes)
+        return _dot_graph(labels, edges, shapes)
     if view == 'reticulation':
         ret = reticulate(q)
         names = ['%s' % ','.join(q.label(m) for m in cls) for cls in ret.classes]

@@ -13,7 +13,6 @@ from quantales.quantale import (
     _element_index,
     decompose_by_elements,
     jacobson_radical,
-    radical_frame,
 )
 from quantales.reticulation import reticulate
 
@@ -102,7 +101,7 @@ def is_semiprime(q):
 def hyperarchimedean_equivalents(q):
     'The four characterizations: powers, Boolean reticulation, Max = Spec, zero-dimensional frame.'
     r = reticulate(q)
-    frame = radical_frame(q)
+    frame = q.radical_frame
     by_powers = bool(is_hyperarchimedean(q))
     reticulation_boolean = len(r.as_quantale.center) == len(r)
     max_is_spec = q.maximal_elements == q.spectrum

@@ -65,7 +65,6 @@ class Quantale:
         mul.setflags(write=False)
         self.lattice = lattice
         self.mul_table = mul
-        self.unit = lattice.top
 
     @staticmethod
     def _validate(lattice, mul):
@@ -220,10 +219,10 @@ class Quantale:
                 self.label(e), self.label(x)))
         return tuple(np.flatnonzero(complemented).tolist())
 
-
-def build_quantale(lattice, mul):
-    'Validated quantale; any broken axiom raises with its name and a witness.'
-    return Quantale(lattice, mul)
+    @cached_property
+    def radical_frame(self):
+        'Frame of radical elements with join a v. b = radical(a v b).'
+        return RadicalFrame(self)
 
 
 def residuum(q, a, b):
@@ -234,16 +233,6 @@ def residuum(q, a, b):
 def negation(q, a):
     'Largest x with a*x = 0.'
     return residuum(q, a, q.bottom)
-
-
-def radical(q, a):
-    'Meet of the m-primes above a.'
-    return q.radical_of(a)
-
-
-def boolean_center(q):
-    'Complemented elements of the quantale.'
-    return q.center
 
 
 def jacobson_radical(q):
@@ -291,15 +280,10 @@ class RadicalFrame:
             self.carrier, self.parent.radical_table))
 
 
-def radical_frame(q):
-    'Frame of radical elements with join a v. b = radical(a v b).'
-    return RadicalFrame(q)
-
-
 class QuantaleMorphism:
-    'Map preserving finite joins, bottom, and multiplication; unital by default.'
+    'Map preserving finite joins, bottom, multiplication and the unit.'
 
-    def __init__(self, source, target, mapping, unital=True):
+    def __init__(self, source, target, mapping):
         mapping = tuple(int(m) for m in mapping)
         if len(mapping) != len(source):
             raise QuantaleError('mapping length does not match source carrier')
@@ -312,12 +296,11 @@ class QuantaleMorphism:
             x, y, law = hit
             raise QuantaleError('%s not preserved at %r, %r' % (
                 ('join', 'multiplication')[law], source.label(x), source.label(y)))
-        if unital and mapping[source.top] != target.top:
+        if mapping[source.top] != target.top:
             raise QuantaleError('unit not preserved')
         self.source = source
         self.target = target
         self.mapping = mapping
-        self.unital = unital
 
     def __call__(self, i):
         return self.mapping[i]
@@ -328,13 +311,6 @@ class QuantaleMorphism:
 
     def is_surjective(self):
         return len(self.image) == len(self.target)
-
-    def boolean_image(self):
-        'Images of the complemented source elements; lands in the target center.'
-        out = frozenset(self.mapping[e] for e in self.source.center)
-        if not out <= frozenset(self.target.center):
-            raise QuantaleError('a complemented element maps outside the target center')
-        return out
 
 
 def kernel(u):
@@ -492,8 +468,3 @@ def find_quantale_isomorphism(source, target):
     'Bijection preserving order and multiplication, or None; backtracking search.'
     return _isomorphism((source.lattice.poset.leq, source.mul_table),
                         (target.lattice.poset.leq, target.mul_table))
-
-
-def is_isomorphic(source, target):
-    'Whether an order-and-multiplication preserving bijection exists.'
-    return find_quantale_isomorphism(source, target) is not None

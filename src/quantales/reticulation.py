@@ -19,12 +19,10 @@ from quantales.lattices import (
     unpreserved,
 )
 from quantales.quantale import (
-    NotUnital,
     Quantale,
     QuantaleError,
     _element_index,
     interval_quantale,
-    radical_frame,
 )
 
 
@@ -149,7 +147,7 @@ def unstar(q, x):
 def frame_iso(q):
     'The inverse frame isomorphisms between radical elements and reticulation ideals, by generator.'
     r = reticulate(q)
-    frame = radical_frame(q)
+    frame = q.radical_frame
     phi = {a: _star(r, a) for a in frame.carrier}
     psi = {g: _unstar(r, g) for g in range(len(r))}
     if sorted(phi.values()) != list(psi):
@@ -195,7 +193,7 @@ def spectrum_homeomorphism(q):
 def mu(q):
     'Embedding of the reticulation into the radical frame: class(c) to radical(c).'
     r = reticulate(q)
-    frame = radical_frame(q)
+    frame = q.radical_frame
     mapping = tuple(
         frame.to_frame[q.radical_of(r.representatives[ci])] for ci in range(len(r)))
     morphism = LatticeMorphism(r.lattice, frame.lattice, mapping)
@@ -212,9 +210,7 @@ def mu(q):
 
 
 def lift_morphism(u):
-    'The induced map on reticulations of a unital quantale morphism.'
-    if not u.unital:
-        raise NotUnital('reticulation lifting needs a unital morphism', ())
+    'The induced map on reticulations of a quantale morphism.'
     ra = reticulate(u.source)
     rb = reticulate(u.target)
     mapping, split = _induced(ra.lam, np.asarray(rb.lam)[list(u.mapping)])
@@ -248,7 +244,7 @@ def interval_reticulation_iso(q, a):
 def boolean_isos(q):
     'The three center bijections: onto B(L(A)), onto B(R(A)), and between them.'
     r = reticulate(q)
-    frame = radical_frame(q)
+    frame = q.radical_frame
     center = q.center
     center_l = r.as_quantale.center
     center_r = frame.as_quantale.center

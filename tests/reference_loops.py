@@ -10,7 +10,8 @@ through the meet-quantale replaced, and the enumeration that removed
 duplicate isomorphism classes by n! canonical forms before the
 isomorphism search did, and the generate-and-test enumeration (every
 cartesian candidate table, every relation mask) that the backtracking fill
-and the walk over bounded orders replaced.
+and the walk over bounded orders replaced, and the triple loop that found
+the covers of the spectrum for the dot export before FinitePoset.covers did.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
 class with the same message and witness, as the loop it replaced, the
@@ -26,6 +27,7 @@ from itertools import permutations, product as cartesian
 
 import numpy as np
 
+from quantales.io import _dot_graph
 from quantales.lattices import (
     DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
     NotAnIdeal, NotAPoset, Verdict)
@@ -72,6 +74,21 @@ def covers(poset):
             if not between:
                 out.append((i, j))
     return tuple(out)
+
+
+def export_spec_dot(q):
+    'The spectrum view of io.export_dot, with the covers found by its own triple loop.'
+    spec = list(q.spectrum)
+    maxima = set(q.maximal_elements)
+    edges = []
+    for si, p in enumerate(spec):
+        for sj, r in enumerate(spec):
+            if p == r or not q.leq(p, r):
+                continue
+            if not any(q.leq(p, t) and q.leq(t, r) for t in spec if t not in (p, r)):
+                edges.append((si, sj))
+    shapes = {si: ', peripheries=2' for si, p in enumerate(spec) if p in maxima}
+    return _dot_graph([q.label(p) for p in spec], edges, shapes)
 
 
 def _unique_bound(poset, i, j, upper):

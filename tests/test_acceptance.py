@@ -19,8 +19,7 @@ from quantales.properties import (
     is_b_normal, is_hyperarchimedean, is_local, is_normal, is_semilocal,
     is_semiprime, local_decomposition)
 from quantales.quantale import (
-    AxiomError, build_quantale, interval_quantale, jacobson_radical, product,
-    radical_frame)
+    AxiomError, Quantale, interval_quantale, jacobson_radical, product)
 from quantales.reticulation import (
     boolean_isos, check_unicity, frame_iso, reticulate, spectrum_homeomorphism,
     star)
@@ -65,7 +64,7 @@ def test_criterion_01_construction_and_mutation_rejection(corpus, d12):
     built = 0
     for member in corpus:
         q = member.quantale
-        build_quantale(q.lattice, q.mul_table)
+        Quantale(q.lattice, q.mul_table)
         built += 1
 
     lat, table = d12.lattice, d12.mul_table
@@ -79,7 +78,7 @@ def test_criterion_01_construction_and_mutation_rejection(corpus, d12):
                 mutated = table.copy()
                 mutated[i, j] = v
                 try:
-                    build_quantale(lat, mutated)
+                    Quantale(lat, mutated)
                 except AxiomError as err:
                     ok = _witness_demonstrates(err, lat, mutated)
                     rejected.append((i, j, v, type(err).__name__, ok))
@@ -118,7 +117,7 @@ def test_criterion_03_reticulation_axioms_and_unicity(corpus):
     for member in corpus:
         q = member.quantale
         ret = reticulate(q)  # constructor re-verifies the quotient axioms
-        frame = radical_frame(q)
+        frame = q.radical_frame
         check_unicity(ret, frame.lattice,
                       tuple(frame.to_frame[q.radical_of(a)] for a in range(len(q))))
         m = len(ret)
@@ -194,7 +193,7 @@ def test_criterion_07_lifting_equivalence(corpus, small_corpus):
     members = _everything(corpus, small_corpus)
     for member in members:
         q = member.quantale
-        frame = radical_frame(q).as_quantale
+        frame = q.radical_frame.as_quantale
         quotient = reticulate(q)
         b_normal = normal_witness(quotient.as_quantale, quotient.as_quantale.center) is None
         verdicts = {bool(has_lp(q)), bool(has_lp(frame)),

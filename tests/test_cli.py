@@ -1,5 +1,6 @@
 """Command line behavior: output shape, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,15 @@ def test_enumerate_lists_instances(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == 'total: 4'
     assert out.splitlines()[0].startswith('E1.1')
+
+
+def test_enumerate_to_five_prints_the_recorded_listing(capsys):
+    # the 37 classes up to size 5, each with its lifting verdict
+    assert cli.main(['enumerate', '--max-size', '5']) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == 'total: 37'
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        '079b06293489bbd9700442e6c7fd7df45ae2596ed4a825a7ef2d6b2d05e8dd21')
 
 
 def test_enumerate_above_bound_exits_2(capsys):

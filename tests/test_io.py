@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import reference_loops as ref
 from quantales import io
 from quantales.suite import FIXTURE_GENERATORS
 
@@ -163,3 +164,13 @@ def test_export_dot_views(d12):
     assert '12' in retic
     with pytest.raises(io.InvalidParameter):
         io.export_dot(d12, view='orbit')
+
+
+def test_spec_view_matches_the_loop(corpus, small_corpus):
+    with_edges = 0
+    for member in list(corpus) + list(small_corpus):
+        spec = io.export_dot(member.quantale, view='spec')
+        assert spec == ref.export_spec_dot(member.quantale), member.name
+        with_edges += ' -> ' in spec
+    # a spectrum with an order relation in it on 28 of the 49 members
+    assert with_edges == 28

@@ -12,7 +12,7 @@ from quantales.properties import (
     hyperarchimedean_equivalents, is_b_normal, is_hyperarchimedean, is_local,
     is_normal, is_semilocal, is_semiprime, local_decomposition)
 from quantales.quantale import (
-    TrivialQuantale, interval_quantale, jacobson_radical, radical_frame)
+    TrivialQuantale, interval_quantale, jacobson_radical)
 from quantales.reticulation import reticulate
 
 
@@ -52,7 +52,7 @@ def test_c3_verdicts(c3):
 def test_lifting_equivalence_six_ways(corpus, small_corpus):
     for member in list(corpus) + list(small_corpus):
         q = member.quantale
-        frame = radical_frame(q).as_quantale
+        frame = q.radical_frame.as_quantale
         quotient = reticulate(q)
         b_normal = normal_witness(quotient.as_quantale, quotient.as_quantale.center) is None
         verdicts = {bool(has_lp(q)), bool(has_lp(frame)),

@@ -5,7 +5,6 @@ import pytest
 
 from quantales import io
 from quantales.lattices import DistLattice, FinitePoset, NotAnIdeal
-from quantales.quantale import radical_frame
 from quantales.reticulation import (
     NotAReticulation, boolean_isos, check_unicity, frame_iso,
     interval_reticulation_iso, mu, reticulate, spectrum_homeomorphism,
@@ -69,7 +68,7 @@ def test_unstar_refuses_generators_out_of_range(d12):
 def test_frame_and_spectrum_isomorphisms_hold_everywhere(corpus):
     for q in _members(corpus):
         phi, psi = frame_iso(q)
-        assert len(phi) == len(radical_frame(q).carrier)
+        assert len(phi) == len(q.radical_frame.carrier)
         u, v = spectrum_homeomorphism(q)
         assert len(u) == len(q.spectrum)
 
@@ -94,7 +93,7 @@ def test_interval_reticulation_everywhere(corpus):
 
 def test_unicity_accepts_the_radical_frame_candidate(d12):
     ret = reticulate(d12)
-    frame = radical_frame(d12)
+    frame = d12.radical_frame
     lam = tuple(frame.to_frame[d12.radical_of(a)] for a in range(len(d12)))
     iso = check_unicity(ret, frame.lattice, lam)
     assert iso.is_injective() and iso.is_surjective()
