@@ -16,7 +16,7 @@ from pathlib import Path
 from . import io, suite
 from .lattices import LatticeError
 from .properties import PropertyReport, has_lp
-from .quantale import QuantaleError, TrivialQuantale, jacobson_radical
+from .quantale import QuantaleError
 from .reticulation import reticulate
 
 
@@ -46,14 +46,12 @@ def _analyze_lines(name, q):
     lines.append('radical: %s' % ('; '.join(radicals) if radicals
                                   else 'every element is radical'))
     lines.append('center: %s' % _labels(q, q.center))
-    try:
-        lines.append('jacobson radical: %s' % q.label(jacobson_radical(q)))
-    except TrivialQuantale:
-        pass
+    report = PropertyReport.analyze(q)
+    if not report.trivial:
+        lines.append('jacobson radical: %s' % report.jacobson)
     classes = ['[%s]' % ' '.join(str(q.label(a)) for a in members)
                for members in reticulate(q).classes]
     lines.append('quotient classes: %s' % ' '.join(classes))
-    report = PropertyReport.analyze(q)
     if report.trivial:
         lines.append('properties: trivial one-point instance')
         return lines

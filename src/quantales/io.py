@@ -14,7 +14,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .lattices import FinitePoset, LatticeError, build_lattice
+from .lattices import FiniteLattice, FinitePoset, LatticeError, build_lattice
 from .quantale import AxiomError, Quantale, product
 from .reticulation import reticulate
 
@@ -207,16 +207,20 @@ def _generate_zn(arg):
     return Quantale(lattice, mul)
 
 
+def _meet_frame(labels, leq):
+    'Frame on an order matrix: the lattice with its meet as the multiplication.'
+    lattice = FiniteLattice(FinitePoset(labels, leq))
+    return Quantale(lattice, lattice.meet_table)
+
+
 def _generate_chain(arg):
     head, _, variant = arg.partition(',')
     k = _positive_int(head, 'chain length')
     _bounded(k, 'chain:%d' % k)
     if variant != 'frame':
         raise InvalidParameter('unknown chain variant %r, expected "frame"' % (variant,))
-    labels = [str(i) for i in range(k)]
-    lattice = build_lattice(labels, [(str(i), str(i + 1)) for i in range(k - 1)])
-    mul = [[min(i, j) for j in range(k)] for i in range(k)]
-    return Quantale(lattice, mul)
+    ar = np.arange(k)
+    return _meet_frame([str(i) for i in range(k)], ar[:, None] <= ar)
 
 
 def _set_label(names):
@@ -226,13 +230,10 @@ def _set_label(names):
 def _frame_of_sets(sets):
     'Frame on a family of sets closed under union and intersection.'
     sets = sorted(sets, key=lambda s: (len(s), _set_label(s)))
-    labels = [_set_label(s) for s in sets]
-    pairs = [(labels[i], labels[j]) for i in range(len(sets)) for j in range(len(sets))
-             if sets[i] <= sets[j]]
-    lattice = build_lattice(labels, pairs)
-    pos = {frozenset(s): i for i, s in enumerate(sets)}
-    mul = [[pos[frozenset(a & b)] for b in sets] for a in sets]
-    return Quantale(lattice, mul)
+    points = sorted(set().union(*sets))
+    masks = np.array([sum(1 << points.index(p) for p in s) for s in sets])
+    # inclusion: a <= b when a has no point outside b
+    return _meet_frame([_set_label(s) for s in sets], (masks[:, None] & ~masks) == 0)
 
 
 def _generate_boolean(arg):

@@ -11,7 +11,9 @@ duplicate isomorphism classes by n! canonical forms before the
 isomorphism search did, and the generate-and-test enumeration (every
 cartesian candidate table, every relation mask) that the backtracking fill
 and the walk over bounded orders replaced, and the triple loop that found
-the covers of the spectrum for the dot export before FinitePoset.covers did.
+the covers of the spectrum for the dot export before FinitePoset.covers did,
+and the chain and set-family frames as the generators built them from label
+pairs and product loops before they read the order matrix and its meet table.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
 class with the same message and witness, as the loop it replaced, the
@@ -27,10 +29,10 @@ from itertools import permutations, product as cartesian
 
 import numpy as np
 
-from quantales.io import _dot_graph
+from quantales.io import InvalidParameter, _bounded, _dot_graph, _positive_int, _set_label
 from quantales.lattices import (
     DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
-    NotAnIdeal, NotAPoset, Verdict)
+    NotAnIdeal, NotAPoset, Verdict, build_lattice)
 from quantales.oracles import lattice_boolean_center, normal_witness
 from quantales.quantale import (
     AxiomError, EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
@@ -713,3 +715,30 @@ def enumerate_quantales(max_size, bound=5):
                     seen.add(canon)
                     out.append(q)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# frames from label pairs closed by build_lattice, with product loops, as the
+# chain and set-family generators built them before the order matrix did
+
+def generate_chain(arg):
+    head, _, variant = arg.partition(',')
+    k = _positive_int(head, 'chain length')
+    _bounded(k, 'chain:%d' % k)
+    if variant != 'frame':
+        raise InvalidParameter('unknown chain variant %r, expected "frame"' % (variant,))
+    labels = [str(i) for i in range(k)]
+    lattice = build_lattice(labels, [(str(i), str(i + 1)) for i in range(k - 1)])
+    mul = [[min(i, j) for j in range(k)] for i in range(k)]
+    return Quantale(lattice, mul)
+
+
+def frame_of_sets(sets):
+    sets = sorted(sets, key=lambda s: (len(s), _set_label(s)))
+    labels = [_set_label(s) for s in sets]
+    pairs = [(labels[i], labels[j]) for i in range(len(sets)) for j in range(len(sets))
+             if sets[i] <= sets[j]]
+    lattice = build_lattice(labels, pairs)
+    pos = {frozenset(s): i for i, s in enumerate(sets)}
+    mul = [[pos[frozenset(a & b)] for b in sets] for a in sets]
+    return Quantale(lattice, mul)

@@ -57,6 +57,19 @@ def test_generate_product_labels():
     assert set(q.elements) == {'(0,0)', '(0,1)', '(1,0)', '(1,1)'}
 
 
+FRAME_SPECS = ('chain:1,frame', 'chain:2,frame', 'chain:40,frame', 'boolean:1', 'boolean:6',
+               'boolean:7', 'downsets:z<x,z<y', 'downsets:a<b,c<d,e<f',
+               'product:chain:3,frame;boolean:2', 'product:zn:12;downsets:z<x,z<y')
+
+
+@pytest.mark.parametrize('spec', FRAME_SPECS)
+def test_frame_generators_match_the_label_pair_loops(spec, monkeypatch):
+    built = io.emit_instance(io.generate(spec), spec)
+    monkeypatch.setitem(io._GENERATORS, 'chain', ref.generate_chain)
+    monkeypatch.setattr(io, '_frame_of_sets', ref.frame_of_sets)
+    assert built == io.emit_instance(io.generate(spec), spec)
+
+
 def test_generator_errors():
     with pytest.raises(io.UnknownGenerator):
         io.generate('rings:12')

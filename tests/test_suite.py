@@ -1,5 +1,6 @@
 """Enumeration goldens, suite statuses, determinism, replay of refutations."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import pytest
 
 import quantales
 from quantales import io, suite
-from quantales.lattices import build_lattice
-from quantales.quantale import AxiomError, Quantale
+from quantales.lattices import Verdict, build_lattice
+from quantales.quantale import AxiomError, Quantale, TrivialQuantale
 
 
 def test_lattice_counts_up_to_isomorphism():
@@ -162,6 +163,72 @@ def test_crashing_check_is_reported_not_raised(corpus):
         assert 'AssertionError' in report.results[0].detail
     finally:
         del suite.CHECKS[name]
+
+
+ONE_POINT_NOT_APPLICABLE = {
+    'radical-join-collapse': 'one-point carrier has no maximal elements',
+    'normality-lifts-radical': 'one-point carrier has no maximal elements',
+    'star-implies-lifting': 'one-point carrier',
+    'star-passes-to-radical-frame': 'one-point carrier',
+    'star-passes-to-intervals': 'one-point carrier',
+    'surjections-preserve-star': 'one-point carrier',
+    'product-recognition': 'not built as a product',
+    'product-maximals': 'not built as a product',
+    'radical-interval-factors': 'no maximal elements',
+    'central-below-radical-vanishes': 'one-point carrier has no maximal elements',
+    'product-lifting-transfer': 'not built as a product',
+    'local-decomposition-equivalence': 'one-point carrier has no maximal elements',
+    'semilocal-lifting-agreement': 'one-point carrier has no maximal elements',
+}
+
+
+def test_one_point_rows_are_unchanged(corpus):
+    report = suite.run_suite(suite.Corpus([corpus.get('Q1')]))
+    skipped = {r.check: r.detail for r in report.results if r.status == suite.NOT_APPLICABLE}
+    assert skipped == ONE_POINT_NOT_APPLICABLE
+    assert {r.status for r in report.results if r.check not in skipped} == {
+        suite.PASS, suite.RECORDED}
+    assert hashlib.sha256(report.fingerprint().encode()).hexdigest() == (
+        '2028c9f6cf29fd42199324f3008b2fbfe5de8955bfc90ed8005f2a2828784771')
+
+
+def test_trivial_quantale_on_a_larger_member_is_refuted(corpus):
+    'A one-point interval or target met inside a larger member cannot hide a fault.'
+
+    def meets_a_one_point_target(member):
+        raise TrivialQuantale('one-point carrier')
+
+    check = suite.Check('test-only-trivial', 'synthetic check', meets_a_one_point_target)
+    result = suite._run_check(check, corpus.get('C2'))
+    assert (result.status, result.detail) == (
+        suite.REFUTED, 'TrivialQuantale: one-point carrier')
+    assert result.payload['member'] == 'C2'
+    # on a one-point member the same error means the law does not apply
+    result = suite._run_check(check, corpus.get('Q1'))
+    assert (result.status, result.detail, result.payload) == (
+        suite.NOT_APPLICABLE, 'one-point carrier', None)
+
+
+TRANSFER_CHECKS = {
+    'lifting-passes-to-intervals': "lifting lost on ['0') at 3",
+    'surjections-preserve-lifting': 'lifting lost along u_0 at 3',
+    'star-passes-to-radical-frame': 'splitting lost on the radical frame at 3',
+    'star-passes-to-intervals': "splitting lost on ['0') at 3",
+    'surjections-preserve-star': 'splitting lost along u_0 at 3',
+}
+
+
+def test_transfer_checks_name_the_first_target_that_loses_the_property(corpus, monkeypatch):
+    member = corpus.get('C3')
+
+    def only_on_the_member(p):
+        return Verdict(True) if p is member.quantale else Verdict(False, len(p))
+
+    monkeypatch.setattr(suite, 'has_lp', only_on_the_member)
+    monkeypatch.setattr(suite, 'has_property_star', only_on_the_member)
+    for name, detail in TRANSFER_CHECKS.items():
+        result = suite._run_check(suite.CHECKS[name], member)
+        assert (result.status, result.detail) == (suite.REFUTED, detail), name
 
 
 def test_disagreeing_legs_are_refuted_with_every_leg_shown(corpus, monkeypatch):
