@@ -10,7 +10,7 @@ omitted, and only one of ``[x, y, z]`` / ``[y, x, z]`` is required.
 import json
 import re
 from itertools import combinations
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -198,12 +198,12 @@ def _generate_zn(arg):
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     divisors = small + [n // d for d in reversed(small) if d * d != n]
     _bounded(len(divisors), 'zn:%d' % n)
-    labels = [str(d) for d in divisors]
+    div = np.array(divisors, dtype=np.int64)
     # order is reverse divisibility: the ideal for d grows as d shrinks
-    pairs = [(str(a), str(b)) for a in divisors for b in divisors if a % b == 0]
-    lattice = build_lattice(labels, pairs)
-    pos = {d: i for i, d in enumerate(divisors)}
-    mul = [[pos[gcd(a * b, n)] for b in divisors] for a in divisors]
+    lattice = FiniteLattice(FinitePoset([str(d) for d in divisors], div[:, None] % div == 0))
+    # gcd(a*b, n) = a*gcd(b, n/a) for a dividing n, so no intermediate exceeds n;
+    # the divisors ascend, so the position of each product is found by bisection
+    mul = np.searchsorted(div, div[:, None] * np.gcd(div, (n // div)[:, None]))
     return Quantale(lattice, mul)
 
 

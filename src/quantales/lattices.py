@@ -165,13 +165,25 @@ class FinitePoset:
     def index(self):
         return {label: i for i, label in enumerate(self.elements)}
 
+    def _cover_matrix(self):
+        '[i, j]: j covers i, that is i < j with nothing strictly between.'
+        strict = self.leq.copy()
+        np.fill_diagonal(strict, False)
+        return strict > strict @ strict
+
     @cached_property
     def covers(self):
         'Hasse diagram edges as pairs (lower, upper) of indices.'
-        n = len(self)
-        strict = self.leq & (np.arange(n)[:, None] != np.arange(n))
-        lower, upper = np.nonzero(strict & ~(strict @ strict))
+        lower, upper = np.nonzero(self._cover_matrix())
         return tuple(zip(lower.tolist(), upper.tolist()))
+
+    @cached_property
+    def join_irreducibles(self):
+        """Indices with exactly one lower cover, ascending.  In a finite lattice these
+        are the join-irreducibles, and every element is the join of those below it."""
+        out = np.flatnonzero(self._cover_matrix().sum(axis=0) == 1)
+        out.setflags(write=False)
+        return out
 
 
 class FiniteLattice:
@@ -257,11 +269,27 @@ def build_lattice(elements, leq_pairs):
     return FiniteLattice(FinitePoset(elements, rel))
 
 
+def irreducibles_join_prime(lat):
+    'Whether every join-irreducible j is join-prime: j <= x v y forces j <= x or j <= y.'
+    irreducibles = lat.poset.join_irreducibles
+    # [x, j]: j <= x
+    above = np.ascontiguousarray(lat.poset.leq[irreducibles].T)
+    for rows, cols in blocks(len(lat), len(irreducibles)):
+        # j <= x or j <= y already gives j <= x v y, so only the converse can fail
+        either = above[rows, None, :] | above[None, cols, :]
+        if (above[lat.join_table[rows, cols]] != either).any():
+            return False
+    return True
+
+
 def is_distributive(lat):
     'Distributive law over all triples; the witness is the first failing (x, y, z).'
-    # both sides are symmetric in y and z, so the first failure of the full
+    # a finite lattice is distributive iff its join-irreducibles are join-prime,
+    # an n*n*|J| check; only a lattice that fails it is scanned for the witness.
+    # Both sides are symmetric in y and z, so the first failure of the full
     # scan lies in the triangle z >= y that distributivity_failure searches
-    hit = distributivity_failure(lat.meet_table, lat.join_table)
+    hit = None if irreducibles_join_prime(lat) else distributivity_failure(
+        lat.meet_table, lat.join_table)
     if hit is not None:
         return Verdict(False, tuple(lat.label(i) for i in hit))
     return Verdict(True)

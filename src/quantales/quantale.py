@@ -8,7 +8,7 @@ import numpy as np
 
 from quantales.lattices import (
     DistLattice, FiniteLattice, FinitePoset, blocks, distributivity_failure,
-    first_in_blocks, first_law_failure, first_true, unpreserved)
+    first_in_blocks, first_law_failure, first_true, irreducibles_join_prime, unpreserved)
 
 
 class QuantaleError(Exception):
@@ -87,6 +87,9 @@ class Quantale:
         if hit is not None:
             x = hit[0]
             raise NotDistributive('x*0 != 0 at %r' % (lab(x),), (lab(x),))
+        if _laws_hold_on_irreducibles(lattice, mul):
+            return
+        # the scans below only name the witness of a refusal
         hit = distributivity_failure(mul, lattice.join_table)
         if hit is not None:
             x, y, z = (lab(i) for i in hit)
@@ -223,6 +226,29 @@ class Quantale:
     def radical_frame(self):
         'Frame of radical elements with join a v. b = radical(a v b).'
         return RadicalFrame(self)
+
+
+def _laws_hold_on_irreducibles(lattice, mul):
+    """Whether x*(y v j) = x*y v x*j and (x*y)*j = x*(y*j) for all x, y and every
+    join-irreducible j, for a commutative table with x*0 = 0.
+
+    That is distributivity and associativity over all triples: every z is the
+    join of the j below it, so the first law extends from J to z one j at a
+    time, and then both sides of the second preserve joins in z."""
+    if (mul == lattice.meet_table).all():
+        # meet is associative, so only the lattice's distributivity is left
+        return irreducibles_join_prime(lattice)
+    irreducibles = lattice.poset.join_irreducibles
+    join = lattice.join_table
+    # [x, j]: x*j and x v j
+    times_j, join_j = mul[:, irreducibles], join[:, irreducibles]
+    for rows, cols in blocks(len(mul), len(irreducibles)):
+        # [x, y, j]: row x of mul read at y v j is x*(y v j), read at y*j it is x*(y*j)
+        mul_rows, xy = mul[rows], mul[rows, cols]
+        if ((mul_rows[:, join_j[cols]] != join[xy[:, :, None], times_j[rows, None, :]]).any()
+                or (times_j[xy] != mul_rows[:, times_j[cols]]).any()):
+            return False
+    return True
 
 
 def residuum(q, a, b):
@@ -409,6 +435,16 @@ def decompose_by_elements(q, anchors):
     return u
 
 
+def _profile(leq, op):
+    """Per element, invariants an isomorphism of (leq, op) preserves: the sizes of its
+    down-set and up-set, how often op with it gives it back, and how often gives bottom."""
+    n = len(leq)
+    bottom = np.flatnonzero(leq.all(axis=1))[0]
+    return list(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist(),
+                    (op == np.arange(n)[:, None]).sum(axis=1).tolist(),
+                    (op == bottom).sum(axis=1).tolist()))
+
+
 def _isomorphism(source, target):
     """Bijection carrying one (leq, op) pair of tables onto another, or None; op is
     commutative, and each element tries the targets of its profile in index order."""
@@ -416,14 +452,7 @@ def _isomorphism(source, target):
     n = len(src_leq)
     if len(tgt_leq) != n:
         return None
-
-    def profile(leq, op):
-        bottom = np.flatnonzero(leq.all(axis=1))[0]
-        return list(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist(),
-                        (op == np.arange(n)[:, None]).sum(axis=1).tolist(),
-                        (op == bottom).sum(axis=1).tolist()))
-
-    src_prof, tgt_prof = profile(src_leq, src_op), profile(tgt_leq, tgt_op)
+    src_prof, tgt_prof = _profile(src_leq, src_op), _profile(tgt_leq, tgt_op)
     if sorted(src_prof) != sorted(tgt_prof):
         return None
     src_leq, src_op, tgt_leq, tgt_op = (t.tolist() for t in (src_leq, src_op, tgt_leq, tgt_op))

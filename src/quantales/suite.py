@@ -27,7 +27,7 @@ from .properties import (
     local_decomposition)
 from .quantale import (
     AxiomError, IntervalQuantale, Quantale, QuantaleError,
-    QuantaleMorphism, TrivialQuantale, _isomorphism, decompose_by_elements,
+    QuantaleMorphism, TrivialQuantale, _isomorphism, _profile, decompose_by_elements,
     find_quantale_isomorphism, interval_quantale, jacobson_radical, kernel,
     is_injective, negation, product, residuum)
 from .reticulation import (
@@ -129,6 +129,8 @@ def enumerate_lattices(n):
     'All lattices on n points up to isomorphism, in a deterministic order.'
     labels = ['x%d' % i for i in range(n)]
     out = []
+    # kept lattices by sorted profile: only those with an equal one can match
+    kept = {}
     for rel in _bounded_orders(n):
         try:
             lattice = FiniteLattice(FinitePoset(labels, rel))
@@ -136,7 +138,9 @@ def enumerate_lattices(n):
             continue
         # non-distributive lattices have no meet-quantale, so compare tables
         tables = (lattice.poset.leq, lattice.meet_table)
-        if all(_isomorphism(tables, (k.poset.leq, k.meet_table)) is None for k in out):
+        rivals = kept.setdefault(tuple(sorted(_profile(*tables))), [])
+        if all(_isomorphism(tables, k) is None for k in rivals):
+            rivals.append(tables)
             out.append(lattice)
     return tuple(out)
 
@@ -214,16 +218,19 @@ def enumerate_quantales(max_size, bound=5):
     out = []
     for n in range(1, max_size + 1):
         for lattice in enumerate_lattices(n):
-            # the lattices are pairwise non-isomorphic, so only classes on this one can match
-            kept = []
+            # the lattices are pairwise non-isomorphic, so only classes on this one
+            # can match, and of those only the ones with the same sorted profile
+            kept = {}
             for mul in _mul_candidates(lattice):
                 try:
                     q = Quantale(lattice, mul)
                 except AxiomError:
                     continue
-                if all(find_quantale_isomorphism(q, k) is None for k in kept):
-                    kept.append(q)
-            out.extend(kept)
+                rivals = kept.setdefault(
+                    tuple(sorted(_profile(lattice.poset.leq, q.mul_table))), [])
+                if all(find_quantale_isomorphism(q, k) is None for k in rivals):
+                    rivals.append(q)
+                    out.append(q)
     return tuple(out)
 
 
@@ -739,12 +746,7 @@ def _check_morphisms_preserve_center(member):
         'every central element is a finite join of join-irreducible elements')
 def _check_center_compact(member):
     q = member.quantale
-    lat = q.lattice
-    lower_covers = {}
-    for low, high in lat.poset.covers:
-        lower_covers.setdefault(high, []).append(low)
-    irreducible = [x for x in range(len(q))
-                   if x != lat.bottom and len(lower_covers.get(x, ())) == 1]
+    irreducible = q.lattice.poset.join_irreducibles.tolist()
     for e in q.center:
         parts = [j for j in irreducible if q.leq(j, e)]
         if q.join_all(parts) != e:

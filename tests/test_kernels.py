@@ -6,7 +6,13 @@ witness.  Three case families drive the construction kernels: random
 relations on at most seven points, random and perturbed tables over the
 small enumerated lattices and the fixtures, and monotone commutative
 tables on chains, the family that reaches the associativity check most
-often.  The normality verdicts are also driven by arbitrary tables, since
+often.  Validation over join-irreducibles is driven by commutative unital
+tables with x*0 = 0 on lattices that are not chains (random, below the meet,
+the meet, quantales, perturbed quantales, and tables extended by joins from
+the join-irreducibles, where associativity decides), and the predicate it
+rests on must hold exactly when both laws hold on every triple; lattice
+distributivity is compared on every enumerated lattice of at most seven
+points.  The normality verdicts are also driven by arbitrary tables, since
 they read nothing but which joins are top and which products are bottom.
 The lifting verdicts, for the whole quantale and for each anchor, are
 driven by the pool, permuted copies of it and products without lifting.
@@ -45,7 +51,7 @@ from quantales.properties import _stranded, element_has_lp, has_lp, is_b_normal,
 from quantales.lattices import build_lattice
 from quantales.quantale import (
     AxiomError, Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _isomorphism,
-    decompose_by_elements,
+    _laws_hold_on_irreducibles, decompose_by_elements,
     find_quantale_isomorphism, interval_quantale, product)
 from quantales.reticulation import (
     Reticulation, _generator, _induced, _star, check_unicity, lift_morphism, reticulate, star,
@@ -311,6 +317,140 @@ def test_validation_and_derived_tables_match_the_loops_on_chains(case):
     assert ours == checked(ref.validate, lattice, mul)
     if ours == ('returned',):
         _compare_derived(Quantale(lattice, mul))
+
+
+# ---------------------------------------------------------------------------
+# validation over join-irreducibles, on lattices that are not chains
+
+M3 = build_lattice('0abc1', [('0', x) for x in 'abc'] + [(x, '1') for x in 'abc'])
+N5 = build_lattice('0abc1', [('0', 'a'), ('a', 'b'), ('b', '1'), ('0', 'c'), ('c', '1')])
+
+
+def _is_chain(lattice):
+    return bool((lattice.poset.leq | lattice.poset.leq.T).all())
+
+
+SIX = [q for q in suite.enumerate_quantales(6, bound=6) if len(q) == 6]
+NON_CHAIN_QUANTALES = [q for q in QUANTALES + SIX + [io.generate(spec) for spec in (
+    'boolean:3', 'product:zn:4;zn:6', 'product:zn:9;downsets:z<x,z<y')]
+    if not _is_chain(q.lattice)]
+NON_CHAIN_LATTICES = [lat for n in range(4, 7) for lat in suite.enumerate_lattices(n)
+                      if not _is_chain(lat)] + [q.lattice for q in NON_CHAIN_QUANTALES]
+NON_CHAIN_DISTRIBUTIVE = [lat for lat in NON_CHAIN_LATTICES if ref.is_distributive(lat)]
+
+
+def _extended(draw, lattice):
+    """A table drawn on pairs of join-irreducibles below their meet, each j with
+    j*k = j for some k >= j, then extended by joins: x*y joins the j*k with j <= x
+    and k <= y.  On a distributive lattice it distributes, has the top as unit and
+    x*0 = 0, so associativity decides."""
+    irreducibles = lattice.poset.join_irreducibles.tolist()
+    on_j = {}
+    for a in irreducibles:
+        for b in irreducibles:
+            if a <= b:
+                on_j[a, b] = on_j[b, a] = draw(st.sampled_from(
+                    sorted(lattice.down_set(lattice.meet(a, b)))))
+    for a in irreducibles:
+        k = draw(st.sampled_from([k for k in irreducibles if lattice.leq(a, k)]))
+        on_j[a, k] = on_j[k, a] = a
+    n = len(lattice)
+    return np.array([[lattice.join_all(
+        v for (a, b), v in on_j.items() if lattice.leq(a, x) and lattice.leq(b, y))
+        for y in range(n)] for x in range(n)])
+
+
+def _normalized(lattice, mul):
+    'The table made commutative, with the top as unit and the bottom absorbing.'
+    mul = np.triu(mul) + np.triu(mul, 1).T
+    mul[lattice.bottom] = mul[:, lattice.bottom] = lattice.bottom
+    mul[lattice.top] = mul[:, lattice.top] = np.arange(len(lattice))
+    return mul
+
+
+@st.composite
+def irreducible_tables(draw):
+    """A non-chain lattice with a commutative unital table that has x*0 = 0: random,
+    random below the meet, the meet itself, a quantale's own table, that table
+    with a few entries redrawn, or a table extended by joins from the
+    join-irreducibles; the index order is then shuffled."""
+    kind = draw(st.sampled_from(
+        ['random', 'below meet', 'meet', 'quantale', 'perturbed', 'extended', 'extended']))
+    if kind in ('quantale', 'perturbed'):
+        q = draw(st.sampled_from(NON_CHAIN_QUANTALES))
+        lattice, mul = q.lattice, q.mul_table.copy()
+    elif kind == 'extended':
+        lattice = draw(st.sampled_from(NON_CHAIN_DISTRIBUTIVE))
+        mul = _extended(draw, lattice)
+    else:
+        lattice = draw(st.sampled_from(NON_CHAIN_LATTICES))
+        mul = lattice.meet_table.copy()
+    n = len(lattice)
+    if kind == 'random':
+        mul = np.array(draw(st.lists(
+            st.integers(0, n - 1), min_size=n * n, max_size=n * n))).reshape(n, n)
+    elif kind == 'below meet':
+        for i in range(n):
+            for j in range(i, n):
+                mul[i, j] = draw(st.sampled_from(sorted(lattice.down_set(lattice.meet(i, j)))))
+    elif kind == 'perturbed':
+        for _ in range(draw(st.integers(1, 3))):
+            i, j, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+            mul[i, j] = mul[j, i] = v
+    mul = _normalized(lattice, mul)
+    return permuted(lattice, mul, draw(st.permutations(range(n))))
+
+
+def _laws_hold_on_all_triples(lattice, mul):
+    'Distributivity and associativity of mul, compared on every triple at once.'
+    join = lattice.join_table
+    x, y, z = np.ix_(*[np.arange(len(mul))] * 3)
+    return bool((mul[x, join[y, z]] == join[mul[x, y], mul[x, z]]).all()
+                and (mul[mul[x, y], z] == mul[x, mul[y, z]]).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(irreducible_tables())
+@example(SORTED_SCAN_MISSES)
+@example((M3, M3.meet_table))
+@example((N5, N5.meet_table))
+def test_validation_over_irreducibles_matches_the_loops_on_non_chain_tables(case):
+    lattice, mul = case
+    assert checked(Quantale, lattice, mul) == checked(ref.validate, lattice, mul)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(irreducible_tables(),
+                 chain_tables().map(lambda case: (case[0], _normalized(*case)))))
+@example(SORTED_SCAN_MISSES)
+@example((M3, M3.meet_table))
+@example((N5, N5.meet_table))
+def test_irreducible_predicate_holds_iff_the_laws_hold_on_all_triples(case):
+    lattice, mul = case
+    assert _laws_hold_on_irreducibles(lattice, mul) == _laws_hold_on_all_triples(lattice, mul)
+
+
+@pytest.mark.parametrize('spec', ['product:zn:720;zn:4', 'boolean:6', 'zn:5040'])
+def test_irreducible_predicate_on_larger_instances_whose_blocks_split_rows(spec):
+    q = io.generate(spec)
+    lattice = q.lattice
+    assert next(blocks(len(q), len(lattice.poset.join_irreducibles)))[0] != slice(0, len(q))
+    assert _laws_hold_on_irreducibles(lattice, q.mul_table)
+    # a square set to bottom in the last rows is met only by a late block
+    for mul in (q.mul_table.copy(), lattice.meet_table.copy()):
+        x = max(x for x in range(len(q)) if mul[x, x] not in (lattice.bottom, lattice.top))
+        mul[x, x] = lattice.bottom
+        assert not _laws_hold_on_irreducibles(lattice, mul)
+        assert not _laws_hold_on_all_triples(lattice, mul)
+        assert checked(Quantale, lattice, mul) == checked(ref.validate, lattice, mul)
+
+
+@pytest.mark.parametrize('n', range(1, 8))
+def test_is_distributive_over_irreducibles_matches_the_loop_on_enumerated_lattices(n):
+    for lattice in suite.enumerate_lattices(n):
+        for lat in (lattice, permuted(lattice, lattice.meet_table, range(n)[::-1])[0]):
+            ours, theirs = is_distributive(lat), ref.is_distributive(lat)
+            assert (ours.holds, ours.witness) == (theirs.holds, theirs.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +1022,6 @@ def _labelled_lattices(n):
     return out
 
 
-M3 = build_lattice('0abc1', [('0', x) for x in 'abc'] + [(x, '1') for x in 'abc'])
-N5 = build_lattice('0abc1', [('0', 'a'), ('a', 'b'), ('b', '1'), ('0', 'c'), ('c', '1')])
 RAW_LATTICES = [lat for n in range(1, 6) for lat in _labelled_lattices(n)] + [M3, N5]
 
 
