@@ -11,6 +11,7 @@ from quantales.quantale import (
     QuantaleMorphism,
     TrivialQuantale,
     _element_index,
+    _interval_at,
     decompose_by_elements,
     jacobson_radical,
 )
@@ -176,7 +177,7 @@ def local_decomposition(q):
         return Verdict(False, ('anchors-do-not-meet-to-bottom',
                                tuple(q.label(e) for e in anchors)))
     morphism = decompose_by_elements(q, anchors)
-    factors = morphism._factors
+    factors = tuple(_interval_at(q, e) for e in anchors)
     for factor in factors:
         if not is_local(factor):
             return Verdict(False, ('factor-not-local', factor.label(factor.bottom)))

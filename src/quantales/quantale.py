@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -227,6 +228,11 @@ class Quantale:
         'Frame of radical elements with join a v. b = radical(a v b).'
         return RadicalFrame(self)
 
+    @cached_property
+    def _intervals(self):
+        'IntervalQuantale per anchor index, filled by _interval_at.'
+        return {}
+
 
 def _laws_hold_on_irreducibles(lattice, mul):
     """Whether x*(y v j) = x*y v x*j and (x*y)*j = x*(y*j) for all x, y and every
@@ -370,6 +376,11 @@ class IntervalQuantale(Quantale):
         self.to_interval = {x: i for i, x in enumerate(self.carrier)}
         super().__init__(lattice, _into(self, parent.mul_table[np.ix_(carrier, carrier)]))
 
+    @cached_property
+    def surjection(self):
+        'The canonical surjection x -> x v anchor from the parent onto the interval.'
+        return QuantaleMorphism(self.parent, self, _into(self, np.arange(len(self.parent))))
+
 
 def _into(part, xs):
     'Positions in the carrier of the interval part of x v anchor, for parent elements xs.'
@@ -378,16 +389,27 @@ def _into(part, xs):
 
 
 def _element_index(q, a):
-    'a, once it is known to index an element of q; numpy would read a negative index from the end.'
+    """a as a plain int, once it is known to index an element of q; a float or
+    other non-integer is refused, and numpy would read a negative index from the end."""
+    a = operator.index(a)
     if not 0 <= a < len(q):
         raise IndexError('element index %r out of range for %d elements' % (a, len(q)))
     return a
 
 
+def _interval_at(q, a):
+    'The quantale on [a) for an element index a, built once per quantale and shared.'
+    part = q._intervals.get(a)
+    # a copy.copy of a quantale shares its dict, whose parts name the original as parent
+    if part is None or part.parent is not q:
+        part = q._intervals[a] = IntervalQuantale(q, a)
+    return part
+
+
 def interval_quantale(q, a):
     'The quantale on [a) together with the canonical surjection x -> x v a.'
-    part = IntervalQuantale(q, _element_index(q, a))
-    return part, QuantaleMorphism(q, part, _into(part, np.arange(len(q))))
+    part = _interval_at(q, _element_index(q, a))
+    return part, part.surjection
 
 
 def product(factors):
@@ -421,8 +443,8 @@ def decompose_by_elements(q, anchors):
     if hit is not None:
         raise PreconditionFailed('elements %d and %d do not join to top' % hit)
     base = q.meet_all(anchors)
-    source = IntervalQuantale(q, base)
-    parts = [IntervalQuantale(q, a) for a in anchors]
+    source = _interval_at(q, base)
+    parts = [_interval_at(q, a) for a in anchors]
     target = parts[0] if len(parts) == 1 else product(parts)[0]
     carrier = np.asarray(source.carrier)
     mapping = np.ravel_multi_index(
@@ -430,8 +452,6 @@ def decompose_by_elements(q, anchors):
     u = QuantaleMorphism(source, target, mapping)
     if len(set(u.mapping)) != len(source) or not u.is_surjective():
         raise QuantaleError('decomposition map is not bijective')
-    # kept so that callers reading the factors do not build them again
-    u._factors = tuple(parts)
     return u
 
 

@@ -26,8 +26,8 @@ from .properties import (
     is_b_normal, is_hyperarchimedean, is_local, is_normal, is_semilocal,
     local_decomposition)
 from .quantale import (
-    AxiomError, IntervalQuantale, Quantale, QuantaleError,
-    QuantaleMorphism, TrivialQuantale, _isomorphism, _profile, decompose_by_elements,
+    AxiomError, Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale,
+    _interval_at, _isomorphism, _profile, decompose_by_elements,
     find_quantale_isomorphism, interval_quantale, jacobson_radical, kernel,
     is_injective, negation, product, residuum)
 from .reticulation import (
@@ -372,6 +372,7 @@ def run_suite(corpus, checks=None):
 # ---------------------------------------------------------------------------
 # shared helpers
 
+# an lru_cache still, because perfbench/tracing.py reads its cache_info()
 @lru_cache(maxsize=None)
 def _interval(q, a):
     return interval_quantale(q, a)
@@ -946,7 +947,7 @@ def _check_surjection_restriction(member):
     for name, u in _surjection_family(member):
         if not u.is_surjective():
             raise QuantaleError('%s is not surjective' % name)
-        part = IntervalQuantale(u.source, kernel(u))
+        part = _interval_at(u.source, kernel(u))
         restriction = QuantaleMorphism(
             part, u.target, tuple(u(x) for x in part.carrier))
         if len(set(restriction.mapping)) != len(part) or not restriction.is_surjective():

@@ -715,6 +715,35 @@ def test_decompositions_match_the_loop(case):
         _decomposition_outcome(ref.decompose_by_elements, q, anchors))
 
 
+@CASES
+@given(st.sampled_from(QUANTALES), st.data())
+def test_intervals_and_decompositions_of_a_copy_ignore_the_cache_it_shares(q, data):
+    'A copy.copy of a quantale whose intervals are cached shares their dict; it must not read it.'
+    n = len(q)
+    for a in range(n):
+        interval_quantale(q, a)
+    maxima = list(q.maximal_elements)
+    if maxima:
+        decompose_by_elements(q, maxima)
+    kind = data.draw(st.sampled_from(['table', 'join', 'meet']))
+    broken = (_perturbed_table(data.draw, q) if kind == 'table'
+              else _perturbed_bounds(data.draw, q, kind))
+    assert broken._intervals is q._intervals
+    for a in range(n):
+        assert _interval_outcome(outcome(interval_quantale, broken, a)) == (
+            _reference_interval_outcome(outcome(ref.interval_quantale, broken, a)))
+    anchors = data.draw(st.sampled_from([maxima] + [
+        [a, b] for a in range(n) for b in range(n) if q.join(a, b) == q.top]))
+    assert _decomposition_outcome(decompose_by_elements, broken, anchors) == (
+        _decomposition_outcome(ref.decompose_by_elements, broken, anchors))
+    # and the quantale copied still reads intervals of its own
+    a = data.draw(st.integers(0, n - 1))
+    part, u = interval_quantale(q, a)
+    assert part.parent is q and u.source is q
+    assert _interval_outcome(('returned', (part, u))) == (
+        _reference_interval_outcome(outcome(ref.interval_quantale, q, a)))
+
+
 def _with_radicals(q, changes):
     'A copy of q whose radical table sends x to r for each (x, r) in changes, unvalidated.'
     radical = list(q.radical_table)

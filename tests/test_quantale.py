@@ -258,6 +258,23 @@ def test_element_indices_outside_the_carrier_are_refused(w5, fn):
     fn(w5, len(w5) - 1)
 
 
+@pytest.mark.parametrize('fn', [element_has_lp, interval_quantale, star])
+def test_element_indices_that_are_not_integers_are_refused(d12, fn):
+    # fill the interval cache first: its key 1 equals 1.0 and np.float64(1.0)
+    interval_quantale(d12, 1)
+    for a in (1.0, 2.5, np.float64(1.0), '1', None, np.bool_(True)):
+        with pytest.raises(TypeError):
+            fn(d12, a)
+
+
+@pytest.mark.parametrize('fn', [element_has_lp, interval_quantale, star])
+def test_integer_element_indices_act_as_their_int(d12, fn):
+    for a, plain in ((True, 1), (False, 0), (np.int64(2), 2), (np.uint8(3), 3), (np.intp(5), 5)):
+        assert fn(d12, a) == fn(d12, plain)
+    part, _ = interval_quantale(d12, np.int64(2))
+    assert part is interval_quantale(d12, 2)[0] and type(part.anchor) is int
+
+
 def test_morphism_validation(c3):
     with pytest.raises(QuantaleError):
         QuantaleMorphism(c3, c3, (0, 1, 1))  # drops the unit

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ import pytest
 import quantales
 from quantales import io, suite
 from quantales.lattices import Verdict, build_lattice
-from quantales.quantale import AxiomError, Quantale, TrivialQuantale
+from quantales.properties import local_decomposition
+from quantales.quantale import (
+    AxiomError, IntervalQuantale, Quantale, TrivialQuantale, interval_quantale)
 
 
 def test_lattice_counts_up_to_isomorphism():
@@ -97,6 +100,32 @@ def test_full_suite_is_green_on_fixtures(corpus):
     assert counts.get('REFUTED', 0) == 0
     assert counts['RECORDED'] == len(corpus)  # one tracked fact per member
     assert counts['PASS'] > 500
+
+
+def test_suite_builds_each_interval_once_per_parent_and_anchor(monkeypatch):
+    built = []
+    init = IntervalQuantale.__init__
+
+    def counted(self, parent, anchor):
+        built.append((parent, anchor))
+        init(self, parent, anchor)
+
+    monkeypatch.setattr(IntervalQuantale, '__init__', counted)
+    # members generated afresh, so that no earlier test has filled their caches
+    corpus = suite.fixtures.__wrapped__()
+    assert suite.run_suite(corpus).ok()
+    # the list keeps every parent alive, so no two of them share an id
+    builds = Counter((id(parent), anchor) for parent, anchor in built)
+    assert builds and max(builds.values()) == 1
+    q = corpus.get('D12').quantale
+    for a in range(len(q)):
+        part, u = interval_quantale(q, a)
+        assert part is interval_quantale(q, a)[0] and u is part.surjection
+    decomposition = local_decomposition(q)
+    assert len(decomposition.factors) == 2
+    for e, factor in zip(decomposition.idempotents, decomposition.factors):
+        assert factor is interval_quantale(q, e)[0]
+    assert Counter(id(parent) for parent, _ in built)[id(q)] == len(q)
 
 
 def test_recorded_spectrum_fact_matches_known_split(corpus):
