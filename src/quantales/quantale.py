@@ -192,9 +192,12 @@ class Quantale:
     @cached_property
     def radical_table(self):
         'radical_table[a] = meet of the m-primes above a; empty meet is top.'
-        return tuple(
-            self.meet_all(p for p in self.spectrum if self.leq(a, p))
-            for a in range(len(self)))
+        radical = np.full(len(self), self.top)
+        meet, leq = self.lattice.meet_table, self.lattice.poset.leq
+        for p in self.spectrum:
+            below = leq[:, p]
+            radical[below] = meet[radical[below], p]
+        return tuple(radical.tolist())
 
     def radical_of(self, a):
         return self.radical_table[a]
@@ -227,6 +230,11 @@ class Quantale:
     def radical_frame(self):
         'Frame of radical elements with join a v. b = radical(a v b).'
         return RadicalFrame(self)
+
+    @cached_property
+    def _element_profile(self):
+        'Per element, the invariants _profile reads off the order and the multiplication.'
+        return _profile(self.lattice.poset.leq, self.mul_table)
 
     @cached_property
     def _intervals(self):
@@ -412,31 +420,38 @@ def interval_quantale(q, a):
     return part, part.surjection
 
 
-def product(factors):
-    'Componentwise product quantale with its projection morphisms.'
+def _product(factors):
+    """Componentwise product quantale, and per factor the coordinate of each of
+    its elements: element k has the coordinates unravel_index(k, sizes)."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct('need at least one factor')
     sizes = tuple(len(f) for f in factors)
-    # element k has the coordinates unravel_index(k, sizes): C order, first
-    # factor outermost, as kron lays out the order
     coords = np.unravel_index(np.arange(np.prod(sizes, dtype=np.intp)), sizes)
     labels = ['(%s)' % ','.join(t) for t in zip(*(
         [str(f.label(i)) for i in c.tolist()] for f, c in zip(factors, coords)))]
     leq = np.ones((1, 1), dtype=bool)
     for f in factors:
-        leq = np.kron(leq, f.lattice.poset.leq)
+        # [x, y, x', y']: x <= x' and y <= y', C order with the first factor outermost
+        f_leq = f.lattice.poset.leq
+        m, k = len(leq), len(f_leq)
+        leq = (leq[:, None, :, None] & f_leq[None, :, None, :]).reshape(m * k, m * k)
     lattice = FiniteLattice(FinitePoset(labels, leq))
     mul = np.ravel_multi_index(tuple(
         f.mul_table[c[:, None], c] for f, c in zip(factors, coords)), sizes)
-    prod = Quantale(lattice, mul)
-    projections = [QuantaleMorphism(prod, f, c) for f, c in zip(factors, coords)]
-    return prod, projections
+    return Quantale(lattice, mul), coords
+
+
+def product(factors):
+    'Componentwise product quantale with its projection morphisms.'
+    factors = list(factors)
+    prod, coords = _product(factors)
+    return prod, [QuantaleMorphism(prod, f, c) for f, c in zip(factors, coords)]
 
 
 def decompose_by_elements(q, anchors):
     'Isomorphism from the interval above the meet of the anchors onto the product of their intervals.'
-    anchors = list(anchors)
+    anchors = [_element_index(q, a) for a in anchors]
     if not anchors:
         raise PreconditionFailed('need at least one element')
     hit = first_true(np.triu(q.lattice.join_table[np.ix_(anchors, anchors)] != q.top, 1))
@@ -445,7 +460,7 @@ def decompose_by_elements(q, anchors):
     base = q.meet_all(anchors)
     source = _interval_at(q, base)
     parts = [_interval_at(q, a) for a in anchors]
-    target = parts[0] if len(parts) == 1 else product(parts)[0]
+    target = parts[0] if len(parts) == 1 else _product(parts)[0]
     carrier = np.asarray(source.carrier)
     mapping = np.ravel_multi_index(
         tuple(_into(p, carrier) for p in parts), tuple(len(p) for p in parts))
@@ -465,14 +480,15 @@ def _profile(leq, op):
                     (op == bottom).sum(axis=1).tolist()))
 
 
-def _isomorphism(source, target):
+def _isomorphism(source, target, profiles=None):
     """Bijection carrying one (leq, op) pair of tables onto another, or None; op is
-    commutative, and each element tries the targets of its profile in index order."""
+    commutative, and each element tries the targets of its profile in index order.
+    profiles, when given, holds the _profile of source and of target."""
     (src_leq, src_op), (tgt_leq, tgt_op) = source, target
     n = len(src_leq)
     if len(tgt_leq) != n:
         return None
-    src_prof, tgt_prof = _profile(src_leq, src_op), _profile(tgt_leq, tgt_op)
+    src_prof, tgt_prof = profiles or (_profile(src_leq, src_op), _profile(tgt_leq, tgt_op))
     if sorted(src_prof) != sorted(tgt_prof):
         return None
     src_leq, src_op, tgt_leq, tgt_op = (t.tolist() for t in (src_leq, src_op, tgt_leq, tgt_op))
@@ -515,5 +531,9 @@ def _isomorphism(source, target):
 
 def find_quantale_isomorphism(source, target):
     'Bijection preserving order and multiplication, or None; backtracking search.'
+    # a size mismatch is decided before either profile is computed
+    if len(source) != len(target):
+        return None
     return _isomorphism((source.lattice.poset.leq, source.mul_table),
-                        (target.lattice.poset.leq, target.mul_table))
+                        (target.lattice.poset.leq, target.mul_table),
+                        (source._element_profile, target._element_profile))

@@ -138,9 +138,11 @@ def enumerate_lattices(n):
             continue
         # non-distributive lattices have no meet-quantale, so compare tables
         tables = (lattice.poset.leq, lattice.meet_table)
-        rivals = kept.setdefault(tuple(sorted(_profile(*tables))), [])
-        if all(_isomorphism(tables, k) is None for k in rivals):
-            rivals.append(tables)
+        profile = _profile(*tables)
+        rivals = kept.setdefault(tuple(sorted(profile)), [])
+        if all(_isomorphism(tables, k, (profile, k_profile)) is None
+               for k, k_profile in rivals):
+            rivals.append((tables, profile))
             out.append(lattice)
     return tuple(out)
 
@@ -226,8 +228,7 @@ def enumerate_quantales(max_size, bound=5):
                     q = Quantale(lattice, mul)
                 except AxiomError:
                     continue
-                rivals = kept.setdefault(
-                    tuple(sorted(_profile(lattice.poset.leq, q.mul_table))), [])
+                rivals = kept.setdefault(tuple(sorted(q._element_profile)), [])
                 if all(find_quantale_isomorphism(q, k) is None for k in rivals):
                     rivals.append(q)
                     out.append(q)

@@ -12,7 +12,8 @@ isomorphism search did, and the generate-and-test enumeration (every
 cartesian candidate table, every relation mask) that the backtracking fill
 and the walk over bounded orders replaced, and the triple loop that found
 the covers of the spectrum for the dot export before FinitePoset.covers did,
-and the chain and set-family frames as the generators built them from label
+and the least-bounds search over n**3 booleans that built the join and meet
+tables before the bit-packed up-sets did, and the chain and set-family frames as the generators built them from label
 pairs and product loops before they read the order matrix and its meet table.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
@@ -32,7 +33,7 @@ import numpy as np
 from quantales.io import InvalidParameter, _bounded, _dot_graph, _positive_int, _set_label
 from quantales.lattices import (
     DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
-    NotAnIdeal, NotAPoset, Verdict, build_lattice)
+    NotAnIdeal, NotAPoset, Verdict, blocks, build_lattice)
 from quantales.oracles import lattice_boolean_center, normal_witness
 from quantales.quantale import (
     AxiomError, EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
@@ -91,6 +92,21 @@ def export_spec_dot(q):
                 edges.append((si, sj))
     shapes = {si: ', peripheries=2' for si, p in enumerate(spec) if p in maxima}
     return _dot_graph([q.label(p) for p in spec], edges, shapes)
+
+
+def least_bounds(leq):
+    'Least common upper bound of every pair under leq, and the mask of pairs without one.'
+    n = len(leq)
+    up = leq.sum(axis=1)
+    best = np.empty((n, n), dtype=np.intp)
+    count = np.empty((n, n), dtype=np.intp)
+    for rows, cols in blocks(n, n):
+        common = leq[rows, None, :] & leq[None, cols, :]
+        # a least common bound lies below all the others, so it alone has the
+        # largest up-set, and that up-set is exactly the common bounds
+        best[rows, cols] = (common * up).argmax(axis=2)
+        count[rows, cols] = common.sum(axis=2)
+    return best, up[best] != count
 
 
 def _unique_bound(poset, i, j, upper):

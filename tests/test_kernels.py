@@ -30,7 +30,12 @@ return what the canonical-form loops returned, table for table.  The
 backtracking fill must keep, in order, the tables the cartesian loop kept
 on every relabelled lattice of at most five points and fixture lattice of
 at most six, and the walk over bounded orders must give the lattices the
-scan over every relation mask gave.
+scan over every relation mask gave.  The join and meet tables read off
+bit-packed up-sets must agree with the least-bounds search, table and
+no-bound mask, on the random orders and on orders of 63 to 129 points
+(chains, Boolean and divisor lattices, non-lattices, random bounded orders,
+each also with shuffled indices) whose rows fill one word, cross into a
+second or a third.
 """
 
 import copy
@@ -44,8 +49,8 @@ from hypothesis import example, given, settings, strategies as st
 import reference_loops as ref
 from quantales import io, suite
 from quantales.lattices import (
-    DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotAnIdeal, blocks,
-    is_distributive)
+    DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
+    NotAnIdeal, _joins_and_meets, blocks, first_law_failure, is_distributive)
 from quantales.oracles import has_id_blp, has_lp_per_anchor, lattice_is_id_local
 from quantales.properties import _stranded, element_has_lp, has_lp, is_b_normal, is_normal
 from quantales.lattices import build_lattice
@@ -161,6 +166,95 @@ def test_posets_lattices_covers_and_distributivity_match_the_loops(leq):
         return
     ours, theirs = is_distributive(lat), ref.is_distributive(lat)
     assert (ours.holds, ours.witness) == (theirs.holds, theirs.witness)
+
+
+# ---------------------------------------------------------------------------
+# join and meet tables from bit-packed up-sets, against the least-bounds search
+
+def _bounds_outcome(join, meet, no_join, no_meet):
+    """The no-join and no-meet masks and the tables off them; FiniteLattice refuses
+    an order with any masked pair, so an entry under a mask is never read."""
+    return (no_join.tolist(), no_meet.tolist(),
+            np.where(no_join, -1, join).tolist(), np.where(no_meet, -1, meet).tolist())
+
+
+def _bounds_match_the_search(leq):
+    (join, meet), (no_join, no_meet) = _joins_and_meets(leq)
+    ref_join, ref_no_join = ref.least_bounds(leq)
+    ref_meet, ref_no_meet = ref.least_bounds(np.ascontiguousarray(leq.T))
+    assert _bounds_outcome(join, meet, no_join, no_meet) == (
+        _bounds_outcome(ref_join, ref_meet, ref_no_join, ref_no_meet))
+    poset = FinitePoset(labels(len(leq)), leq)
+    hit = first_law_failure((ref_no_join, ref_no_meet))
+    if hit is None:
+        expected = 'returned', (ref_join.tolist(), ref_meet.tolist())
+    else:
+        i, j, law = hit
+        expected = 'raised', NotALattice, 'no %s for %r and %r' % (
+            ('join', 'meet')[law], poset.elements[i], poset.elements[j]), None
+    got = outcome(FiniteLattice, poset)
+    if got[0] == 'returned':
+        got = 'returned', (got[1].join_table.tolist(), got[1].meet_table.tolist())
+    assert got == expected
+
+
+@CASES
+@given(relations())
+def test_least_bounds_match_the_search_on_random_orders(leq):
+    try:
+        FinitePoset(labels(len(leq)), leq)
+    except LatticeError:
+        return
+    _bounds_match_the_search(leq)
+
+
+def _closed(leq):
+    'Reflexive and transitive closure of a relation.'
+    leq = leq | np.eye(len(leq), dtype=bool)
+    for k in range(len(leq)):
+        leq |= np.outer(leq[:, k], leq[k])
+    return leq
+
+
+def _divisor_order(exponents):
+    'Divisibility on the divisors of 2**e1 * 3**e2 * ..., as exponent tuples.'
+    grid = np.indices([e + 1 for e in exponents]).reshape(len(exponents), -1).T
+    return (grid[:, None, :] <= grid[None, :, :]).all(axis=2)
+
+
+def _two_tops(n):
+    'A chain of n - 2 points below two incomparable points: no join of those two.'
+    leq = np.arange(n)[:, None] <= np.arange(n)
+    leq[n - 2, n - 1] = False
+    return leq
+
+
+def _random_bounded(n, seed):
+    'A random order with a bottom (index 0) and a top (index n - 1), mostly not a lattice.'
+    rng = np.random.default_rng(seed)
+    leq = np.triu(rng.random((n, n)) < 3 / n)
+    leq[0] = leq[:, n - 1] = True
+    return _closed(leq)
+
+
+# sizes on both sides of one and two words of 64 bits
+WORD_EDGE_ORDERS = [
+    ('chain', np.arange(n)[:, None] <= np.arange(n)) for n in (63, 64, 65, 127, 128, 129)] + [
+    ('boolean:7', _divisor_order([1] * 7)),
+    ('divisors of 2**6 3**2 5**2', _divisor_order([6, 2, 2])),
+    ('divisors of 30030', _divisor_order([1] * 6)),
+    ('divisors of 2**4 3**12', _divisor_order([4, 12])),
+    ('divisors of 2**2 3**42', _divisor_order([2, 42]))] + [
+    ('two tops', _two_tops(n)) for n in (63, 64, 65, 127, 128, 129)] + [
+    ('random bounded', _random_bounded(n, n)) for n in (63, 64, 65, 127, 128, 129)]
+
+
+@pytest.mark.parametrize('name, leq', WORD_EDGE_ORDERS,
+                         ids=['%s-%d' % (name, len(leq)) for name, leq in WORD_EDGE_ORDERS])
+def test_least_bounds_match_the_search_across_word_boundaries(name, leq):
+    _bounds_match_the_search(leq)
+    perm = np.random.default_rng(len(leq)).permutation(len(leq))
+    _bounds_match_the_search(leq[np.ix_(perm, perm)])
 
 
 # ---------------------------------------------------------------------------
