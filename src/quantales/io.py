@@ -9,12 +9,12 @@ omitted, and only one of ``[x, y, z]`` / ``[y, x, z]`` is required.
 
 import json
 import re
-from itertools import combinations
+from itertools import chain, combinations
 from math import isqrt, prod
 
 import numpy as np
 
-from .lattices import FiniteLattice, FinitePoset, LatticeError, build_lattice
+from .lattices import FiniteLattice, FinitePoset, LatticeError, build_lattice, first_true
 from .quantale import AxiomError, Quantale, product
 from .reticulation import reticulate
 
@@ -84,6 +84,47 @@ def parse_instance(text):
     return instance_from_dict(doc)
 
 
+def _product_rows(triples, index):
+    """The [x, y, xy] entries as an m x 3 array of element indices, read in one
+    pass, or None when some entry is not a list of three known labels."""
+    if not all(issubclass(t, list) for t in set(map(type, triples))):
+        return None
+    if set(map(len, triples)) - {3}:
+        return None
+    labels = list(chain.from_iterable(triples))
+    if len(labels) != 3 * len(triples) or not all(
+            issubclass(t, str) for t in set(map(type, labels))):
+        return None
+    try:
+        flat = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+    except KeyError:
+        return None
+    return flat.reshape(-1, 3)
+
+
+def _first_malformed(triples, index):
+    """Position of the first entry that is not a list of three known labels,
+    and the error naming it; called only once the array read has failed."""
+    for k, triple in enumerate(triples):
+        where = 'mul[%d]' % k
+        if not (isinstance(triple, list) and len(triple) == 3):
+            return k, ParseError('expected a triple [x, y, xy]', where)
+        for label in triple:
+            if not isinstance(label, str) or label not in index:
+                return k, ParseError('unknown element %r' % (label,), where)
+    return len(triples), None
+
+
+def _first_conflict(rows, n):
+    """Position of the first row that repeats the pair of an earlier row with
+    another product, or None.  np.unique sorts the pair keys stably, so the
+    index it returns per pair is the pair's first row."""
+    _, first, pair = np.unique(rows[:, 0] * n + rows[:, 1], return_index=True,
+                               return_inverse=True)
+    hit = first_true(rows[first[pair], 2] != rows[:, 2])
+    return None if hit is None else hit[0]
+
+
 def instance_from_dict(doc):
     if not isinstance(doc, dict):
         raise ParseError('top level must be an object', '$')
@@ -125,33 +166,33 @@ def instance_from_dict(doc):
     triples = doc.get('mul', [])
     if not isinstance(triples, list):
         raise ParseError('expected a list', 'mul')
-    table = {}
-    for k, triple in enumerate(triples):
-        where = 'mul[%d]' % k
-        if not (isinstance(triple, list) and len(triple) == 3):
-            raise ParseError('expected a triple [x, y, xy]', where)
-        for label in triple:
-            if not isinstance(label, str) or label not in index:
-                raise ParseError('unknown element %r' % (label,), where)
-        x, y, z = (index[label] for label in triple)
-        if table.get((x, y), z) != z:
-            raise ParseError('conflicting products for (%r, %r)' % (triple[0], triple[1]), where)
-        table[(x, y)] = z
+    rows, malformed = _product_rows(triples, index), None
+    if rows is None:
+        # only the entries before the first malformed one can hold a conflict to report
+        bad, malformed = _first_malformed(triples, index)
+        rows = _product_rows(triples[:bad], index)
+    conflict = _first_conflict(rows, len(elements))
+    if conflict is not None:
+        triple = triples[conflict]
+        raise ParseError('conflicting products for (%r, %r)' % (triple[0], triple[1]),
+                         'mul[%d]' % conflict)
+    if malformed is not None:
+        raise malformed
 
-    # fill the mirror of each listed pair, then the unit row, and demand the rest
-    for (x, y), z in list(table.items()):
-        table.setdefault((y, x), z)
-    top = lattice.top
-    for x in range(len(elements)):
-        table.setdefault((x, top), x)
-        table.setdefault((top, x), x)
-    mul = [[0] * len(elements) for _ in range(len(elements))]
-    for x in range(len(elements)):
-        for y in range(len(elements)):
-            if (x, y) not in table:
-                raise ParseError(
-                    'missing product for (%r, %r)' % (elements[x], elements[y]), 'mul')
-            mul[x][y] = table[(x, y)]
+    # the mirror of each listed pair, the listed cells over it, then the unit
+    # row and column where still unset, and demand the rest
+    n = len(elements)
+    mul = np.full((n, n), -1, dtype=np.intp)
+    x, y, z = rows.T
+    mul[y, x] = z
+    mul[x, y] = z
+    top, ar = lattice.top, np.arange(n)
+    mul[:, top] = np.where(mul[:, top] < 0, ar, mul[:, top])
+    mul[top] = np.where(mul[top] < 0, ar, mul[top])
+    hit = first_true(mul < 0)
+    if hit is not None:
+        x, y = hit
+        raise ParseError('missing product for (%r, %r)' % (elements[x], elements[y]), 'mul')
     try:
         return Quantale(lattice, mul)
     except AxiomError as exc:

@@ -128,12 +128,13 @@ def has_property_star(q):
     'Every element splits as c v e with c below the radical and e complemented.'
     if len(q) == 1:
         raise TrivialQuantale('one-point carrier')
-    r = jacobson_radical(q)
-    small = [c for c in range(len(q)) if q.leq(c, r)]
-    center = q.center
-    for a in range(len(q)):
-        if not any(q.join(c, e) == a for c in small for e in center):
-            return Verdict(False, q.label(a))
+    small = np.flatnonzero(q.lattice.poset.leq[:, jacobson_radical(q)])
+    # reached[a]: a = c v e for some c below the radical and some complemented e
+    reached = np.zeros(len(q), dtype=bool)
+    reached[q.lattice.join_table[np.ix_(small, q.center)]] = True
+    hit = first_true(~reached)
+    if hit is not None:
+        return Verdict(False, q.label(hit[0]))
     return Verdict(True)
 
 

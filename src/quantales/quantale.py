@@ -436,10 +436,19 @@ def _product(factors):
         f_leq = f.lattice.poset.leq
         m, k = len(leq), len(f_leq)
         leq = (leq[:, None, :, None] & f_leq[None, :, None, :]).reshape(m * k, m * k)
-    lattice = FiniteLattice(FinitePoset(labels, leq))
-    mul = np.ravel_multi_index(tuple(
-        f.mul_table[c[:, None], c] for f, c in zip(factors, coords)), sizes)
-    return Quantale(lattice, mul), coords
+
+    def componentwise(tables):
+        'The product of one table per factor, each read at the coordinates of its factor.'
+        return np.ravel_multi_index(tuple(t[c[:, None], c] for t, c in zip(tables, coords)), sizes)
+
+    # join, meet and bounds are the factors' taken componentwise
+    lattice = FiniteLattice._from_tables(
+        FinitePoset(labels, leq),
+        componentwise([f.lattice.join_table for f in factors]),
+        componentwise([f.lattice.meet_table for f in factors]),
+        np.ravel_multi_index([f.bottom for f in factors], sizes),
+        np.ravel_multi_index([f.top for f in factors], sizes))
+    return Quantale(lattice, componentwise([f.mul_table for f in factors])), coords
 
 
 def product(factors):

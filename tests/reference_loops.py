@@ -14,7 +14,11 @@ and the walk over bounded orders replaced, and the triple loop that found
 the covers of the spectrum for the dot export before FinitePoset.covers did,
 and the least-bounds search over n**3 booleans that built the join and meet
 tables before the bit-packed up-sets did, and the chain and set-family frames as the generators built them from label
-pairs and product loops before they read the order matrix and its meet table.
+pairs and product loops before they read the order matrix and its meet table,
+and the instance reader that checked, looked up and stored each product
+triple in turn before it read the multiplication into arrays, and the test
+of property (*) that joined every small element with every central one per
+element before one read of the join table did.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
 class with the same message and witness, as the loop it replaced, the
@@ -30,15 +34,17 @@ from itertools import permutations, product as cartesian
 
 import numpy as np
 
-from quantales.io import InvalidParameter, _bounded, _dot_graph, _positive_int, _set_label
+from quantales.io import (
+    FORMAT, MAX_ELEMENTS, InvalidParameter, ParseError, ValidationError, _bounded, _dot_graph,
+    _positive_int, _set_label, _string_list, generate)
 from quantales.lattices import (
     DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
     NotAnIdeal, NotAPoset, Verdict, blocks, build_lattice)
 from quantales.oracles import lattice_boolean_center, normal_witness
 from quantales.quantale import (
     AxiomError, EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
-    NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, _isomorphism,
-    negation)
+    NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale,
+    _isomorphism, jacobson_radical, negation)
 from quantales.reticulation import AxiomViolation, NotAReticulation, reticulate
 from quantales.suite import BoundExceeded
 
@@ -758,3 +764,96 @@ def frame_of_sets(sets):
     pos = {frozenset(s): i for i, s in enumerate(sets)}
     mul = [[pos[frozenset(a & b)] for b in sets] for a in sets]
     return Quantale(lattice, mul)
+
+
+# ---------------------------------------------------------------------------
+# the instance reader with its per-triple multiplication loop
+
+def instance_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise ParseError('top level must be an object', '$')
+    fmt = doc.get('format')
+    if fmt is not None and fmt != FORMAT:
+        raise ParseError('unsupported format %r, expected %r' % (fmt, FORMAT), 'format')
+    if 'elements' not in doc:
+        if 'generator' in doc:
+            if not isinstance(doc['generator'], str):
+                raise ParseError('expected a string', 'generator')
+            return generate(doc['generator'])
+        raise ParseError('need either elements or a generator', '$')
+
+    elements = _string_list(doc, 'elements')
+    if not elements:
+        raise ParseError('at least one element is required', 'elements')
+    if len(elements) > MAX_ELEMENTS:
+        raise ParseError('%d elements is too many, the bound is %d' % (
+            len(elements), MAX_ELEMENTS), 'elements')
+    if len(set(elements)) != len(elements):
+        raise ParseError('element labels are not unique', 'elements')
+    index = {label: i for i, label in enumerate(elements)}
+
+    pairs = doc.get('leq', [])
+    if not isinstance(pairs, list):
+        raise ParseError('expected a list', 'leq')
+    for k, pair in enumerate(pairs):
+        where = 'leq[%d]' % k
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError('expected a pair [lower, upper]', where)
+        for label in pair:
+            if not isinstance(label, str) or label not in index:
+                raise ParseError('unknown element %r' % (label,), where)
+    try:
+        lattice = build_lattice(elements, [tuple(p) for p in pairs])
+    except LatticeError as exc:
+        raise ValidationError(str(exc), type(exc).__name__) from None
+
+    triples = doc.get('mul', [])
+    if not isinstance(triples, list):
+        raise ParseError('expected a list', 'mul')
+    table = {}
+    for k, triple in enumerate(triples):
+        where = 'mul[%d]' % k
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise ParseError('expected a triple [x, y, xy]', where)
+        for label in triple:
+            if not isinstance(label, str) or label not in index:
+                raise ParseError('unknown element %r' % (label,), where)
+        x, y, z = (index[label] for label in triple)
+        if table.get((x, y), z) != z:
+            raise ParseError('conflicting products for (%r, %r)' % (triple[0], triple[1]), where)
+        table[(x, y)] = z
+
+    # fill the mirror of each listed pair, then the unit row, and demand the rest
+    for (x, y), z in list(table.items()):
+        table.setdefault((y, x), z)
+    top = lattice.top
+    for x in range(len(elements)):
+        table.setdefault((x, top), x)
+        table.setdefault((top, x), x)
+    mul = [[0] * len(elements) for _ in range(len(elements))]
+    for x in range(len(elements)):
+        for y in range(len(elements)):
+            if (x, y) not in table:
+                raise ParseError(
+                    'missing product for (%r, %r)' % (elements[x], elements[y]), 'mul')
+            mul[x][y] = table[(x, y)]
+    try:
+        return Quantale(lattice, mul)
+    except AxiomError as exc:
+        raise ValidationError(str(exc), type(exc).__name__, exc.witness) from None
+
+
+# ---------------------------------------------------------------------------
+# property (*) tested element by element
+
+def has_property_star(q):
+    'Every element splits as c v e with c below the radical and e complemented.'
+    if len(q) == 1:
+        raise TrivialQuantale('one-point carrier')
+    r = jacobson_radical(q)
+    small = [c for c in range(len(q)) if q.leq(c, r)]
+    center = q.center
+    for a in range(len(q)):
+        if not any(q.join(c, e) == a for c in small for e in center):
+            return Verdict(False, q.label(a))
+    return Verdict(True)

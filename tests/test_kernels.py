@@ -35,10 +35,17 @@ bit-packed up-sets must agree with the least-bounds search, table and
 no-bound mask, on the random orders and on orders of 63 to 129 points
 (chains, Boolean and divisor lattices, non-lattices, random bounded orders,
 each also with shuffled indices) whose rows fill one word, cross into a
-second or a third.
+second or a third; a product's join and meet tables, read off its factors,
+must be the least bounds of its order.  Property (*) must give the witness
+of the element loop.  Reading an instance document must give what the
+per-triple loop gave, the error's class, message and location included, on
+fuzzed documents whose product lists repeat entries with other products,
+swap x and y, follow a conflict with a non-list entry or hold list
+subclasses, and on larger emitted documents broken late in the list.
 """
 
 import copy
+import json
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -47,12 +54,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_loops as ref
+from test_fuzz import documents, junk
 from quantales import io, suite
 from quantales.lattices import (
     DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
     NotAnIdeal, _joins_and_meets, blocks, first_law_failure, is_distributive)
 from quantales.oracles import has_id_blp, has_lp_per_anchor, lattice_is_id_local
-from quantales.properties import _stranded, element_has_lp, has_lp, is_b_normal, is_normal
+from quantales.properties import (
+    _stranded, element_has_lp, has_lp, has_property_star, is_b_normal, is_normal)
 from quantales.lattices import build_lattice
 from quantales.quantale import (
     AxiomError, Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _isomorphism,
@@ -676,6 +685,22 @@ def test_lifting_rows_match_the_whole_table_when_blocks_split_rows():
 
 
 # ---------------------------------------------------------------------------
+# property (*)
+
+@CASES
+@given(lifting_cases())
+def test_property_star_matches_the_element_loop(q):
+    assert outcome(has_property_star, q) == outcome(ref.has_property_star, q)
+
+
+@pytest.mark.parametrize('spec', ['zn:720', 'boolean:5', 'product:zn:8;downsets:z<x,z<y',
+                                  'product:chain:4,frame;zn:30'])
+def test_property_star_matches_the_element_loop_on_larger_instances(spec):
+    q = io.generate(spec)
+    assert outcome(has_property_star, q) == outcome(ref.has_property_star, q)
+
+
+# ---------------------------------------------------------------------------
 # derived quantales: intervals, products, decompositions, radical frames
 
 def _perturbed_table(draw, q):
@@ -748,7 +773,9 @@ def _product_outcome(fn, factors):
     if result[0] == 'raised':
         return result
     prod, projections = result[1]
-    return ('returned', prod.elements, prod.lattice.poset.leq.tolist(), prod.mul_table.tolist(),
+    lattice = prod.lattice
+    return ('returned', prod.elements, lattice.poset.leq.tolist(), lattice.join_table.tolist(),
+            lattice.meet_table.tolist(), lattice.bottom, lattice.top, prod.mul_table.tolist(),
             [p.mapping for p in projections])
 
 
@@ -768,6 +795,20 @@ def factor_lists(draw):
 @example([])
 def test_products_and_projections_match_the_loop(factors):
     assert _product_outcome(product, factors) == _product_outcome(ref.product, factors)
+
+
+@CASES
+@given(st.lists(st.sampled_from(SMALL), min_size=1, max_size=3).filter(
+    lambda fs: np.prod([len(f) for f in fs]) <= 36))
+def test_product_bounds_read_off_the_factors_are_the_least_bounds_of_its_order(factors):
+    lattice = product(factors)[0].lattice
+    leq = lattice.poset.leq
+    (join, no_join), (meet, no_meet) = ref.least_bounds(leq), ref.least_bounds(leq.T)
+    assert not no_join.any() and not no_meet.any()
+    assert lattice.join_table.tolist() == join.tolist()
+    assert lattice.meet_table.tolist() == meet.tolist()
+    assert (lattice.bottom, lattice.top) == (leq.all(axis=1).argmax(), leq.all(axis=0).argmax())
+    assert not (lattice.join_table.flags.writeable or lattice.meet_table.flags.writeable)
 
 
 def _decomposition_outcome(fn, q, anchors):
@@ -1262,3 +1303,112 @@ def test_the_bounded_order_walk_matches_the_mask_scan(n):
     assert [rel.tolist() for rel in suite._bounded_orders(n)] == list(_bounded_masks(n))
     assert ([_lattice_tables(lat) for lat in suite.enumerate_lattices(n)]
             == [_lattice_tables(lat) for lat in ref.lattices_by_mask_scan(n)])
+
+
+# ---------------------------------------------------------------------------
+# instance documents
+
+class _Triple(list):
+    'A list subclass, which the reader takes as a list, as the triple loop did.'
+
+
+def _document_outcome(read, doc):
+    'What reading a document returns, or the class, message, location, axiom and witness it raises.'
+    try:
+        q = read(doc)
+    except io.InstanceError as exc:
+        return ('raised', type(exc), str(exc), getattr(exc, 'location', None),
+                getattr(exc, 'axiom', None), getattr(exc, 'witness', None))
+    return 'returned', q.elements, q.lattice.poset.leq.tolist(), q.mul_table.tolist()
+
+
+def _reads_like_the_loop(doc):
+    assert _document_outcome(io.instance_from_dict, doc) == _document_outcome(
+        ref.instance_from_dict, doc)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fuzzed document whose product list then gets a few of: an entry repeated
+    later with another product, an entry repeated later with x and y swapped, a
+    conflicting repeat followed by a non-list entry, entries of a list subclass."""
+    doc = draw(documents())
+    triples = doc.get('mul') if isinstance(doc, dict) else None
+    if not isinstance(triples, list):
+        return doc
+    elements = doc.get('elements')
+    names = [e for e in elements if isinstance(e, str)] if isinstance(elements, list) else []
+    names = names or ['a']
+    for _ in range(draw(st.integers(0, 3))):
+        entries = [k for k, t in enumerate(triples) if isinstance(t, list) and len(t) == 3]
+        if not entries:
+            break
+        kind = draw(st.sampled_from(['repeat', 'swap', 'junk', 'subclass', 'all subclass']))
+        k = draw(st.sampled_from(entries))
+        x, y, z = triples[k]
+        other = draw(st.sampled_from([v for v in names if v != z] or names))
+        at = draw(st.integers(k + 1, len(triples)))
+        if kind == 'repeat':
+            triples.insert(at, [x, y, other])
+        elif kind == 'swap':
+            triples.insert(at, [y, x, draw(st.sampled_from([z, other]))])
+        elif kind == 'junk':
+            triples[at:at] = [[x, y, other], draw(junk.filter(lambda v: not isinstance(v, list)))]
+        elif kind == 'subclass':
+            triples[k] = _Triple(triples[k])
+        else:
+            triples[:] = [_Triple(t) if isinstance(t, list) else t for t in triples]
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+@example({'elements': ['0', '1'], 'leq': [['0', '1']],
+          'mul': [_Triple(['0', '0', '0']), ['0', '0', '1'], 7]})
+@example({'elements': ['0', '1'], 'leq': [['0', '1']], 'mul': [['0', '0', '0'], 7,
+                                                            ['0', '0', '1']]})
+def test_parse_matches_the_triple_loop_on_mutated_documents(doc):
+    _reads_like_the_loop(doc)
+
+
+def _larger_documents(spec):
+    """An emitted document and copies of it that are read the same way in another
+    order, or that fail in each way the reader names, late in the product list."""
+    q = io.generate(spec)
+    doc = json.loads(io.emit_instance(q))
+    unit = q.label(q.top)
+    triples = doc['mul']
+    rng = np.random.default_rng(len(triples))
+
+    def variant(mul):
+        return dict(doc, mul=mul)
+
+    x, y, z = next(t for t in reversed(triples) if t[0] != t[1])
+    other = next(v for v in doc['elements'] if v != z)
+    a, b, c = triples[0]
+    early = [a, b, next(v for v in doc['elements'] if v != c)]
+    half = len(triples) // 2
+    shuffled = [triples[k] for k in rng.permutation(len(triples))]
+    yield doc
+    yield variant([[b, a, c] if rng.random() < 0.5 else [a, b, c] for a, b, c in shuffled])
+    yield variant(triples + [[b, a, c] for a, b, c in triples])
+    yield variant([_Triple(t) for t in triples])
+    yield variant(triples + [[x, y, other]])
+    # two conflicts, each one first in document order once
+    yield variant(triples[:half] + [early] + triples[half:] + [[x, y, other]])
+    yield variant(triples[:half] + [[x, y, other]] + triples[half:] + [early])
+    yield variant(triples[:half] + [[x, y, other]] + triples[half:] + [None])
+    yield variant(triples[:half] + ['[x, y, xy]'] + triples[half:] + [[x, y, other]])
+    yield variant(triples[:half] + [[x, y]] + triples[half:])
+    yield variant(triples[:half] + [[x, 'nowhere', z]] + triples[half:])
+    yield variant(triples[:half] + [[x, y, 1]] + triples[half:])
+    yield variant(triples[:-1])
+    yield variant(triples + [[x, unit, x], [unit, unit, unit]])
+    yield variant(triples + [[unit, x, other]])
+    yield variant(triples + [[y, x, other]])
+
+
+@pytest.mark.parametrize('spec', ['zn:720', 'boolean:5', 'product:zn:12;zn:30'])
+def test_parse_matches_the_triple_loop_on_larger_documents(spec):
+    for doc in _larger_documents(spec):
+        _reads_like_the_loop(doc)
