@@ -199,21 +199,50 @@ def instance_from_dict(doc):
         raise ValidationError(str(exc), type(exc).__name__, exc.witness) from None
 
 
+# emit_instance writes the text json.dumps(doc, indent=2) gives, piece by
+# piece: a value nested at depth d is indented by two spaces per level.  The
+# encoder is json.dumps's for indent=2, made once rather than per value
+_encode = json.JSONEncoder(indent=2).encode
+
+
+def _at_depth(text, depth):
+    'JSON text written at depth 0, re-indented for depth.'
+    return text.replace('\n', '\n' + '  ' * depth)
+
+
+def _json_rows(rows, written):
+    """The list at depth 1 of one list per row of an index array, each item the
+    entry of written, a label written for depth 3.  The pieces are laid out in
+    an object array, a column at a time, and joined once."""
+    m, k = rows.shape
+    if not m:
+        return '[]'
+    pieces = np.empty((m, 2 * k + 1), dtype=object)
+    pieces[:, 0] = ',\n    [\n      '
+    pieces[0, 0] = '\n    [\n      '
+    pieces[:, 1::2] = written[rows]
+    pieces[:, 2:-1:2] = ',\n      '
+    pieces[:, -1] = '\n    ]'
+    return '[%s\n  ]' % ''.join(pieces.ravel().tolist())
+
+
 def emit_instance(q, generator=None):
-    'Canonical document for a quantale; parse_instance inverts it exactly.'
-    lab = q.label
-    top = q.top
-    doc = {
-        'format': FORMAT,
-        'elements': list(q.elements),
-        'leq': [[lab(a), lab(b)] for a, b in q.lattice.poset.covers],
-        'mul': [[lab(i), lab(j), lab(q.mul(i, j))]
-                for i in range(len(q)) for j in range(i, len(q))
-                if i != top and j != top],
-    }
+    """Canonical document for a quantale; parse_instance inverts it exactly.
+    The text is json.dumps(doc, indent=2) + '\\n' for the document with the
+    fields format, elements, leq (the covers), mul (index pairs i <= j with
+    neither the top) and generator (when given); the pairs and triples are
+    written from one encoding per label."""
+    written = np.array([_at_depth(_encode(label), 3) for label in q.elements], dtype=object)
+    covers = np.array(q.lattice.poset.covers, dtype=np.intp).reshape(-1, 2)
+    ar = np.arange(len(q))
+    x, y = np.nonzero((ar[:, None] <= ar) & (ar[:, None] != q.top) & (ar != q.top))
+    fields = [('format', _encode(FORMAT)),
+              ('elements', _at_depth(_encode(list(q.elements)), 1)),
+              ('leq', _json_rows(covers, written)),
+              ('mul', _json_rows(np.stack((x, y, q.mul_table[x, y]), axis=1), written))]
     if generator is not None:
-        doc['generator'] = generator
-    return json.dumps(doc, indent=2) + '\n'
+        fields.append(('generator', _at_depth(_encode(generator), 1)))
+    return '{\n  %s\n}\n' % ',\n  '.join('"%s": %s' % field for field in fields)
 
 
 _NAME = re.compile(r'[A-Za-z_][A-Za-z0-9_]*\Z')
@@ -384,7 +413,7 @@ def export_dot(q, view='lattice'):
         spec = list(q.spectrum)
         maxima = set(q.maximal_elements)
         labels = [q.label(p) for p in spec]
-        edges = FinitePoset(labels, q.lattice.poset.leq[np.ix_(spec, spec)]).covers
+        edges = FinitePoset._from_order(labels, q.lattice.poset.leq[np.ix_(spec, spec)]).covers
         shapes = {si: ', peripheries=2' for si, p in enumerate(spec) if p in maxima}
         return _dot_graph(labels, edges, shapes)
     if view == 'reticulation':

@@ -187,6 +187,20 @@ class FinitePoset:
         leq.setflags(write=False)
         self.leq = leq
 
+    @classmethod
+    def _from_order(cls, elements, leq):
+        """The poset on a relation already known to be a partial order: the
+        restriction of one to a subset, or the product of several.  Both stay
+        reflexive, antisymmetric and transitive, so only the labels are checked.
+        leq is a bool array of the caller's own, which is frozen here."""
+        poset = cls.__new__(cls)
+        poset.elements = tuple(elements)
+        if len(set(poset.elements)) != len(poset.elements):
+            raise NotAPoset('element labels are not unique')
+        leq.setflags(write=False)
+        poset.leq = leq
+        return poset
+
     def __len__(self):
         return len(self.elements)
 
@@ -254,33 +268,37 @@ class FiniteLattice:
     def elements(self):
         return self.poset.elements
 
+    # each element read is one ndarray.item on a table, which gives a plain
+    # int or bool; nothing derived from a table is kept on the object, since a
+    # copy.copy that swaps a table would go on reading the stale copy
+
     def __len__(self):
-        return len(self.poset)
+        return len(self.poset.elements)
 
     def label(self, i):
         return self.poset.elements[i]
 
     def leq(self, i, j):
-        return bool(self.poset.leq[i, j])
+        return self.poset.leq.item(i, j)
 
     def join(self, i, j):
-        return int(self.join_table[i, j])
+        return self.join_table.item(i, j)
 
     def meet(self, i, j):
-        return int(self.meet_table[i, j])
+        return self.meet_table.item(i, j)
 
     def join_all(self, items):
-        'Join of an iterable of indices; empty join is bottom.'
-        out = self.bottom
+        'Join of an iterable of indices, folded in order; empty join is bottom.'
+        join, out = self.join_table.item, self.bottom
         for i in items:
-            out = self.join(out, i)
+            out = join(out, i)
         return out
 
     def meet_all(self, items):
-        'Meet of an iterable of indices; empty meet is top.'
-        out = self.top
+        'Meet of an iterable of indices, folded in order; empty meet is top.'
+        meet, out = self.meet_table.item, self.top
         for i in items:
-            out = self.meet(out, i)
+            out = meet(out, i)
         return out
 
     def down_set(self, i):
@@ -347,7 +365,7 @@ class LatticeMorphism:
     'Map between bounded lattices preserving join, meet, bottom, and top.'
 
     def __init__(self, source, target, mapping):
-        mapping = tuple(int(m) for m in mapping)
+        mapping = tuple(map(int, mapping))
         if len(mapping) != len(source):
             raise LatticeError('mapping length does not match source carrier')
         hit = first_law_failure(unpreserved(mapping, (

@@ -113,7 +113,7 @@ class Quantale:
 
     @property
     def elements(self):
-        return self.lattice.elements
+        return self.lattice.poset.elements
 
     @property
     def bottom(self):
@@ -123,32 +123,45 @@ class Quantale:
     def top(self):
         return self.lattice.top
 
+    # the reads go straight to the lattice's tables rather than through its
+    # methods, as FiniteLattice's own do: one ndarray.item each
+
     def __len__(self):
-        return len(self.lattice)
+        return len(self.lattice.poset.elements)
 
     def label(self, i):
-        return self.lattice.label(i)
+        return self.lattice.poset.elements[i]
 
     def index_of(self, label):
         return self.lattice.poset.index[label]
 
     def leq(self, i, j):
-        return self.lattice.leq(i, j)
+        return self.lattice.poset.leq.item(i, j)
 
     def join(self, i, j):
-        return self.lattice.join(i, j)
+        return self.lattice.join_table.item(i, j)
 
     def meet(self, i, j):
-        return self.lattice.meet(i, j)
+        return self.lattice.meet_table.item(i, j)
 
     def join_all(self, items):
-        return self.lattice.join_all(items)
+        'Join of an iterable of indices, folded in order; empty join is bottom.'
+        lattice = self.lattice
+        join, out = lattice.join_table.item, lattice.bottom
+        for i in items:
+            out = join(out, i)
+        return out
 
     def meet_all(self, items):
-        return self.lattice.meet_all(items)
+        'Meet of an iterable of indices, folded in order; empty meet is top.'
+        lattice = self.lattice
+        meet, out = lattice.meet_table.item, lattice.top
+        for i in items:
+            out = meet(out, i)
+        return out
 
     def mul(self, i, j):
-        return int(self.mul_table[i, j])
+        return self.mul_table.item(i, j)
 
     @cached_property
     def stable_powers(self):
@@ -267,7 +280,7 @@ def _laws_hold_on_irreducibles(lattice, mul):
 
 def residuum(q, a, b):
     'Largest x with a*x <= b.'
-    return q.join_all(x for x in range(len(q)) if q.leq(q.mul(a, x), b))
+    return q.join_all(np.flatnonzero(q.lattice.poset.leq[q.mul_table[a], b]).tolist())
 
 
 def negation(q, a):
@@ -292,7 +305,7 @@ class RadicalFrame:
         labels = [parent.label(a) for a in carrier]
         self.parent = parent
         self.carrier = carrier
-        self.lattice = DistLattice(FinitePoset(labels, sub))
+        self.lattice = DistLattice(FinitePoset._from_order(labels, sub))
         self.to_frame = {a: i for i, a in enumerate(carrier)}
         # [i, j]: the frame join against the radical of the carrier join, then
         # the frame meet against the carrier meet
@@ -324,7 +337,7 @@ class QuantaleMorphism:
     'Map preserving finite joins, bottom, multiplication and the unit.'
 
     def __init__(self, source, target, mapping):
-        mapping = tuple(int(m) for m in mapping)
+        mapping = tuple(map(int, mapping))
         if len(mapping) != len(source):
             raise QuantaleError('mapping length does not match source carrier')
         if mapping[source.bottom] != target.bottom:
@@ -355,8 +368,8 @@ class QuantaleMorphism:
 
 def kernel(u):
     'Join of everything the morphism sends to bottom.'
-    src = u.source
-    return src.join_all(x for x in range(len(src)) if u(x) == u.target.bottom)
+    return u.source.join_all(
+        np.flatnonzero(np.asarray(u.mapping) == u.target.bottom).tolist())
 
 
 def is_injective(u):
@@ -377,7 +390,10 @@ class IntervalQuantale(Quantale):
     def __init__(self, parent, anchor):
         carrier = np.flatnonzero(parent.lattice.poset.leq[anchor])
         sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
-        lattice = FiniteLattice(FinitePoset([parent.label(x) for x in carrier], sub))
+        # a restriction of the parent's order, but the join and meet tables are
+        # the interval's own, read off that order
+        lattice = FiniteLattice(FinitePoset._from_order(
+            [parent.label(x) for x in carrier.tolist()], sub))
         self.parent = parent
         self.anchor = anchor
         self.carrier = tuple(carrier.tolist())
@@ -443,7 +459,7 @@ def _product(factors):
 
     # join, meet and bounds are the factors' taken componentwise
     lattice = FiniteLattice._from_tables(
-        FinitePoset(labels, leq),
+        FinitePoset._from_order(labels, leq),
         componentwise([f.lattice.join_table for f in factors]),
         componentwise([f.lattice.meet_table for f in factors]),
         np.ravel_multi_index([f.bottom for f in factors], sizes),

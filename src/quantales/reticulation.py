@@ -59,7 +59,7 @@ class Reticulation:
         self.lam = tuple(lam)
         leq = source.lattice.poset.leq[np.ix_(radicals, radicals)]
         labels = [source.label(rep) for rep in self.representatives]
-        self.lattice = DistLattice(FinitePoset(labels, leq))
+        self.lattice = DistLattice(FinitePoset._from_order(labels, leq))
         self._verify()
 
     def __len__(self):

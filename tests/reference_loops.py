@@ -18,7 +18,11 @@ pairs and product loops before they read the order matrix and its meet table,
 and the instance reader that checked, looked up and stored each product
 triple in turn before it read the multiplication into arrays, and the test
 of property (*) that joined every small element with every central one per
-element before one read of the join table did.
+element before one read of the join table did, and the element reads that
+went through int(table[i, j]) behind one or two delegating calls, with the
+residuum and kernel scans over them, before each read became one
+ndarray.item, and the emitter that built the document as lists for
+json.dumps before it wrote the text from each label's encoding.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
 class with the same message and witness, as the loop it replaced, the
@@ -29,6 +33,7 @@ law suite uses too.
 Nothing under src/ imports this module.
 """
 
+import json
 from functools import cached_property
 from itertools import permutations, product as cartesian
 
@@ -857,3 +862,81 @@ def has_property_star(q):
         if not any(q.join(c, e) == a for c in small for e in center):
             return Verdict(False, q.label(a))
     return Verdict(True)
+
+
+# ---------------------------------------------------------------------------
+# element reads as int(table[i, j]) behind the lattice's methods, the folds
+# and scans over them, and the emitter that handed the document to json.dumps
+
+def read_len(lattice):
+    return len(lattice.poset)
+
+
+def read_label(lattice, i):
+    return lattice.poset.elements[i]
+
+
+def read_leq(lattice, i, j):
+    return bool(lattice.poset.leq[i, j])
+
+
+def read_join(lattice, i, j):
+    return int(lattice.join_table[i, j])
+
+
+def read_meet(lattice, i, j):
+    return int(lattice.meet_table[i, j])
+
+
+def read_mul(q, i, j):
+    return int(q.mul_table[i, j])
+
+
+def join_all(lattice, items):
+    out = lattice.bottom
+    for i in items:
+        out = read_join(lattice, out, i)
+    return out
+
+
+def meet_all(lattice, items):
+    out = lattice.top
+    for i in items:
+        out = read_meet(lattice, out, i)
+    return out
+
+
+def residuum(q, a, b):
+    'Largest x with a*x <= b.'
+    lattice = q.lattice
+    return join_all(lattice, (x for x in range(read_len(lattice))
+                              if read_leq(lattice, read_mul(q, a, x), b)))
+
+
+def negation_by_residuum(q, a):
+    'Largest x with a*x = 0.'
+    return residuum(q, a, q.lattice.bottom)
+
+
+def kernel(u):
+    'Join of everything the morphism sends to bottom.'
+    lattice = u.source.lattice
+    return join_all(lattice, (x for x in range(read_len(lattice))
+                              if u(x) == u.target.bottom))
+
+
+def emit_instance(q, generator=None):
+    'Canonical document for a quantale, built as lists and written by json.dumps.'
+    lab = q.label
+    top = q.top
+    doc = {
+        'format': FORMAT,
+        'elements': list(q.elements),
+        'leq': [[lab(a), lab(b)] for a, b in q.lattice.poset.covers],
+        'mul': [[lab(i), lab(j), lab(read_mul(q, i, j))]
+                for i in range(len(q)) for j in range(i, len(q))
+                if i != top and j != top],
+    }
+    if generator is not None:
+        doc['generator'] = generator
+    return json.dumps(doc, indent=2) + '\n'

@@ -42,10 +42,19 @@ per-triple loop gave, the error's class, message and location included, on
 fuzzed documents whose product lists repeat entries with other products,
 swap x and y, follow a conflict with a non-list entry or hold list
 subclasses, and on larger emitted documents broken late in the list.
+Element reads (one ndarray.item each) must give, value and type, what
+int(table[i, j]) gave, on the pool and on copies whose tables are redrawn
+after the first reads, and take indices as those reads took them; the
+orders of intervals, products, radical frames, reticulations and exported
+spectra, built without the partial-order checks, must be the posets the
+checked constructor builds; and the emitted document must be, byte for
+byte, json.dumps of the document as lists, for drawn, odd and non-string
+labels.
 """
 
 import copy
 import json
+import re
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -58,7 +67,7 @@ from test_fuzz import documents, junk
 from quantales import io, suite
 from quantales.lattices import (
     DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
-    NotAnIdeal, _joins_and_meets, blocks, first_law_failure, is_distributive)
+    NotAnIdeal, NotAPoset, _joins_and_meets, blocks, first_law_failure, is_distributive)
 from quantales.oracles import has_id_blp, has_lp_per_anchor, lattice_is_id_local
 from quantales.properties import (
     _stranded, element_has_lp, has_lp, has_property_star, is_b_normal, is_normal)
@@ -66,7 +75,7 @@ from quantales.lattices import build_lattice
 from quantales.quantale import (
     AxiomError, Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _isomorphism,
     _laws_hold_on_irreducibles, decompose_by_elements,
-    find_quantale_isomorphism, interval_quantale, product)
+    find_quantale_isomorphism, interval_quantale, kernel, negation, product, residuum)
 from quantales.reticulation import (
     Reticulation, _generator, _induced, _star, check_unicity, lift_morphism, reticulate, star,
     unstar)
@@ -809,6 +818,8 @@ def test_product_bounds_read_off_the_factors_are_the_least_bounds_of_its_order(f
     assert lattice.meet_table.tolist() == meet.tolist()
     assert (lattice.bottom, lattice.top) == (leq.all(axis=1).argmax(), leq.all(axis=0).argmax())
     assert not (lattice.join_table.flags.writeable or lattice.meet_table.flags.writeable)
+    # the order, built without the partial-order checks, is the one they accept
+    _same_order(lattice.poset)
 
 
 def _decomposition_outcome(fn, q, anchors):
@@ -932,6 +943,144 @@ def test_radical_frames_match_the_loop(q):
                 ref.radical_morphism, q, to_frame, frame.as_quantale)
     else:
         assert ours == theirs
+
+
+# ---------------------------------------------------------------------------
+# element reads, one ndarray.item each, against int(table[i, j])
+
+def _typed(value):
+    return type(value), value
+
+
+def _assert_reads_match_the_table_reads(q, orders, surjections):
+    """Every read of q and of its lattice, value and type, against the table
+    reads; the folds over orders; each residuum and negation; and the kernel of
+    each surjection, read with q as its source."""
+    lattice, n = q.lattice, len(q)
+    assert _typed(len(q)) == _typed(len(lattice)) == _typed(ref.read_len(lattice))
+    assert [q.label(i) for i in range(n)] == [lattice.label(i) for i in range(n)] == [
+        ref.read_label(lattice, i) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    for name in ('leq', 'join', 'meet'):
+        theirs = [_typed(getattr(ref, 'read_' + name)(lattice, i, j)) for i, j in pairs]
+        assert [_typed(getattr(q, name)(i, j)) for i, j in pairs] == theirs
+        assert [_typed(getattr(lattice, name)(i, j)) for i, j in pairs] == theirs
+    assert [_typed(q.mul(i, j)) for i, j in pairs] == [
+        _typed(ref.read_mul(q, i, j)) for i, j in pairs]
+    for items in orders:
+        for ours in (q, lattice):
+            assert _typed(ours.join_all(iter(items))) == _typed(ref.join_all(lattice, items))
+            assert _typed(ours.meet_all(iter(items))) == _typed(ref.meet_all(lattice, items))
+    assert [_typed(residuum(q, a, b)) for a, b in pairs] == [
+        _typed(ref.residuum(q, a, b)) for a, b in pairs]
+    assert [_typed(negation(q, a)) for a in range(n)] == [
+        _typed(ref.negation_by_residuum(q, a)) for a in range(n)]
+    for u in surjections:
+        moved = _Map(q, u.target, u.mapping)
+        assert _typed(kernel(moved)) == _typed(ref.kernel(moved))
+
+
+@CASES
+@given(st.sampled_from(QUANTALES), st.data())
+def test_scalar_reads_match_the_table_reads(q, data):
+    """A pool quantale is read first, then copies of it with a table redrawn: a
+    value kept on the object from the first reads would show on the copies."""
+    n = len(q)
+    orders = [range(n), np.arange(n)[::-1],
+              data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))]
+    surjections = [interval_quantale(q, a)[1] for a in range(n)]
+    assert [kernel(u) for u in surjections] == [ref.kernel(u) for u in surjections]
+    _assert_reads_match_the_table_reads(q, orders, surjections)
+    for kind in ('table', 'join', 'meet'):
+        broken = (_perturbed_table(data.draw, q) if kind == 'table'
+                  else _perturbed_bounds(data.draw, q, kind))
+        _assert_reads_match_the_table_reads(broken, orders, surjections)
+
+
+def _index_outcome(fn, *args):
+    try:
+        return 'returned', _typed(fn(*args))
+    except (IndexError, TypeError) as exc:
+        return 'raised', type(exc)
+
+
+def test_scalar_reads_take_indices_as_the_table_reads_did():
+    """Python and numpy integers, negative ones counting from the end, read what
+    the table reads read, and an index outside the carrier raises IndexError.
+    A float or a string raises TypeError, as _element_index does, where the
+    table reads raised IndexError; the residuum and negation index the tables
+    as arrays and raise IndexError for them still, and a label read is a tuple
+    read, as before."""
+    q, n = D12, len(D12)
+    lattice = q.lattice
+    item_reads = [(q.mul, lambda i, j: ref.read_mul(q, i, j))]
+    for name in ('leq', 'join', 'meet'):
+        theirs = getattr(ref, 'read_' + name)
+        item_reads += [(getattr(ours, name), lambda i, j, theirs=theirs: theirs(lattice, i, j))
+                       for ours in (q, lattice)]
+    for name in ('join_all', 'meet_all'):
+        theirs = getattr(ref, name)
+        item_reads += [(lambda i, j, fold=getattr(ours, name): fold([i, j]),
+                        lambda i, j, theirs=theirs: theirs(lattice, [i, j]))
+                       for ours in (q, lattice)]
+    array_reads = [(lambda a, b: residuum(q, a, b), lambda a, b: ref.residuum(q, a, b)),
+                   (lambda a, _: negation(q, a), lambda a, _: ref.negation_by_residuum(q, a)),
+                   (lambda i, _: q.label(i), lambda i, _: ref.read_label(lattice, i)),
+                   (lambda i, _: lattice.label(i), lambda i, _: ref.read_label(lattice, i))]
+    integers = [(1, 2), (np.int64(1), np.int32(2)), (np.intp(3), 0), (-1, 0), (0, -n),
+                (np.int64(-2), -3)]
+    outside = [(n, 0), (0, n), (-n - 1, 0), (np.int64(n), 1)]
+    non_integers = [(1.0, 0), (0, 2.0), ('1', 0), (np.float64(1), 0)]
+    for ours, theirs in item_reads + array_reads:
+        for i, j in integers:
+            assert _index_outcome(ours, i, j) == _index_outcome(theirs, i, j) != (
+                'raised', IndexError)
+        for i, j in outside:
+            assert _index_outcome(ours, i, j) == _index_outcome(theirs, i, j)
+    for ours, theirs in item_reads:
+        for i, j in outside:
+            assert _index_outcome(ours, i, j) == ('raised', IndexError)
+        for i, j in non_integers:
+            assert _index_outcome(theirs, i, j) == ('raised', IndexError)
+            assert _index_outcome(ours, i, j) == ('raised', TypeError)
+    for ours, theirs in array_reads:
+        for i, j in non_integers:
+            assert _index_outcome(ours, i, j) == _index_outcome(theirs, i, j)
+
+
+def _same_order(poset):
+    'A poset built without the order checks against the one the checked constructor builds.'
+    checked = FinitePoset(poset.elements, poset.leq)
+    assert type(poset) is FinitePoset and poset.elements == checked.elements
+    assert poset.leq.dtype == bool and not poset.leq.flags.writeable
+    assert poset.leq.tolist() == checked.leq.tolist()
+    assert poset.covers == checked.covers
+    assert poset.join_irreducibles.tolist() == checked.join_irreducibles.tolist()
+
+
+def test_unchecked_orders_match_the_checked_constructor():
+    'Intervals, radical frames, reticulations and the spectra of the dot export, over the pool.'
+    for q in QUANTALES:
+        for a in range(len(q)):
+            _same_order(interval_quantale(q, a)[0].lattice.poset)
+        _same_order(q.radical_frame.lattice.poset)
+        _same_order(reticulate(q).lattice.poset)
+        spec = list(q.spectrum)
+        checked = FinitePoset([q.label(p) for p in spec], q.lattice.poset.leq[np.ix_(spec, spec)])
+        edges = re.findall(r'^  n(\d+) -> n(\d+);$', io.export_dot(q, 'spec'), re.MULTILINE)
+        assert tuple((int(a), int(b)) for a, b in edges) == checked.covers
+
+
+def test_unchecked_product_orders_still_refuse_repeated_labels():
+    'Labels joined by commas can meet: (x, y,z) and (x,y, z) both read (x,y,z).'
+    def renamed(q, labels):
+        return Quantale(FiniteLattice(FinitePoset(labels, q.lattice.poset.leq)), q.mul_table)
+
+    c2 = io.generate('chain:2,frame')
+    factors = [renamed(c2, ['x', 'x,y']), renamed(c2, ['y,z', 'z'])]
+    for build in (product, ref.product):
+        with pytest.raises(NotAPoset, match='element labels are not unique'):
+            build(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1412,3 +1561,55 @@ def _larger_documents(spec):
 def test_parse_matches_the_triple_loop_on_larger_documents(spec):
     for doc in _larger_documents(spec):
         _reads_like_the_loop(doc)
+
+
+# ---------------------------------------------------------------------------
+# the emitted document against json.dumps of the document as lists
+
+def _renamed(q, labels):
+    'q with new element labels.'
+    return Quantale(FiniteLattice(FinitePoset(labels, q.lattice.poset.leq)), q.mul_table)
+
+
+# quotes, backslashes, escapes, non-ASCII inside and outside the basic plane,
+# a lone surrogate, a line separator, and text that looks like JSON
+ODD_LABELS = ['"', '\\', '\\"', 'a"b\\c', '\u00e9', '\u65e5\u672c', '\U0001f600', '\ud800',
+              '\n\t\x00\x7f', '\u2028', '', ' ', '{"k": [1, 2]}', '[\n]', 'x' * 300]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(QUANTALES), st.data())
+@example(D12, None)
+def test_emitted_text_matches_the_json_dump(q, data):
+    """Pool quantales as they are and renamed with drawn labels and the odd ones
+    above; the emitted text must also read back to the same quantale."""
+    if data is None:
+        labels, generator = (ODD_LABELS * 2)[:len(q)][:-1] + ['zn:12'], '\\"\u00e9\n'
+    else:
+        labels = data.draw(st.lists(st.text() | st.sampled_from(ODD_LABELS),
+                                    min_size=len(q), max_size=len(q), unique=True))
+        generator = data.draw(st.none() | st.text() | st.sampled_from(ODD_LABELS))
+    renamed = _renamed(q, labels)
+    for each in (q, renamed):
+        for gen in (None, generator):
+            assert io.emit_instance(each, gen) == ref.emit_instance(each, gen)
+    again = io.parse_instance(io.emit_instance(renamed, generator))
+    assert again.elements == renamed.elements
+    assert again.lattice.poset.leq.tolist() == renamed.lattice.poset.leq.tolist()
+    assert again.mul_table.tolist() == renamed.mul_table.tolist()
+
+
+def test_emitted_text_matches_the_json_dump_for_labels_that_are_not_strings():
+    'Numbers, constants and tuples, which json.dumps writes as nested lists.'
+    labels = [7, -3, 2.5, float('inf'), True, None, (), ('a',), ('a', (2, 'b"')), 10 ** 20,
+              '(7,)', 'x']
+    q = _renamed(io.generate('zn:60'), labels)
+    for gen in (None, 'zn:60', ('g', 1)):
+        assert io.emit_instance(q, gen) == ref.emit_instance(q, gen)
+
+
+@pytest.mark.parametrize('spec', ['zn:720', 'product:zn:12;boolean:3', 'chain:1,frame'])
+def test_emitted_text_matches_the_json_dump_on_larger_instances(spec):
+    q = io.generate(spec)
+    for gen in (None, spec):
+        assert io.emit_instance(q, gen) == ref.emit_instance(q, gen)
