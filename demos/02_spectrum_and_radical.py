@@ -22,10 +22,11 @@ print('radical table:', {q.label(a): q.label(q.radical_of(a)) for a in range(len
 print('the two radical computations agree on every element')
 
 # radical fixed points form a frame: join is radical-of-join, meet is meet,
-# and multiplication collapses to meet
+# and multiplication collapses to meet, so the frame's lattice is a Quantale
+# whose multiplication is meet
 frame = q.radical_frame
 print('radical elements:', labels(frame.carrier))
-rq = frame.as_quantale
+rq = frame.lattice
 assert all(rq.mul(i, j) == rq.meet(i, j) for i in range(len(rq)) for j in range(len(rq)))
 print('on radical elements multiplication is meet')
 

@@ -1,4 +1,4 @@
-'Finite posets, bounded distributive lattices and their morphisms.'
+'Finite posets, bounded lattices and their morphisms.'
 
 from __future__ import annotations
 
@@ -349,16 +349,6 @@ def is_distributive(lat):
     if hit is not None:
         return Verdict(False, tuple(lat.label(i) for i in hit))
     return Verdict(True)
-
-
-class DistLattice(FiniteLattice):
-    'Bounded distributive lattice; construction verifies the distributive law.'
-
-    def __init__(self, poset):
-        super().__init__(poset)
-        check = is_distributive(self)
-        if not check:
-            raise NotALattice('not distributive, witness %r' % (check.witness,))
 
 
 class LatticeMorphism:

@@ -1,13 +1,29 @@
 """Independent oracles that the law suite compares the library against.
 
 Each function decides a concept a second way, apart from the code it
-checks: the radical by iterating powers, the Boolean center, ideal lifting
-and localness on the lattice side, lifting anchor by anchor, and normality
-by a plain loop.  Only the law suite and the tests import this module; no
-library module does, so an oracle never shares a fault with what it checks.
+checks: the quantale laws over every triple, the radical by iterating
+powers, the Boolean center, ideal lifting and localness on the lattice side,
+lifting anchor by anchor, and normality by a plain loop.  Only the law suite
+and the tests import this module; no library module does, so an oracle never
+shares a fault with what it checks.
 """
 
 from quantales.lattices import Verdict
+
+
+def axiom_failure(q):
+    'First (law, (x, y, z)) over every triple where associativity or distributivity fails, or None.'
+    mul, join = q.mul_table.tolist(), q.join_table.tolist()
+    n = len(mul)
+    for x in range(n):
+        for y in range(n):
+            xy = mul[x][y]
+            for z in range(n):
+                if mul[xy][z] != mul[x][mul[y][z]]:
+                    return 'associativity', (x, y, z)
+                if mul[x][join[y][z]] != join[xy][mul[x][z]]:
+                    return 'distributivity', (x, y, z)
+    return None
 
 
 def radical_by_powers(q, a):

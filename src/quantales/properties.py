@@ -104,7 +104,7 @@ def hyperarchimedean_equivalents(q):
     r = reticulate(q)
     frame = q.radical_frame
     by_powers = bool(is_hyperarchimedean(q))
-    reticulation_boolean = len(r.as_quantale.center) == len(r)
+    reticulation_boolean = len(r.lattice.center) == len(r)
     max_is_spec = q.maximal_elements == q.spectrum
     legs = {
         'powers_reach_center': by_powers,
@@ -112,7 +112,7 @@ def hyperarchimedean_equivalents(q):
         'maximals_exhaust_spectrum': max_is_spec,
     }
     if is_semiprime(q):
-        center = frame.as_quantale.center
+        center = frame.lattice.center
         # x is a join of complemented elements iff the complemented ones
         # below it already join to x
         legs['radical_frame_zero_dimensional'] = all(

@@ -8,8 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from quantales.lattices import (
-    DistLattice, FiniteLattice, FinitePoset, blocks, distributivity_failure,
-    first_in_blocks, first_law_failure, first_true, irreducibles_join_prime, unpreserved)
+    FiniteLattice, FinitePoset, blocks, distributivity_failure, first_in_blocks,
+    first_law_failure, first_true, irreducibles_join_prime, unpreserved)
 
 
 class QuantaleError(Exception):
@@ -52,7 +52,7 @@ class PreconditionFailed(QuantaleError):
     'Decomposition elements do not satisfy the meet or pairwise-join conditions.'
 
 
-class Quantale:
+class Quantale(FiniteLattice):
     'Finite commutative quantale whose monoid unit is the lattice top.'
 
     def __init__(self, lattice, mul):
@@ -64,8 +64,15 @@ class Quantale:
             raise QuantaleError('multiplication table entry out of range')
         self._validate(lattice, mul)
         mul.setflags(write=False)
-        self.lattice = lattice
+        self.poset, self.join_table, self.meet_table = (
+            lattice.poset, lattice.join_table, lattice.meet_table)
+        self.bottom, self.top = lattice.bottom, lattice.top
         self.mul_table = mul
+
+    @property
+    def lattice(self):
+        'The quantale itself, read as its lattice.'
+        return self
 
     @staticmethod
     def _validate(lattice, mul):
@@ -111,54 +118,8 @@ class Quantale:
             raise NotAssociative(
                 '(x*y)*z != x*(y*z) at (%r, %r, %r)' % (x, y, z), (x, y, z))
 
-    @property
-    def elements(self):
-        return self.lattice.poset.elements
-
-    @property
-    def bottom(self):
-        return self.lattice.bottom
-
-    @property
-    def top(self):
-        return self.lattice.top
-
-    # the reads go straight to the lattice's tables rather than through its
-    # methods, as FiniteLattice's own do: one ndarray.item each
-
-    def __len__(self):
-        return len(self.lattice.poset.elements)
-
-    def label(self, i):
-        return self.lattice.poset.elements[i]
-
     def index_of(self, label):
-        return self.lattice.poset.index[label]
-
-    def leq(self, i, j):
-        return self.lattice.poset.leq.item(i, j)
-
-    def join(self, i, j):
-        return self.lattice.join_table.item(i, j)
-
-    def meet(self, i, j):
-        return self.lattice.meet_table.item(i, j)
-
-    def join_all(self, items):
-        'Join of an iterable of indices, folded in order; empty join is bottom.'
-        lattice = self.lattice
-        join, out = lattice.join_table.item, lattice.bottom
-        for i in items:
-            out = join(out, i)
-        return out
-
-    def meet_all(self, items):
-        'Meet of an iterable of indices, folded in order; empty meet is top.'
-        lattice = self.lattice
-        meet, out = lattice.meet_table.item, lattice.top
-        for i in items:
-            out = meet(out, i)
-        return out
+        return self.poset.index[label]
 
     def mul(self, i, j):
         return self.mul_table.item(i, j)
@@ -305,7 +266,9 @@ class RadicalFrame:
         labels = [parent.label(a) for a in carrier]
         self.parent = parent
         self.carrier = carrier
-        self.lattice = DistLattice(FinitePoset._from_order(labels, sub))
+        # the frame is the quantale whose multiplication is meet
+        lattice = FiniteLattice(FinitePoset._from_order(labels, sub))
+        self.lattice = Quantale(lattice, lattice.meet_table)
         self.to_frame = {a: i for i, a in enumerate(carrier)}
         # [i, j]: the frame join against the radical of the carrier join, then
         # the frame meet against the carrier meet
@@ -322,14 +285,9 @@ class RadicalFrame:
             raise QuantaleError('frame top is not the unit')
 
     @cached_property
-    def as_quantale(self):
-        'The frame as a quantale with multiplication equal to meet.'
-        return Quantale(self.lattice, self.lattice.meet_table)
-
-    @cached_property
     def radical_morphism(self):
         'The radical map as a surjective unital quantale morphism onto the frame.'
-        return QuantaleMorphism(self.parent, self.as_quantale, np.searchsorted(
+        return QuantaleMorphism(self.parent, self.lattice, np.searchsorted(
             self.carrier, self.parent.radical_table))
 
 

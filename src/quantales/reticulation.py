@@ -5,12 +5,12 @@ its generator, and is passed as that element."""
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from quantales.lattices import (
-    DistLattice,
+    FiniteLattice,
     FinitePoset,
     LatticeMorphism,
     NotAnIdeal,
@@ -59,16 +59,13 @@ class Reticulation:
         self.lam = tuple(lam)
         leq = source.lattice.poset.leq[np.ix_(radicals, radicals)]
         labels = [source.label(rep) for rep in self.representatives]
-        self.lattice = DistLattice(FinitePoset._from_order(labels, leq))
+        # a bounded distributive lattice is the quantale whose multiplication is meet
+        lattice = FiniteLattice(FinitePoset._from_order(labels, leq))
+        self.lattice = Quantale(lattice, lattice.meet_table)
         self._verify()
 
     def __len__(self):
         return len(self.classes)
-
-    @cached_property
-    def as_quantale(self):
-        'The quotient lattice as a quantale with multiplication equal to meet.'
-        return Quantale(self.lattice, self.lattice.meet_table)
 
     def _verify(self):
         source, lam, lattice = self.source, self.lam, self.lattice
@@ -169,7 +166,7 @@ def frame_iso(q):
 def spectrum_homeomorphism(q):
     'Inverse bijections between the spectrum and the prime reticulation ideals, by generator.'
     r = reticulate(q)
-    quotient = r.as_quantale
+    quotient = r.lattice
     primes = quotient.spectrum
     u = {p: _star(r, p) for p in q.spectrum}
     v = {g: _unstar(r, g) for g in primes}
@@ -225,7 +222,7 @@ def interval_reticulation_iso(q, a):
     r = reticulate(q)
     r_part = reticulate(part)
     g = star(q, a)
-    quotient, p = interval_quantale(r.as_quantale, g)
+    quotient, p = interval_quantale(r.lattice, g)
     lifted = lift_morphism(u_a)
     if not np.array_equal(np.asarray(lifted.mapping) == r_part.lattice.bottom,
                           r.lattice.poset.leq[:, g]):
@@ -246,8 +243,8 @@ def boolean_isos(q):
     r = reticulate(q)
     frame = q.radical_frame
     center = q.center
-    center_l = r.as_quantale.center
-    center_r = frame.as_quantale.center
+    center_l = r.lattice.center
+    center_r = frame.lattice.center
     b_lambda = {e: r.lam[e] for e in center}
     b_rho = {e: frame.to_frame[q.radical_of(e)] for e in center}
     embedding = mu(q)

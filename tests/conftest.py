@@ -2,6 +2,11 @@ import pytest
 
 from quantales import io, suite
 
+# pytest rewrites the asserts of test modules and conftest only; registered
+# before the test modules import it, the reference loops keep their asserts
+# under python -O too
+pytest.register_assert_rewrite('reference_loops')
+
 
 @pytest.fixture(scope='session')
 def corpus():

@@ -43,7 +43,7 @@ from quantales.io import (
     FORMAT, MAX_ELEMENTS, InvalidParameter, ParseError, ValidationError, _bounded, _dot_graph,
     _positive_int, _set_label, _string_list, generate)
 from quantales.lattices import (
-    DistLattice, FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
+    FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
     NotAnIdeal, NotAPoset, Verdict, blocks, build_lattice)
 from quantales.oracles import lattice_boolean_center, normal_witness
 from quantales.quantale import (
@@ -428,7 +428,8 @@ def radical_frame(parent):
     carrier = tuple(a for a in range(len(parent)) if parent.radical_of(a) == a)
     sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
     labels = [parent.label(a) for a in carrier]
-    lattice = DistLattice(FinitePoset(labels, sub))
+    lattice = FiniteLattice(FinitePoset(labels, sub))
+    lattice = Quantale(lattice, lattice.meet_table)
     to_frame = {a: i for i, a in enumerate(carrier)}
     for i, a in enumerate(carrier):
         for j, b in enumerate(carrier):
@@ -593,7 +594,8 @@ def quotient_by_ideal(lat, ideal):
     # are the fibers of x |-> x v g and the quotient is the upper interval [g, 1]
     reps = [x for x in range(len(lat)) if lat.leq(g, x)]
     sub = lat.poset.leq[np.ix_(reps, reps)]
-    quotient = DistLattice(FinitePoset([lat.label(x) for x in reps], sub))
+    quotient = FiniteLattice(FinitePoset([lat.label(x) for x in reps], sub))
+    quotient = Quantale(quotient, quotient.meet_table)
     to_class = {x: qi for qi, x in enumerate(reps)}
     mapping = tuple(to_class[lat.join(x, g)] for x in range(len(lat)))
     return quotient, LatticeMorphism(lat, quotient, mapping)

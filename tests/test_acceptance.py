@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from quantales import cli, io, suite
-from quantales.lattices import DistLattice, FinitePoset
+from quantales.lattices import FiniteLattice, FinitePoset
 from quantales.oracles import has_id_blp, normal_witness, radical_by_powers
 from quantales.properties import (
     element_has_lp, has_lp, has_property_star, hyperarchimedean_equivalents,
@@ -126,7 +126,7 @@ def test_criterion_03_reticulation_axioms_and_unicity(corpus):
         for i in range(m):
             for j in range(m):
                 rel[swap[i], swap[j]] = ret.lattice.leq(i, j)
-        copy = DistLattice(FinitePoset(['k%d' % i for i in range(m)], rel))
+        copy = FiniteLattice(FinitePoset(['k%d' % i for i in range(m)], rel))
         check_unicity(ret, copy, tuple(swap[ret.lam[a]] for a in range(len(q))))
     _line(3, True,
           'quotient axioms hold and both candidates (radical frame, relabeled '
@@ -145,7 +145,7 @@ def test_criterion_04_frame_and_spectrum_isomorphisms(corpus):
         # ideals by generator: the ideal of star(a) lies in that of P iff star(a) <= P
         for a in range(len(q)):
             image = {u[p] for p in q.spectrum if q.leq(a, p)}
-            direct = {P for P in ret.as_quantale.spectrum if ret.lattice.leq(star(q, a), P)}
+            direct = {P for P in ret.lattice.spectrum if ret.lattice.leq(star(q, a), P)}
             assert image == direct, (member.name, q.label(a))
             closed_points += 1
     _line(4, True,
@@ -193,9 +193,9 @@ def test_criterion_07_lifting_equivalence(corpus, small_corpus):
     members = _everything(corpus, small_corpus)
     for member in members:
         q = member.quantale
-        frame = q.radical_frame.as_quantale
+        frame = q.radical_frame.lattice
         quotient = reticulate(q)
-        b_normal = normal_witness(quotient.as_quantale, quotient.as_quantale.center) is None
+        b_normal = normal_witness(quotient.lattice, quotient.lattice.center) is None
         verdicts = {bool(has_lp(q)), bool(has_lp(frame)),
                     bool(has_id_blp(quotient.lattice)), bool(is_b_normal(q)),
                     bool(is_b_normal(frame)), b_normal}

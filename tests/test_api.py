@@ -76,5 +76,5 @@ def test_radical_frame_is_built_once_and_matches_a_fresh_one(corpus):
                 (frame.lattice.poset.leq, fresh.lattice.poset.leq),
                 (frame.lattice.join_table, fresh.lattice.join_table),
                 (frame.lattice.meet_table, fresh.lattice.meet_table),
-                (frame.as_quantale.mul_table, fresh.as_quantale.mul_table)):
+                (frame.lattice.mul_table, fresh.lattice.mul_table)):
             np.testing.assert_array_equal(ours, theirs, err_msg=member.name)

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantales.lattices import (
-    DistLattice, LatticeMorphism, NotALattice, NotAnIdeal, NotAPoset, build_lattice,
-    is_distributive)
+    LatticeMorphism, NotALattice, NotAnIdeal, NotAPoset, build_lattice, is_distributive)
 from quantales.oracles import (
     complement_of, has_id_blp, lattice_boolean_center, lattice_is_id_local,
     normal_witness)
-from quantales.quantale import Quantale, find_quantale_isomorphism, interval_quantale
+from quantales.quantale import (
+    NotDistributive, Quantale, find_quantale_isomorphism, interval_quantale)
 from quantales.reticulation import _generator
 from quantales.suite import enumerate_lattices
 
@@ -86,8 +86,11 @@ def test_distributivity_verdicts():
     bad = is_distributive(diamond())
     assert not bad and bad.witness is not None
     assert not is_distributive(pentagon())
-    with pytest.raises(NotALattice):
-        DistLattice(diamond().poset)
+    # the meet-quantale of a lattice refuses it with the same witness
+    m3 = diamond()
+    with pytest.raises(NotDistributive) as refused:
+        Quantale(m3, m3.meet_table)
+    assert refused.value.witness == is_distributive(m3).witness
 
 
 def _brute_ideals(lat):

@@ -5,18 +5,25 @@ the library against something that shares none of its code.  A library
 module that imported them would blur that line, and so would an oracle that
 called the library, so the source is scanned both ways.  The per-anchor
 lifting oracle is also held to the library's lifting kernel, on the pool
-that test_kernels.py holds that kernel to the interval loop on.
+that test_kernels.py holds that kernel to the interval loop on.  The axiom
+oracle is held to the laws compared on every triple at once, and refutes,
+through the suite, a table that validation accepts.
 """
 
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import quantales
-from quantales.oracles import has_lp_per_anchor
+from quantales import suite
+from quantales.oracles import axiom_failure, has_lp_per_anchor
 from quantales.properties import has_lp
-from test_kernels import NOT_LIFTING, lifting_cases
+from quantales.quantale import Quantale
+from test_kernels import (
+    NOT_LIFTING, SORTED_SCAN_MISSES, _laws_hold_on_all_triples, chain_tables,
+    irreducible_tables, lifting_cases)
 
 PACKAGE = Path(quantales.__file__).parent
 
@@ -89,3 +96,24 @@ def test_the_verdict_scan_recognises_other_imports():
 @example(NOT_LIFTING[1])
 def test_the_per_anchor_lifting_oracle_matches_the_kernel(q):
     assert has_lp_per_anchor(q) == has_lp(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(irreducible_tables(), chain_tables()))
+@example(SORTED_SCAN_MISSES)
+def test_the_axiom_oracle_agrees_with_the_laws_on_every_triple(case):
+    lattice, mul = case
+    tables = SimpleNamespace(mul_table=mul, join_table=lattice.join_table)
+    assert (axiom_failure(tables) is None) == _laws_hold_on_all_triples(lattice, mul)
+
+
+def test_the_axiom_oracle_refutes_a_table_that_validation_accepts():
+    lattice, table = SORTED_SCAN_MISSES
+    q = Quantale(lattice, table)
+    # (x2*x4)*x3 = x0 but x2*(x4*x3) = x1
+    assert axiom_failure(q) == ('associativity', (2, 4, 3))
+    report = suite.run_suite(suite.Corpus([suite.CorpusMember('E6.85', q)]), ['quantale-axioms'])
+    [result] = report.results
+    assert result.status == suite.REFUTED
+    assert result.detail == (
+        "validation accepts a table whose associativity fails at ('x2', 'x4', 'x3')")

@@ -52,9 +52,9 @@ def test_c3_verdicts(c3):
 def test_lifting_equivalence_six_ways(corpus, small_corpus):
     for member in list(corpus) + list(small_corpus):
         q = member.quantale
-        frame = q.radical_frame.as_quantale
+        frame = q.radical_frame.lattice
         quotient = reticulate(q)
-        b_normal = normal_witness(quotient.as_quantale, quotient.as_quantale.center) is None
+        b_normal = normal_witness(quotient.lattice, quotient.lattice.center) is None
         verdicts = {bool(has_lp(q)), bool(has_lp(frame)),
                     bool(has_id_blp(quotient.lattice)), bool(is_b_normal(q)),
                     bool(is_b_normal(frame)), b_normal}

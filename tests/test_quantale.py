@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantales import io
-from quantales.lattices import build_lattice
+from quantales.lattices import FiniteLattice, build_lattice
 from quantales.quantale import (
     NotAssociative, NotCommutative, NotDistributive, NotUnital,
     PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism,
@@ -176,12 +176,21 @@ def test_radical_frame_is_a_frame(d12):
     frame = d12.radical_frame
     labels = [d12.label(a) for a in frame.carrier]
     assert labels == ['1', '2', '3', '6']
-    rq = frame.as_quantale
+    rq = frame.lattice
     # multiplication collapses to meet on radical elements
     assert all(rq.mul(i, j) == rq.meet(i, j)
                for i in range(len(rq)) for j in range(len(rq)))
     rho = frame.radical_morphism
     assert rho.is_surjective()
+
+
+def test_a_quantale_is_its_lattice(d12):
+    assert isinstance(d12, FiniteLattice)
+    assert d12.lattice is d12
+    # the element reads are the lattice's own, not copies of them
+    reads = {'elements', 'bottom', 'top', '__len__', 'label', 'leq', 'join', 'meet',
+             'join_all', 'meet_all'}
+    assert reads.isdisjoint(vars(Quantale))
 
 
 def test_interval_quantale_of_d12(d12):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from quantales import io
-from quantales.lattices import DistLattice, FinitePoset, NotAnIdeal
+from quantales.lattices import FiniteLattice, FinitePoset, NotAnIdeal
+from quantales.quantale import Quantale
 from quantales.reticulation import (
     NotAReticulation, boolean_isos, check_unicity, frame_iso,
     interval_reticulation_iso, mu, reticulate, spectrum_homeomorphism,
@@ -39,6 +40,13 @@ def test_class_map_turns_products_into_meets(corpus):
                 assert lat.leq(lam[a], lam[b]) == q.leq(q.stable_power(a), b)
 
 
+def test_reticulation_and_radical_frame_are_meet_quantales(corpus):
+    for q in _members(corpus):
+        for lattice in (reticulate(q).lattice, q.radical_frame.lattice):
+            assert isinstance(lattice, Quantale)
+            np.testing.assert_array_equal(lattice.mul_table, lattice.meet_table)
+
+
 def test_unstar_of_star_is_the_radical(corpus):
     for q in _members(corpus):
         for a in range(len(q)):
@@ -54,7 +62,7 @@ def test_star_is_a_bijection_on_ideals(corpus):
 
 
 def test_star_matches_primes_both_ways(d12):
-    primes = set(reticulate(d12).as_quantale.spectrum)
+    primes = set(reticulate(d12).lattice.spectrum)
     images = {star(d12, p) for p in d12.spectrum}
     assert images == primes
 
@@ -107,7 +115,7 @@ def test_unicity_accepts_a_relabeled_copy(d12):
     for i in range(m):
         for j in range(m):
             rel[swap[i], swap[j]] = ret.lattice.leq(i, j)
-    copy = DistLattice(FinitePoset(['k%d' % i for i in range(m)], rel))
+    copy = FiniteLattice(FinitePoset(['k%d' % i for i in range(m)], rel))
     iso = check_unicity(ret, copy, tuple(swap[ret.lam[a]] for a in range(len(d12))))
     assert iso.is_surjective()
 
@@ -115,12 +123,12 @@ def test_unicity_accepts_a_relabeled_copy(d12):
 def test_unicity_rejects_wrong_candidates(d12):
     ret = reticulate(d12)
     # constant-to-top map is not surjective onto a two-point lattice's bottom
-    two = DistLattice(FinitePoset(['u', 'v'], np.array([[1, 1], [0, 1]], bool)))
+    two = FiniteLattice(FinitePoset(['u', 'v'], np.array([[1, 1], [0, 1]], bool)))
     with pytest.raises(NotAReticulation):
         check_unicity(ret, two, (1,) * len(d12))
     # a chain of the right size cannot satisfy the join axiom for D12
     m = len(ret)
     chain_rel = np.triu(np.ones((m, m), dtype=bool))
-    chain = DistLattice(FinitePoset(['c%d' % i for i in range(m)], chain_rel))
+    chain = FiniteLattice(FinitePoset(['c%d' % i for i in range(m)], chain_rel))
     with pytest.raises(NotAReticulation):
         check_unicity(ret, chain, ret.lam)
