@@ -115,20 +115,30 @@ def distributivity_failure(times, join):
     return first_in_blocks(len(join), failures)
 
 
+def _pack(rows):
+    """The rows of a bool matrix as bitsets, 64 to a little-endian uint64: bit k
+    of word w of a row is its column 64 * w + k, and the bits past the last
+    column are clear."""
+    n, m = rows.shape
+    out = np.zeros((n, -(-m // 64) * 8), dtype=np.uint8)
+    out[:, :-(-m // 8)] = np.packbits(rows, axis=1, bitorder='little')
+    return out.view('<u8')
+
+
 def _joins_and_meets(leq):
     """Join and meet tables of a partial order, stacked, with the masks of the
     pairs that have no join or no meet; an entry under the mask is arbitrary.
 
     x < y forces |down(x)| < |down(y)|, so sorting by down-set size gives a
     linear extension, and a least common upper bound, if there is one, is the
-    first common upper bound in it.  The up-sets are packed 64 to a word in
-    that order and the down-sets in its reverse, so each pair reads its
-    candidate off the first set bit of two ANDed rows.  The candidate is the
-    bound exactly when its own up-set (down-set) holds all the common bounds,
-    that is when the two counts agree (after Ait-Kaci, Boyer, Lincoln and Nasr,
-    Efficient implementation of lattice operations, TOPLAS 11(1), 1989)."""
+    first common upper bound in it.  The up-sets are packed in that order and
+    the down-sets in its reverse, not in index order as a poset packs them,
+    so each pair reads its candidate off the first set bit of two ANDed rows.
+    The candidate is the bound exactly when its own up-set (down-set) holds
+    all the common bounds, that is when the two counts agree (after Ait-Kaci,
+    Boyer, Lincoln and Nasr, Efficient implementation of lattice operations,
+    TOPLAS 11(1), 1989)."""
     n = len(leq)
-    words = -(-n // 64)
     up, down = leq.sum(axis=1), leq.sum(axis=0)
     order = np.argsort(down, kind='stable')
     reverse = order[::-1]
@@ -136,12 +146,10 @@ def _joins_and_meets(leq):
     # found at p and n + p of the flat arrays
     element = np.concatenate((order, reverse))
     size = np.concatenate((up[order], down[reverse]))
-    rows = np.zeros((2, n, 64 * words), dtype=bool)
-    rows[0, :, :n] = leq[:, order]
-    rows[1, :, :n] = leq.T[:, reverse]
     # [side, word, x]: bits 64 * word onwards of x's row, so that reductions
     # over the words run across whole slabs
-    bits = np.packbits(rows, axis=2, bitorder='little').view('<u8').transpose(0, 2, 1).copy()
+    bits = np.stack((_pack(leq[:, order]), _pack(leq.T[:, reverse]))).transpose(0, 2, 1).copy()
+    words = bits.shape[1]
     # w ^ (w - 1) sets the bits up to the first set bit of w, so a word's first
     # set bit stands at flat position start + that count.  A pair without
     # common bounds may read any position: it counts 0 common bounds, and
@@ -157,6 +165,27 @@ def _joins_and_meets(leq):
         tables[:, r, c] = element[first]
         missing[:, r, c] = np.bitwise_count(common).sum(axis=1) != size[first]
     return tables, missing
+
+
+def _covers_and_gap(up, down, leq=None):
+    """The cover matrix of an order packed as its up-sets and down-sets ([x, y]:
+    y covers x), and, when leq is given, the first (x, y) in row-major order
+    with some z between them, x <= z <= y, although x <= y fails, or None;
+    the cover matrix is None when there is such a pair.
+
+    Some z lies between x and y exactly when up(x) AND down(y) is not empty,
+    and in an order y covers x exactly when that set is {x, y}: the strict
+    up-set of x and the strict down-set of y are disjoint."""
+    n = len(up)
+    cover = np.empty((n, n), dtype=bool)
+    for rows, cols in blocks(n, up.shape[1]):
+        between = np.bitwise_count(up[rows, None] & down[None, cols]).sum(axis=2)
+        if leq is not None:
+            hit = first_true((between != 0) & ~leq[rows, cols])
+            if hit is not None:
+                return None, (hit[0] + rows.start, hit[1] + cols.start)
+        cover[rows, cols] = between == 2
+    return cover, None
 
 
 class FinitePoset:
@@ -179,26 +208,35 @@ class FinitePoset:
             i, j = hit
             raise NotAPoset(
                 'not antisymmetric: %r and %r' % (self.elements[i], self.elements[j]))
-        hit = first_true((leq @ leq) & ~leq)
-        if hit is not None:
-            i, j = hit
+        up, down = _pack(leq), _pack(leq.T)
+        cover, gap = _covers_and_gap(up, down, leq)
+        if gap is not None:
+            i, j = gap
             raise NotAPoset(
                 'not transitive: missing %r <= %r' % (self.elements[i], self.elements[j]))
-        leq.setflags(write=False)
+        for table in (leq, up, down, cover):
+            table.setflags(write=False)
         self.leq = leq
+        # the transitivity check has packed the order and found its covers
+        self._up_words, self._down_words, self._cover_matrix = up, down, cover
 
     @classmethod
-    def _from_order(cls, elements, leq):
+    def _from_order(cls, elements, leq, cover=None):
         """The poset on a relation already known to be a partial order: the
         restriction of one to a subset, or the product of several.  Both stay
         reflexive, antisymmetric and transitive, so only the labels are checked.
-        leq is a bool array of the caller's own, which is frozen here."""
+        leq is a bool array of the caller's own, which is frozen here, and so
+        is cover, its cover matrix when the caller knows it: on a convex
+        subset such as an interval, the parent's cover matrix restricted."""
         poset = cls.__new__(cls)
         poset.elements = tuple(elements)
         if len(set(poset.elements)) != len(poset.elements):
             raise NotAPoset('element labels are not unique')
         leq.setflags(write=False)
         poset.leq = leq
+        if cover is not None:
+            cover.setflags(write=False)
+            poset._cover_matrix = cover
         return poset
 
     def __len__(self):
@@ -208,23 +246,40 @@ class FinitePoset:
     def index(self):
         return {label: i for i, label in enumerate(self.elements)}
 
+    # The order as bitsets in index order (see _pack), read-only: row x of
+    # _up_words holds the z >= x, row y of _down_words the z <= y.  Each is
+    # packed once per poset, by the checked constructor or on first use.
+
+    @cached_property
+    def _up_words(self):
+        out = _pack(self.leq)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _down_words(self):
+        out = _pack(self.leq.T)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def _cover_matrix(self):
         '[i, j]: j covers i, that is i < j with nothing strictly between.'
-        strict = self.leq.copy()
-        np.fill_diagonal(strict, False)
-        return strict > strict @ strict
+        out = _covers_and_gap(self._up_words, self._down_words)[0]
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def covers(self):
         'Hasse diagram edges as pairs (lower, upper) of indices.'
-        lower, upper = np.nonzero(self._cover_matrix())
+        lower, upper = self._cover_matrix.nonzero()
         return tuple(zip(lower.tolist(), upper.tolist()))
 
     @cached_property
     def join_irreducibles(self):
         """Indices with exactly one lower cover, ascending.  In a finite lattice these
         are the join-irreducibles, and every element is the join of those below it."""
-        out = np.flatnonzero(self._cover_matrix().sum(axis=0) == 1)
+        out = (self._cover_matrix.sum(axis=0) == 1).nonzero()[0]
         out.setflags(write=False)
         return out
 
@@ -246,8 +301,8 @@ class FiniteLattice:
         meet.setflags(write=False)
         self.join_table = join
         self.meet_table = meet
-        bottoms = np.flatnonzero(leq.all(axis=1))
-        tops = np.flatnonzero(leq.all(axis=0))
+        bottoms = leq.all(axis=1).nonzero()[0]
+        tops = leq.all(axis=0).nonzero()[0]
         # pairwise joins and meets force unique global bounds on a nonempty carrier
         if len(bottoms) != 1 or len(tops) != 1:
             raise LatticeError('no unique bottom and top among %d elements' % (n,))
@@ -327,13 +382,12 @@ def build_lattice(elements, leq_pairs):
 
 def irreducibles_join_prime(lat):
     'Whether every join-irreducible j is join-prime: j <= x v y forces j <= x or j <= y.'
-    irreducibles = lat.poset.join_irreducibles
-    # [x, j]: j <= x
-    above = np.ascontiguousarray(lat.poset.leq[irreducibles].T)
-    for rows, cols in blocks(len(lat), len(irreducibles)):
+    # [x]: the j <= x, as a bitset over the join-irreducibles
+    above = _pack(lat.poset.leq.T[:, lat.poset.join_irreducibles])
+    join = lat.join_table
+    for rows, cols in blocks(len(lat), above.shape[1]):
         # j <= x or j <= y already gives j <= x v y, so only the converse can fail
-        either = above[rows, None, :] | above[None, cols, :]
-        if (above[lat.join_table[rows, cols]] != either).any():
+        if (above[join[rows, cols]] != (above[rows, None] | above[None, cols])).any():
             return False
     return True
 

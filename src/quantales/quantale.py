@@ -142,16 +142,17 @@ class Quantale(FiniteLattice):
     def spectrum(self):
         'Indices below top where x*y <= p forces x <= p or y <= p, ascending.'
         n = len(self)
-        leq = self.lattice.poset.leq
-        mul = self.mul_table
-        outside = ~leq
-        broken = np.zeros(n, dtype=bool)
-        for rows, cols in blocks(n, n):
-            # [x, y, p]: x*y <= p while neither x nor y is below p
-            bad = leq[mul[rows, cols]] & outside[rows, None, :] & outside[None, cols, :]
-            broken |= bad.any(axis=(0, 1))
-        broken[self.top] = True
-        result = tuple(np.flatnonzero(~broken).tolist())
+        up, mul = self.lattice.poset._up_words, self.mul_table
+        # bit p of [x]: x is not below p
+        outside = ~up
+        broken = np.zeros(up.shape[1], dtype=up.dtype)
+        for rows, cols in blocks(n, up.shape[1]):
+            # bit p of [x, y]: x*y <= p while neither x nor y is below p
+            bad = up[mul[rows, cols]] & outside[rows, None] & outside[None, cols]
+            broken |= np.bitwise_or.reduce(bad, axis=(0, 1))
+        prime = np.unpackbits(broken.view(np.uint8), count=n, bitorder='little') == 0
+        prime[self.top] = False
+        result = tuple(prime.nonzero()[0].tolist())
         for m in self.maximal_elements:
             # every maximal element is m-prime: a cover argument via distributivity
             if m not in result:
@@ -261,8 +262,9 @@ class RadicalFrame:
 
     def __init__(self, parent):
         radical = np.asarray(parent.radical_table)
-        carrier = tuple(np.flatnonzero(radical == np.arange(len(parent))).tolist())
-        sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
+        at = (radical == np.arange(len(parent))).nonzero()[0]
+        carrier = tuple(at.tolist())
+        sub = parent.lattice.poset.leq[at[:, None], at]
         labels = [parent.label(a) for a in carrier]
         self.parent = parent
         self.carrier = carrier
@@ -346,17 +348,24 @@ class IntervalQuantale(Quantale):
     'Quantale on the up-set of an anchor; products are relativized by joining the anchor.'
 
     def __init__(self, parent, anchor):
-        carrier = np.flatnonzero(parent.lattice.poset.leq[anchor])
-        sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
-        # a restriction of the parent's order, but the join and meet tables are
-        # the interval's own, read off that order
-        lattice = FiniteLattice(FinitePoset._from_order(
-            [parent.label(x) for x in carrier.tolist()], sub))
+        poset = parent.lattice.poset
+        carrier = poset.leq[anchor].nonzero()[0]
+        grid = carrier[:, None], carrier
         self.parent = parent
         self.anchor = anchor
         self.carrier = tuple(carrier.tolist())
         self.to_interval = {x: i for i, x in enumerate(self.carrier)}
-        super().__init__(lattice, _into(self, parent.mul_table[np.ix_(carrier, carrier)]))
+        # [anchor) is an up-set, so its order and its covers are the parent's
+        # restricted to it, and a sublattice, so its join and meet are the
+        # parent's; like the products, they are read at their positions in the
+        # carrier after joining the anchor, which leaves x v y and x ^ y alone
+        lattice = FiniteLattice._from_tables(
+            FinitePoset._from_order([parent.label(x) for x in self.carrier], poset.leq[grid],
+                                    poset._cover_matrix[grid]),
+            _into(self, parent.lattice.join_table[grid]),
+            _into(self, parent.lattice.meet_table[grid]),
+            np.searchsorted(carrier, anchor), np.searchsorted(carrier, parent.top))
+        super().__init__(lattice, _into(self, parent.mul_table[grid]))
 
     @cached_property
     def surjection(self):
@@ -437,7 +446,8 @@ def decompose_by_elements(q, anchors):
     anchors = [_element_index(q, a) for a in anchors]
     if not anchors:
         raise PreconditionFailed('need at least one element')
-    hit = first_true(np.triu(q.lattice.join_table[np.ix_(anchors, anchors)] != q.top, 1))
+    at = np.array(anchors, dtype=np.intp)
+    hit = first_true(np.triu(q.lattice.join_table[at[:, None], at] != q.top, 1))
     if hit is not None:
         raise PreconditionFailed('elements %d and %d do not join to top' % hit)
     base = q.meet_all(anchors)

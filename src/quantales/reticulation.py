@@ -57,7 +57,8 @@ class Reticulation:
             for c in members:
                 lam[c] = ci
         self.lam = tuple(lam)
-        leq = source.lattice.poset.leq[np.ix_(radicals, radicals)]
+        at = np.array(radicals, dtype=np.intp)
+        leq = source.lattice.poset.leq[at[:, None], at]
         labels = [source.label(rep) for rep in self.representatives]
         # a bounded distributive lattice is the quantale whose multiplication is meet
         lattice = FiniteLattice(FinitePoset._from_order(labels, leq))

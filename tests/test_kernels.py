@@ -36,7 +36,13 @@ no-bound mask, on the random orders and on orders of 63 to 129 points
 (chains, Boolean and divisor lattices, non-lattices, random bounded orders,
 each also with shuffled indices) whose rows fill one word, cross into a
 second or a third; a product's join and meet tables, read off its factors,
-must be the least bounds of its order.  Property (*) must give the witness
+must be the least bounds of its order.  On the same orders, shuffled, the
+kernels over the order packed 64 to a word must agree with the loops: the
+transitivity check (also on each order with one implied pair removed), the
+covers and the join-irreducibles, and the join-prime verdict on the lattices
+among them and on chains with an M3 or an N5 spliced in; the m-primes must
+agree on quantales of 63 to 129 elements, and an interval's join, meet and
+bounds, restricted from its parent, must be those its own order gives.  Property (*) must give the witness
 of the element loop.  Reading an instance document must give what the
 per-triple loop gave, the error's class, message and location included, on
 fuzzed documents whose product lists repeat entries with other products,
@@ -67,7 +73,8 @@ from test_fuzz import documents, junk
 from quantales import io, suite
 from quantales.lattices import (
     FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
-    NotAnIdeal, NotAPoset, _joins_and_meets, blocks, first_law_failure, is_distributive)
+    NotAnIdeal, NotAPoset, _joins_and_meets, blocks, first_law_failure, irreducibles_join_prime,
+    is_distributive)
 from quantales.oracles import has_id_blp, has_lp_per_anchor, lattice_is_id_local
 from quantales.properties import (
     _stranded, element_has_lp, has_lp, has_property_star, is_b_normal, is_normal)
@@ -273,6 +280,117 @@ def test_least_bounds_match_the_search_across_word_boundaries(name, leq):
     _bounds_match_the_search(leq)
     perm = np.random.default_rng(len(leq)).permutation(len(leq))
     _bounds_match_the_search(leq[np.ix_(perm, perm)])
+
+
+# ---------------------------------------------------------------------------
+# the order packed 64 to a word: transitivity, covers, join-irreducibles,
+# join-primality and m-primes against the loops, at sizes on both sides of one
+# and two words, with shuffled indices so that no word holds an interval of
+# the order
+
+def _shuffled(leq, seed):
+    perm = np.random.default_rng(seed).permutation(len(leq))
+    return leq[np.ix_(perm, perm)]
+
+
+def _one_gap(leq):
+    'leq without its last strict pair in row-major order that is not a cover.'
+    poset = FinitePoset(labels(len(leq)), leq)
+    strict = leq & ~np.eye(len(leq), dtype=bool)
+    strict[tuple(np.array(poset.covers).T)] = False
+    x, y = (int(v[-1]) for v in strict.nonzero())
+    gap = leq.copy()
+    gap[x, y] = False
+    return gap
+
+
+@pytest.mark.parametrize('name, leq', WORD_EDGE_ORDERS,
+                         ids=['%s-%d' % (name, len(leq)) for name, leq in WORD_EDGE_ORDERS])
+def test_packed_order_kernels_match_the_loops_across_word_boundaries(name, leq):
+    leq = _shuffled(leq, len(leq))
+    names = labels(len(leq))
+    assert _poset_outcome(names, leq) == _reference_poset_outcome(names, leq)
+    # one pair short of transitive: the check must name that pair
+    gap = _one_gap(leq)
+    assert _poset_outcome(names, gap)[0] == 'raised'
+    assert _poset_outcome(names, gap) == _reference_poset_outcome(names, gap)
+    covers = ref.covers(FinitePoset(names, leq))
+    lower = np.bincount([y for _, y in covers], minlength=len(leq))
+    # the checked constructor finds the covers with the transitivity check,
+    # an unchecked order on first use
+    for poset in (FinitePoset(names, leq), FinitePoset._from_order(names, leq.copy())):
+        assert poset.covers == covers
+        assert poset.join_irreducibles.tolist() == (lower == 1).nonzero()[0].tolist()
+
+
+def _spliced(n, top_covers):
+    """A chain of n points in which three consecutive points are made pairwise
+    incomparable: the next point covers all three (M3), or only the first two
+    while the third lies below the point after (N5).  Either way a lattice
+    that is not distributive."""
+    leq = np.arange(n)[:, None] <= np.arange(n)
+    k = n // 2
+    for i in range(k, k + 3):
+        for j in range(k, k + 3):
+            leq[i, j] = i == j
+    if not top_covers:
+        # k + 2 now lies below k + 3 only through k + 4
+        leq[k + 2, k + 3] = False
+    return leq
+
+
+# the lattices among the orders above, and two families that are not distributive
+JOIN_PRIME_ORDERS = [(name, leq) for name, leq in WORD_EDGE_ORDERS
+                     if name not in ('two tops', 'random bounded')] + [
+    ('M3 in a chain', _spliced(n, True)) for n in (63, 64, 65, 127, 128, 129)] + [
+    ('N5 in a chain', _spliced(n, False)) for n in (63, 64, 65, 127, 128, 129)]
+
+
+@pytest.mark.parametrize('name, leq', JOIN_PRIME_ORDERS,
+                         ids=['%s-%d' % (name, len(leq)) for name, leq in JOIN_PRIME_ORDERS])
+def test_join_prime_verdict_matches_the_loop_across_word_boundaries(name, leq):
+    lat = FiniteLattice(FinitePoset(labels(len(leq)), _shuffled(leq, len(leq))))
+    verdict = irreducibles_join_prime(lat)
+    assert verdict == ref.irreducibles_join_prime(lat)
+    assert verdict == (not name.endswith('in a chain'))
+    if len(lat) <= 65:
+        assert verdict == ref.is_distributive(lat).holds
+
+
+def _lukasiewicz(n):
+    'The n-chain with x*y = max(0, x + y - (n - 1)): one m-prime, its coatom.'
+    ar = np.arange(n)
+    lattice = FiniteLattice(FinitePoset(labels(n), ar[:, None] <= ar))
+    return Quantale(lattice, np.maximum(0, ar[:, None] + ar - (n - 1)))
+
+
+SPECTRUM_QUANTALES = [('lukasiewicz', _lukasiewicz(n)) for n in (63, 64, 65, 127, 128, 129)] + [
+    (spec, io.generate(spec)) for spec in (
+        'product:chain:21,frame;chain:3,frame', 'boolean:6', 'zn:30030',
+        'product:chain:13,frame;chain:5,frame', 'boolean:7', 'zn:510510',
+        'product:chain:43,frame;chain:3,frame')]
+
+
+@pytest.mark.parametrize('name, q', SPECTRUM_QUANTALES,
+                         ids=['%s-%d' % (name, len(q)) for name, q in SPECTRUM_QUANTALES])
+def test_m_primes_match_the_loop_across_word_boundaries(name, q):
+    perm = np.random.default_rng(len(q)).permutation(len(q))
+    lattice, mul = permuted(q.lattice, q.mul_table, perm)
+    shuffled = Quantale(lattice, mul)
+    assert shuffled.spectrum == ref.spectrum(shuffled)
+    assert len(q.spectrum) == len(shuffled.spectrum)
+
+
+def test_intervals_restrict_the_tables_their_own_order_gives():
+    'Join, meet and bounds of every fixture interval, against those its order gives.'
+    for member in suite.fixtures():
+        q = member.quantale
+        for a in range(len(q)):
+            part = interval_quantale(q, a)[0]
+            own = FiniteLattice(FinitePoset._from_order(
+                part.elements, part.lattice.poset.leq.copy()))
+            assert (part.join_table.tolist(), part.meet_table.tolist(), part.bottom, part.top) == (
+                own.join_table.tolist(), own.meet_table.tolist(), own.bottom, own.top)
 
 
 # ---------------------------------------------------------------------------
