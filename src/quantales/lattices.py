@@ -116,13 +116,19 @@ def distributivity_failure(times, join):
 
 
 def _pack(rows):
-    """The rows of a bool matrix as bitsets, 64 to a little-endian uint64: bit k
-    of word w of a row is its column 64 * w + k, and the bits past the last
-    column are clear."""
-    n, m = rows.shape
-    out = np.zeros((n, -(-m // 64) * 8), dtype=np.uint8)
-    out[:, :-(-m // 8)] = np.packbits(rows, axis=1, bitorder='little')
+    """The rows of a bool array as bitsets along its last axis, 64 to a
+    little-endian uint64: bit k of word w of a row is its entry 64 * w + k,
+    and the bits past the last entry are clear."""
+    m = rows.shape[-1]
+    out = np.zeros(rows.shape[:-1] + (-(-m // 64) * 8,), dtype=np.uint8)
+    out[..., :-(-m // 8)] = np.packbits(rows, axis=-1, bitorder='little')
     return out.view('<u8')
+
+
+def _pack_order(leq):
+    'The up-sets and the down-sets of an order, stacked, as bitsets in index order.'
+    n = len(leq)
+    return _pack(np.concatenate((leq, leq.T))).reshape(2, n, -(-n // 64))
 
 
 def _joins_and_meets(leq):
@@ -148,7 +154,7 @@ def _joins_and_meets(leq):
     size = np.concatenate((up[order], down[reverse]))
     # [side, word, x]: bits 64 * word onwards of x's row, so that reductions
     # over the words run across whole slabs
-    bits = np.stack((_pack(leq[:, order]), _pack(leq.T[:, reverse]))).transpose(0, 2, 1).copy()
+    bits = _pack(np.stack((leq[:, order], leq.T[:, reverse]))).transpose(0, 2, 1).copy()
     words = bits.shape[1]
     # w ^ (w - 1) sets the bits up to the first set bit of w, so a word's first
     # set bit stands at flat position start + that count.  A pair without
@@ -167,19 +173,20 @@ def _joins_and_meets(leq):
     return tables, missing
 
 
-def _covers_and_gap(up, down, leq=None):
-    """The cover matrix of an order packed as its up-sets and down-sets ([x, y]:
-    y covers x), and, when leq is given, the first (x, y) in row-major order
+def _covers_and_gap(words, leq=None):
+    """The cover matrix of an order packed as its up-sets and down-sets (see
+    FinitePoset._order_words; [x, y]: y covers x), and, when leq is given, the first (x, y) in row-major order
     with some z between them, x <= z <= y, although x <= y fails, or None;
     the cover matrix is None when there is such a pair.
 
     Some z lies between x and y exactly when up(x) AND down(y) is not empty,
     and in an order y covers x exactly when that set is {x, y}: the strict
     up-set of x and the strict down-set of y are disjoint."""
+    up, down = words
     n = len(up)
     cover = np.empty((n, n), dtype=bool)
     for rows, cols in blocks(n, up.shape[1]):
-        between = np.bitwise_count(up[rows, None] & down[None, cols]).sum(axis=2)
+        between = np.add.reduce(np.bitwise_count(up[rows, None] & down[None, cols]), axis=2)
         if leq is not None:
             hit = first_true((between != 0) & ~leq[rows, cols])
             if hit is not None:
@@ -208,17 +215,17 @@ class FinitePoset:
             i, j = hit
             raise NotAPoset(
                 'not antisymmetric: %r and %r' % (self.elements[i], self.elements[j]))
-        up, down = _pack(leq), _pack(leq.T)
-        cover, gap = _covers_and_gap(up, down, leq)
+        words = _pack_order(leq)
+        cover, gap = _covers_and_gap(words, leq)
         if gap is not None:
             i, j = gap
             raise NotAPoset(
                 'not transitive: missing %r <= %r' % (self.elements[i], self.elements[j]))
-        for table in (leq, up, down, cover):
+        for table in (leq, words, cover):
             table.setflags(write=False)
         self.leq = leq
         # the transitivity check has packed the order and found its covers
-        self._up_words, self._down_words, self._cover_matrix = up, down, cover
+        self._order_words, self._cover_matrix = words, cover
 
     @classmethod
     def _from_order(cls, elements, leq, cover=None):
@@ -246,26 +253,19 @@ class FinitePoset:
     def index(self):
         return {label: i for i, label in enumerate(self.elements)}
 
-    # The order as bitsets in index order (see _pack), read-only: row x of
-    # _up_words holds the z >= x, row y of _down_words the z <= y.  Each is
-    # packed once per poset, by the checked constructor or on first use.
-
     @cached_property
-    def _up_words(self):
-        out = _pack(self.leq)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def _down_words(self):
-        out = _pack(self.leq.T)
+    def _order_words(self):
+        """The order as bitsets in index order (see _pack), read-only: [0, x]
+        holds the z >= x and [1, y] the z <= y.  Packed once per poset, by the
+        checked constructor or on first use."""
+        out = _pack_order(self.leq)
         out.setflags(write=False)
         return out
 
     @cached_property
     def _cover_matrix(self):
         '[i, j]: j covers i, that is i < j with nothing strictly between.'
-        out = _covers_and_gap(self._up_words, self._down_words)[0]
+        out = _covers_and_gap(self._order_words)[0]
         out.setflags(write=False)
         return out
 

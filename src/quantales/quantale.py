@@ -142,7 +142,7 @@ class Quantale(FiniteLattice):
     def spectrum(self):
         'Indices below top where x*y <= p forces x <= p or y <= p, ascending.'
         n = len(self)
-        up, mul = self.lattice.poset._up_words, self.mul_table
+        up, mul = self.lattice.poset._order_words[0], self.mul_table
         # bit p of [x]: x is not below p
         outside = ~up
         broken = np.zeros(up.shape[1], dtype=up.dtype)
