@@ -116,19 +116,19 @@ def distributivity_failure(times, join):
 
 
 def _pack(rows):
-    """The rows of a bool array as bitsets along its last axis, 64 to a
-    little-endian uint64: bit k of word w of a row is its entry 64 * w + k,
-    and the bits past the last entry are clear."""
-    m = rows.shape[-1]
-    out = np.zeros(rows.shape[:-1] + (-(-m // 64) * 8,), dtype=np.uint8)
-    out[..., :-(-m // 8)] = np.packbits(rows, axis=-1, bitorder='little')
+    """The rows of a bool matrix as bitsets, 64 to a little-endian uint64: bit k
+    of word w of a row is its column 64 * w + k, and the bits past the last
+    column are clear."""
+    n, m = rows.shape
+    out = np.zeros((n, -(-m // 64) * 8), dtype=np.uint8)
+    out[:, :-(-m // 8)] = np.packbits(rows, axis=1, bitorder='little')
     return out.view('<u8')
 
 
-def _pack_order(leq):
-    'The up-sets and the down-sets of an order, stacked, as bitsets in index order.'
-    n = len(leq)
-    return _pack(np.concatenate((leq, leq.T))).reshape(2, n, -(-n // 64))
+def _pack_pair(up, down):
+    'Two n x n bool matrices packed row by row (see _pack), stacked: [0] from up, [1] from down.'
+    n = len(up)
+    return _pack(np.concatenate((up, down))).reshape(2, n, -(-n // 64))
 
 
 def _joins_and_meets(leq):
@@ -154,7 +154,7 @@ def _joins_and_meets(leq):
     size = np.concatenate((up[order], down[reverse]))
     # [side, word, x]: bits 64 * word onwards of x's row, so that reductions
     # over the words run across whole slabs
-    bits = _pack(np.stack((leq[:, order], leq.T[:, reverse]))).transpose(0, 2, 1).copy()
+    bits = _pack_pair(leq[:, order], leq.T[:, reverse]).transpose(0, 2, 1).copy()
     words = bits.shape[1]
     # w ^ (w - 1) sets the bits up to the first set bit of w, so a word's first
     # set bit stands at flat position start + that count.  A pair without
@@ -174,10 +174,11 @@ def _joins_and_meets(leq):
 
 
 def _covers_and_gap(words, leq=None):
-    """The cover matrix of an order packed as its up-sets and down-sets (see
-    FinitePoset._order_words; [x, y]: y covers x), and, when leq is given, the first (x, y) in row-major order
-    with some z between them, x <= z <= y, although x <= y fails, or None;
-    the cover matrix is None when there is such a pair.
+    """The cover matrix ([x, y]: y covers x) of an order packed as its up-sets
+    and down-sets (see FinitePoset._order_words), and, when leq is given, the
+    first (x, y) in row-major order with some z between them, x <= z <= y,
+    although x <= y fails, or None; the cover matrix is None when there is
+    such a pair.
 
     Some z lies between x and y exactly when up(x) AND down(y) is not empty,
     and in an order y covers x exactly when that set is {x, y}: the strict
@@ -215,7 +216,7 @@ class FinitePoset:
             i, j = hit
             raise NotAPoset(
                 'not antisymmetric: %r and %r' % (self.elements[i], self.elements[j]))
-        words = _pack_order(leq)
+        words = _pack_pair(leq, leq.T)
         cover, gap = _covers_and_gap(words, leq)
         if gap is not None:
             i, j = gap
@@ -258,7 +259,7 @@ class FinitePoset:
         """The order as bitsets in index order (see _pack), read-only: [0, x]
         holds the z >= x and [1, y] the z <= y.  Packed once per poset, by the
         checked constructor or on first use."""
-        out = _pack_order(self.leq)
+        out = _pack_pair(self.leq, self.leq.T)
         out.setflags(write=False)
         return out
 

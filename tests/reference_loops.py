@@ -15,8 +15,8 @@ the covers of the spectrum for the dot export before FinitePoset.covers did,
 and the least-bounds search over n**3 booleans that built the join and meet
 tables before the bit-packed up-sets did, and a join-prime check by list
 reads that holds the packed one to is_distributive's verdict at sizes where
-that triple loop is too slow, and the chain and set-family frames as the generators built them from label
-pairs and product loops before they read the order matrix and its meet table,
+that triple loop is too slow, and the chain and set-family frames as the
+generators built them from label pairs and product loops before they read the order matrix and its meet table,
 and the instance reader that checked, looked up and stored each product
 triple in turn before it read the multiplication into arrays, and the test
 of property (*) that joined every small element with every central one per

@@ -42,8 +42,8 @@ transitivity check (also on each order with one implied pair removed), the
 covers and the join-irreducibles, and the join-prime verdict on the lattices
 among them and on chains with an M3 or an N5 spliced in; the m-primes must
 agree on quantales of 63 to 129 elements, and an interval's join, meet and
-bounds, restricted from its parent, must be those its own order gives.  Property (*) must give the witness
-of the element loop.  Reading an instance document must give what the
+bounds, restricted from its parent, must be those its own order gives.
+Property (*) must give the witness of the element loop.  Reading an instance document must give what the
 per-triple loop gave, the error's class, message and location included, on
 fuzzed documents whose product lists repeat entries with other products,
 swap x and y, follow a conflict with a non-list entry or hold list
