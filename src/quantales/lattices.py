@@ -126,9 +126,11 @@ def _pack(rows):
 
 
 def _pack_pair(up, down):
-    'Two n x n bool matrices packed row by row (see _pack), stacked: [0] from up, [1] from down.'
+    """Two n x n bool matrices packed row by row (see _pack) and stacked, as
+    [matrix, word, row]: [0] from up, [1] from down.  Words outermost, so that
+    a reduction over the words adds whole slabs."""
     n = len(up)
-    return _pack(np.concatenate((up, down))).reshape(2, n, -(-n // 64))
+    return _pack(np.concatenate((up, down))).reshape(2, n, -(-n // 64)).transpose(0, 2, 1).copy()
 
 
 def _joins_and_meets(leq):
@@ -152,9 +154,8 @@ def _joins_and_meets(leq):
     # found at p and n + p of the flat arrays
     element = np.concatenate((order, reverse))
     size = np.concatenate((up[order], down[reverse]))
-    # [side, word, x]: bits 64 * word onwards of x's row, so that reductions
-    # over the words run across whole slabs
-    bits = _pack_pair(leq[:, order], leq.T[:, reverse]).transpose(0, 2, 1).copy()
+    # [side, word, x]: bits 64 * word onwards of x's row
+    bits = _pack_pair(leq[:, order], leq.T[:, reverse])
     words = bits.shape[1]
     # w ^ (w - 1) sets the bits up to the first set bit of w, so a word's first
     # set bit stands at flat position start + that count.  A pair without
@@ -184,10 +185,10 @@ def _covers_and_gap(words, leq=None):
     and in an order y covers x exactly when that set is {x, y}: the strict
     up-set of x and the strict down-set of y are disjoint."""
     up, down = words
-    n = len(up)
+    n = up.shape[1]
     cover = np.empty((n, n), dtype=bool)
-    for rows, cols in blocks(n, up.shape[1]):
-        between = np.add.reduce(np.bitwise_count(up[rows, None] & down[None, cols]), axis=2)
+    for rows, cols in blocks(n, len(up)):
+        between = np.add.reduce(np.bitwise_count(up[:, rows, None] & down[:, None, cols]))
         if leq is not None:
             hit = first_true((between != 0) & ~leq[rows, cols])
             if hit is not None:
@@ -256,9 +257,9 @@ class FinitePoset:
 
     @cached_property
     def _order_words(self):
-        """The order as bitsets in index order (see _pack), read-only: [0, x]
-        holds the z >= x and [1, y] the z <= y.  Packed once per poset, by the
-        checked constructor or on first use."""
+        """The order as bitsets in index order (see _pack_pair), read-only:
+        [0, :, x] holds the z >= x and [1, :, y] the z <= y.  Packed once per
+        poset, by the checked constructor or on first use."""
         out = _pack_pair(self.leq, self.leq.T)
         out.setflags(write=False)
         return out
@@ -383,12 +384,12 @@ def build_lattice(elements, leq_pairs):
 
 def irreducibles_join_prime(lat):
     'Whether every join-irreducible j is join-prime: j <= x v y forces j <= x or j <= y.'
-    # [x]: the j <= x, as a bitset over the join-irreducibles
-    above = _pack(lat.poset.leq.T[:, lat.poset.join_irreducibles])
+    # [:, x]: the j <= x, as a bitset over the join-irreducibles, words outermost
+    above = _pack(lat.poset.leq.T[:, lat.poset.join_irreducibles]).T.copy()
     join = lat.join_table
-    for rows, cols in blocks(len(lat), above.shape[1]):
+    for rows, cols in blocks(len(lat), len(above)):
         # j <= x or j <= y already gives j <= x v y, so only the converse can fail
-        if (above[join[rows, cols]] != (above[rows, None] | above[None, cols])).any():
+        if (above[:, join[rows, cols]] != (above[:, rows, None] | above[:, None, cols])).any():
             return False
     return True
 

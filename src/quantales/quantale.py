@@ -143,13 +143,13 @@ class Quantale(FiniteLattice):
         'Indices below top where x*y <= p forces x <= p or y <= p, ascending.'
         n = len(self)
         up, mul = self.lattice.poset._order_words[0], self.mul_table
-        # bit p of [x]: x is not below p
+        # bit p of [:, x]: x is not below p
         outside = ~up
-        broken = np.zeros(up.shape[1], dtype=up.dtype)
-        for rows, cols in blocks(n, up.shape[1]):
-            # bit p of [x, y]: x*y <= p while neither x nor y is below p
-            bad = up[mul[rows, cols]] & outside[rows, None] & outside[None, cols]
-            broken |= np.bitwise_or.reduce(bad, axis=(0, 1))
+        broken = np.zeros(len(up), dtype=up.dtype)
+        for rows, cols in blocks(n, len(up)):
+            # bit p of [:, x, y]: x*y <= p while neither x nor y is below p
+            bad = up[:, mul[rows, cols]] & outside[:, rows, None] & outside[:, None, cols]
+            broken |= np.bitwise_or.reduce(bad, axis=(1, 2))
         prime = np.unpackbits(broken.view(np.uint8), count=n, bitorder='little') == 0
         prime[self.top] = False
         result = tuple(prime.nonzero()[0].tolist())
