@@ -413,7 +413,8 @@ def export_dot(q, view='lattice'):
         spec = list(q.spectrum)
         maxima = set(q.maximal_elements)
         labels = [q.label(p) for p in spec]
-        edges = FinitePoset._from_order(labels, q.lattice.poset.leq[np.ix_(spec, spec)]).covers
+        at = np.array(spec, dtype=np.intp)
+        edges = FinitePoset._from_order(labels, q.lattice.poset.leq[at[:, None], at]).covers
         shapes = {si: ', peripheries=2' for si, p in enumerate(spec) if p in maxima}
         return _dot_graph(labels, edges, shapes)
     if view == 'reticulation':

@@ -39,7 +39,8 @@ def _stranded(q, anchors):
         splits = coprime[rows, cols, None] & below[q.mul_table[rows, cols]]
         complemented[rows] |= splits.any(axis=1)
     stranded = complemented.T & above
-    stranded[np.arange(k)[:, None], join[np.ix_(anchors, q.center)]] = False
+    center = np.array(q.center, dtype=np.intp)
+    stranded[np.arange(k)[:, None], join[anchors[:, None], center]] = False
     return stranded
 
 
@@ -66,7 +67,7 @@ def _normality(q, pool):
     pool = np.asarray(pool, dtype=np.intp)
     coprime = q.lattice.join_table == q.top
     reach = coprime[:, pool]
-    disjoint = q.mul_table[np.ix_(pool, pool)] == q.bottom
+    disjoint = q.mul_table[pool[:, None], pool] == q.bottom
     # split[a, b]: some e, f in pool with a v e = 1, e*f = 0 and b v f = 1
     split = (reach @ disjoint) @ reach.T
     hit = first_true(coprime & ~split)
@@ -128,10 +129,10 @@ def has_property_star(q):
     'Every element splits as c v e with c below the radical and e complemented.'
     if len(q) == 1:
         raise TrivialQuantale('one-point carrier')
-    small = np.flatnonzero(q.lattice.poset.leq[:, jacobson_radical(q)])
+    small = q.lattice.poset.leq[:, jacobson_radical(q)].nonzero()[0]
     # reached[a]: a = c v e for some c below the radical and some complemented e
     reached = np.zeros(len(q), dtype=bool)
-    reached[q.lattice.join_table[np.ix_(small, q.center)]] = True
+    reached[q.lattice.join_table[small[:, None], np.array(q.center, dtype=np.intp)]] = True
     hit = first_true(~reached)
     if hit is not None:
         return Verdict(False, q.label(hit[0]))

@@ -162,7 +162,7 @@ class Quantale(FiniteLattice):
     @cached_property
     def maximal_elements(self):
         'Elements whose up-set holds only themselves and top, ascending.'
-        return tuple(np.flatnonzero(self.lattice.poset.leq.sum(axis=1) == 2).tolist())
+        return tuple((self.lattice.poset.leq.sum(axis=1) == 2).nonzero()[0].tolist())
 
     @cached_property
     def radical_table(self):
@@ -199,7 +199,7 @@ class Quantale(FiniteLattice):
             e, x = hit
             raise QuantaleError('central element %r does not multiply like meet with %r' % (
                 self.label(e), self.label(x)))
-        return tuple(np.flatnonzero(complemented).tolist())
+        return tuple(complemented.nonzero()[0].tolist())
 
     @cached_property
     def radical_frame(self):
@@ -242,7 +242,7 @@ def _laws_hold_on_irreducibles(lattice, mul):
 
 def residuum(q, a, b):
     'Largest x with a*x <= b.'
-    return q.join_all(np.flatnonzero(q.lattice.poset.leq[q.mul_table[a], b]).tolist())
+    return q.join_all(q.lattice.poset.leq[q.mul_table[a], b].nonzero()[0].tolist())
 
 
 def negation(q, a):
@@ -329,7 +329,7 @@ class QuantaleMorphism:
 def kernel(u):
     'Join of everything the morphism sends to bottom.'
     return u.source.join_all(
-        np.flatnonzero(np.asarray(u.mapping) == u.target.bottom).tolist())
+        (np.asarray(u.mapping) == u.target.bottom).nonzero()[0].tolist())
 
 
 def is_injective(u):
@@ -467,7 +467,7 @@ def _profile(leq, op):
     """Per element, invariants an isomorphism of (leq, op) preserves: the sizes of its
     down-set and up-set, how often op with it gives it back, and how often gives bottom."""
     n = len(leq)
-    bottom = np.flatnonzero(leq.all(axis=1))[0]
+    bottom = leq.all(axis=1).nonzero()[0][0]
     return list(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist(),
                     (op == np.arange(n)[:, None]).sum(axis=1).tolist(),
                     (op == bottom).sum(axis=1).tolist()))

@@ -108,7 +108,7 @@ def _induced(classes, image):
 def _generator(lattice, members):
     'Join of a mask of lattice elements, which must be exactly the down-set of that join.'
     members = np.asarray(members, dtype=bool)
-    g = lattice.join_all(np.flatnonzero(members).tolist())
+    g = lattice.join_all(members.nonzero()[0].tolist())
     # in a finite lattice a set is an ideal iff it is the down-set of its join
     stray = first_true(members != lattice.poset.leq[:, g])
     if stray is not None:
@@ -129,7 +129,7 @@ def _unstar(r, x):
     if not 0 <= x < len(r):
         raise NotAnIdeal('%r is not an element of the reticulation lattice' % (x,))
     below = r.lattice.poset.leq[np.asarray(r.lam), x]
-    return r.source.join_all(np.flatnonzero(below).tolist())
+    return r.source.join_all(below.nonzero()[0].tolist())
 
 
 def star(q, a):
