@@ -394,6 +394,20 @@ def irreducibles_join_prime(lat):
     return True
 
 
+def prime_mask(poset, op):
+    """[p]: op(x, y) <= p forces x <= p or y <= p, for a table op on the
+    elements of poset.  The OR over every pair (x, y) of up(op(x, y)) AND NOT
+    up(x) AND NOT up(y) has a bit set at each p that fails, in n**2 *
+    ceil(n / 64) words."""
+    up = poset._order_words[0]
+    outside = ~up
+    broken = np.zeros(len(up), dtype=up.dtype)
+    for rows, cols in blocks(len(poset), len(up)):
+        bad = up[:, op[rows, cols]] & outside[:, rows, None] & outside[:, None, cols]
+        broken |= np.bitwise_or.reduce(bad, axis=(1, 2))
+    return np.unpackbits(broken.view(np.uint8), count=len(poset), bitorder='little') == 0
+
+
 def is_distributive(lat):
     'Distributive law over all triples; the witness is the first failing (x, y, z).'
     # a finite lattice is distributive iff its join-irreducibles are join-prime,

@@ -9,7 +9,7 @@ import numpy as np
 
 from quantales.lattices import (
     FiniteLattice, FinitePoset, blocks, distributivity_failure, first_in_blocks,
-    first_law_failure, first_true, irreducibles_join_prime, unpreserved)
+    first_law_failure, first_true, irreducibles_join_prime, prime_mask, unpreserved)
 
 
 class QuantaleError(Exception):
@@ -141,16 +141,7 @@ class Quantale(FiniteLattice):
     @cached_property
     def spectrum(self):
         'Indices below top where x*y <= p forces x <= p or y <= p, ascending.'
-        n = len(self)
-        up, mul = self.lattice.poset._order_words[0], self.mul_table
-        # bit p of [:, x]: x is not below p
-        outside = ~up
-        broken = np.zeros(len(up), dtype=up.dtype)
-        for rows, cols in blocks(n, len(up)):
-            # bit p of [:, x, y]: x*y <= p while neither x nor y is below p
-            bad = up[:, mul[rows, cols]] & outside[:, rows, None] & outside[:, None, cols]
-            broken |= np.bitwise_or.reduce(bad, axis=(1, 2))
-        prime = np.unpackbits(broken.view(np.uint8), count=n, bitorder='little') == 0
+        prime = prime_mask(self.lattice.poset, self.mul_table)
         prime[self.top] = False
         result = tuple(prime.nonzero()[0].tolist())
         for m in self.maximal_elements:
