@@ -336,7 +336,7 @@ def is_injective(u):
 
 
 class IntervalQuantale(Quantale):
-    'Quantale on the up-set of an anchor; products are relativized by joining the anchor.'
+    "Quantale on the up-set of an anchor: the parent's operations, each joined with the anchor."
 
     def __init__(self, parent, anchor):
         poset = parent.lattice.poset
