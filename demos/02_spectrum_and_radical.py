@@ -22,19 +22,22 @@ print('radical table:', {q.label(a): q.label(q.radical_of(a)) for a in range(len
 print('the two radical computations agree on every element')
 
 # radical fixed points form a frame: join is radical-of-join, meet is meet,
-# and multiplication collapses to meet, so the frame's lattice is a Quantale
-# whose multiplication is meet
+# and multiplication collapses to meet, so the frame is itself a Quantale
+# whose multiplication is meet; frame.to_frame[x] is the position of rho(x)
+# among the radical elements, the index array of the radical morphism
 frame = q.radical_frame
 print('radical elements:', labels(frame.carrier))
-rq = frame.lattice
-assert all(rq.mul(i, j) == rq.meet(i, j) for i in range(len(rq)) for j in range(len(rq)))
+assert all(frame.mul(i, j) == frame.meet(i, j)
+           for i in range(len(frame)) for j in range(len(frame)))
+assert tuple(frame.to_frame) == frame.radical_morphism.mapping
 print('on radical elements multiplication is meet')
 
 # the meet of all maximal elements
 print('jacobson radical:', q.label(jacobson_radical(q)))
 
 # every upper interval [a) is itself a quantale with x *_a y = (x*y) v a;
-# the inclusion-of-constants map u_a has kernel exactly a
+# the inclusion-of-constants map u_a has kernel exactly a, and
+# part.to_interval[x], the position of x v a in the carrier, is its index array
 ix = q.index_of
 part, u = interval_quantale(q, ix('6'))
 print('[6) carrier:', labels(part.carrier))

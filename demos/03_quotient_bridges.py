@@ -14,6 +14,7 @@ from quantales import (
 
 q = generate('zn:12')
 
+# the quotient is itself a Quantale whose multiplication is meet
 ret = reticulate(q)
 classes = {}
 for a in range(len(q)):
@@ -22,7 +23,7 @@ print('quotient classes:', sorted(classes.values()))
 
 # class map laws: joins pass through, products become meets
 a, b = q.index_of('2'), q.index_of('3')
-assert ret.lam[q.mul(a, b)] == ret.lattice.meet(ret.lam[a], ret.lam[b])
+assert ret.lam[q.mul(a, b)] == ret.meet(ret.lam[a], ret.lam[b])
 print('class(2 * 3) = class(2) ^ class(3)')
 
 # star sends an element to the ideal of classes below it, given by its
@@ -30,7 +31,7 @@ print('class(2 * 3) = class(2) ^ class(3)')
 # the radical
 four = q.index_of('4')
 g = star(q, four)
-print('star(4) =', tuple(ret.lattice.label(x) for x in sorted(ret.lattice.down_set(g))))
+print('star(4) =', tuple(ret.label(x) for x in sorted(ret.down_set(g))))
 print('unstar(star(4)) =', q.label(unstar(q, g)), '= rho(4)')
 
 # the two bridges, both verified as they are built:

@@ -36,7 +36,7 @@ def _labels(q, indices):
 def _analyze_lines(name, q):
     lines = ['instance: %s (%d elements)' % (name, len(q))]
     lines.append('elements: %s' % ', '.join(map(str, q.elements)))
-    covers = ['%s < %s' % (q.label(a), q.label(b)) for a, b in q.lattice.poset.covers]
+    covers = ['%s < %s' % (q.label(a), q.label(b)) for a, b in q.poset.covers]
     lines.append('covers: %s' % ('; '.join(covers) if covers else '(none)'))
     lines.append('zero: %s  unit: %s' % (q.label(q.bottom), q.label(q.top)))
     lines.append('m-primes: %s' % (_labels(q, q.spectrum) or '(none)'))

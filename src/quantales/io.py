@@ -15,7 +15,7 @@ from math import isqrt, prod
 import numpy as np
 
 from .lattices import FiniteLattice, FinitePoset, LatticeError, build_lattice, first_true
-from .quantale import AxiomError, Quantale, product
+from .quantale import AxiomError, Quantale, _product
 from .reticulation import reticulate
 
 FORMAT = 'quantale-instance/1'
@@ -233,7 +233,7 @@ def emit_instance(q, generator=None):
     neither the top) and generator (when given); the pairs and triples are
     written from one encoding per label."""
     written = np.array([_at_depth(_encode(label), 3) for label in q.elements], dtype=object)
-    covers = np.array(q.lattice.poset.covers, dtype=np.intp).reshape(-1, 2)
+    covers = np.array(q.poset.covers, dtype=np.intp).reshape(-1, 2)
     ar = np.arange(len(q))
     x, y = np.nonzero((ar[:, None] <= ar) & (ar[:, None] != q.top) & (ar != q.top))
     fields = [('format', _encode(FORMAT)),
@@ -359,7 +359,7 @@ def _generate_product(arg):
             raise InvalidParameter('nested products are not supported')
     factors = [generate(part) for part in parts]
     _bounded(prod(len(f) for f in factors), 'the product')
-    return product(factors)[0]
+    return _product(factors)[0]
 
 
 _GENERATORS = {
@@ -408,17 +408,17 @@ def _dot_graph(names, edges, shapes=None):
 def export_dot(q, view='lattice'):
     'Hasse diagram of the carrier, the spectrum or the reticulation.'
     if view == 'lattice':
-        return _dot_graph([q.label(i) for i in range(len(q))], q.lattice.poset.covers)
+        return _dot_graph([q.label(i) for i in range(len(q))], q.poset.covers)
     if view == 'spec':
         spec = list(q.spectrum)
         maxima = set(q.maximal_elements)
         labels = [q.label(p) for p in spec]
         at = np.array(spec, dtype=np.intp)
-        edges = FinitePoset._from_order(labels, q.lattice.poset.leq[at[:, None], at]).covers
+        edges = FinitePoset._from_order(labels, q.poset.leq[at[:, None], at]).covers
         shapes = {si: ', peripheries=2' for si, p in enumerate(spec) if p in maxima}
         return _dot_graph(labels, edges, shapes)
     if view == 'reticulation':
         ret = reticulate(q)
         names = ['%s' % ','.join(q.label(m) for m in cls) for cls in ret.classes]
-        return _dot_graph(names, ret.lattice.poset.covers)
+        return _dot_graph(names, ret.poset.covers)
     raise InvalidParameter('unknown view %r, expected lattice, spec or reticulation' % (view,))

@@ -30,7 +30,7 @@ def _stranded(q, anchors):
     stranded element of that interval."""
     anchors = np.asarray(anchors, dtype=np.intp)
     n, k = len(q), len(anchors)
-    leq, join = q.lattice.poset.leq, q.lattice.join_table
+    leq, join = q.poset.leq, q.join_table
     coprime = join == q.top
     above, below = leq[anchors], leq[:, anchors]
     complemented = np.zeros((n, k), dtype=bool)
@@ -65,7 +65,7 @@ def _normality(q, pool):
     """Whether every a v b = 1 splits by e, f in pool with a v e = b v f = 1 and
     e*f = 0; the witness is the first unsplit (a, b) in row-major order."""
     pool = np.asarray(pool, dtype=np.intp)
-    coprime = q.lattice.join_table == q.top
+    coprime = q.join_table == q.top
     reach = coprime[:, pool]
     disjoint = q.mul_table[pool[:, None], pool] == q.bottom
     # split[a, b]: some e, f in pool with a v e = 1, e*f = 0 and b v f = 1
@@ -105,7 +105,7 @@ def hyperarchimedean_equivalents(q):
     r = reticulate(q)
     frame = q.radical_frame
     by_powers = bool(is_hyperarchimedean(q))
-    reticulation_boolean = len(r.lattice.center) == len(r)
+    reticulation_boolean = len(r.center) == len(r)
     max_is_spec = q.maximal_elements == q.spectrum
     legs = {
         'powers_reach_center': by_powers,
@@ -113,13 +113,12 @@ def hyperarchimedean_equivalents(q):
         'maximals_exhaust_spectrum': max_is_spec,
     }
     if is_semiprime(q):
-        center = frame.lattice.center
+        center = frame.center
         # x is a join of complemented elements iff the complemented ones
         # below it already join to x
         legs['radical_frame_zero_dimensional'] = all(
-            frame.lattice.join_all(
-                e for e in center if frame.lattice.leq(e, x)) == x
-            for x in range(len(frame.lattice)))
+            frame.join_all(e for e in center if frame.leq(e, x)) == x
+            for x in range(len(frame)))
     else:
         legs['radical_frame_zero_dimensional'] = None
     return legs
@@ -129,10 +128,10 @@ def has_property_star(q):
     'Every element splits as c v e with c below the radical and e complemented.'
     if len(q) == 1:
         raise TrivialQuantale('one-point carrier')
-    small = q.lattice.poset.leq[:, jacobson_radical(q)].nonzero()[0]
+    small = q.poset.leq[:, jacobson_radical(q)].nonzero()[0]
     # reached[a]: a = c v e for some c below the radical and some complemented e
     reached = np.zeros(len(q), dtype=bool)
-    reached[q.lattice.join_table[small[:, None], np.array(q.center, dtype=np.intp)]] = True
+    reached[q.join_table[small[:, None], np.array(q.center, dtype=np.intp)]] = True
     hit = first_true(~reached)
     if hit is not None:
         return Verdict(False, q.label(hit[0]))

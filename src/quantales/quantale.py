@@ -141,7 +141,7 @@ class Quantale(FiniteLattice):
     @cached_property
     def spectrum(self):
         'Indices below top where x*y <= p forces x <= p or y <= p, ascending.'
-        prime = prime_mask(self.lattice.poset, self.mul_table)
+        prime = prime_mask(self.poset, self.mul_table)
         prime[self.top] = False
         result = tuple(prime.nonzero()[0].tolist())
         for m in self.maximal_elements:
@@ -153,13 +153,13 @@ class Quantale(FiniteLattice):
     @cached_property
     def maximal_elements(self):
         'Elements whose up-set holds only themselves and top, ascending.'
-        return tuple((self.lattice.poset.leq.sum(axis=1) == 2).nonzero()[0].tolist())
+        return tuple((self.poset.leq.sum(axis=1) == 2).nonzero()[0].tolist())
 
     @cached_property
     def radical_table(self):
         'radical_table[a] = meet of the m-primes above a; empty meet is top.'
         radical = np.full(len(self), self.top)
-        meet, leq = self.lattice.meet_table, self.lattice.poset.leq
+        meet, leq = self.meet_table, self.poset.leq
         for p in self.spectrum:
             below = leq[:, p]
             radical[below] = meet[radical[below], p]
@@ -171,8 +171,7 @@ class Quantale(FiniteLattice):
     @cached_property
     def center(self):
         'Indices of complemented elements: e v f = 1 and e*f = 0 for some f.'
-        lattice = self.lattice
-        leq, join, mul = lattice.poset.leq, lattice.join_table, self.mul_table
+        leq, join, mul = self.poset.leq, self.join_table, self.mul_table
         annihilates = mul == self.bottom
         complemented = ((join == self.top) & annihilates).any(axis=1)
         # cross-check the complement definition against e v (e -> 0) = 1; the
@@ -185,7 +184,7 @@ class Quantale(FiniteLattice):
             raise QuantaleError('complements and negations disagree at %r' % (
                 self.label(hit[0]),))
         # central elements multiply like meet
-        hit = first_true((mul != lattice.meet_table) & complemented[:, None])
+        hit = first_true((mul != self.meet_table) & complemented[:, None])
         if hit is not None:
             e, x = hit
             raise QuantaleError('central element %r does not multiply like meet with %r' % (
@@ -200,7 +199,7 @@ class Quantale(FiniteLattice):
     @cached_property
     def _element_profile(self):
         'Per element, the invariants _profile reads off the order and the multiplication.'
-        return _profile(self.lattice.poset.leq, self.mul_table)
+        return _profile(self.poset.leq, self.mul_table)
 
     @cached_property
     def _intervals(self):
@@ -233,7 +232,7 @@ def _laws_hold_on_irreducibles(lattice, mul):
 
 def residuum(q, a, b):
     'Largest x with a*x <= b.'
-    return q.join_all(q.lattice.poset.leq[q.mul_table[a], b].nonzero()[0].tolist())
+    return q.join_all(q.poset.leq[q.mul_table[a], b].nonzero()[0].tolist())
 
 
 def negation(q, a):
@@ -248,40 +247,42 @@ def jacobson_radical(q):
     return q.meet_all(q.maximal_elements)
 
 
-class RadicalFrame:
-    'Frame on the radical elements; its join is the radical of the carrier join.'
+class RadicalFrame(Quantale):
+    """Frame on the radical elements; its join is the radical of the carrier join.
+
+    The frame is the quantale whose multiplication is meet.  to_frame[x] is the
+    position of the radical of the parent's element x in the carrier."""
 
     def __init__(self, parent):
         radical = np.asarray(parent.radical_table)
         at = (radical == np.arange(len(parent))).nonzero()[0]
         carrier = tuple(at.tolist())
-        sub = parent.lattice.poset.leq[at[:, None], at]
+        sub = parent.poset.leq[at[:, None], at]
         labels = [parent.label(a) for a in carrier]
         self.parent = parent
         self.carrier = carrier
-        # the frame is the quantale whose multiplication is meet
         lattice = FiniteLattice(FinitePoset._from_order(labels, sub))
-        self.lattice = Quantale(lattice, lattice.meet_table)
-        self.to_frame = {a: i for i, a in enumerate(carrier)}
+        super().__init__(lattice, lattice.meet_table)
+        self.to_frame = np.searchsorted(at, radical)
+        self.to_frame.setflags(write=False)
         # [i, j]: the frame join against the radical of the carrier join, then
         # the frame meet against the carrier meet
         hit = first_law_failure(unpreserved(carrier, (
-            (self.lattice.join_table, radical[parent.lattice.join_table]),
-            (self.lattice.meet_table, parent.lattice.meet_table))))
+            (self.join_table, radical[parent.join_table]),
+            (self.meet_table, parent.meet_table))))
         if hit is not None:
             i, j, law = hit
             raise QuantaleError('radical %s mismatch at %r, %r' % (
                 ('join', 'meet')[law], parent.label(carrier[i]), parent.label(carrier[j])))
-        if carrier[self.lattice.bottom] != parent.radical_of(parent.bottom):
+        if carrier[self.bottom] != parent.radical_of(parent.bottom):
             raise QuantaleError('frame bottom is not the radical of bottom')
-        if carrier[self.lattice.top] != parent.top:
+        if carrier[self.top] != parent.top:
             raise QuantaleError('frame top is not the unit')
 
     @cached_property
     def radical_morphism(self):
         'The radical map as a surjective unital quantale morphism onto the frame.'
-        return QuantaleMorphism(self.parent, self.lattice, np.searchsorted(
-            self.carrier, self.parent.radical_table))
+        return QuantaleMorphism(self.parent, self, self.to_frame)
 
 
 class QuantaleMorphism:
@@ -294,7 +295,7 @@ class QuantaleMorphism:
         if mapping[source.bottom] != target.bottom:
             raise QuantaleError('bottom not preserved')
         hit = first_law_failure(unpreserved(mapping, (
-            (source.lattice.join_table, target.lattice.join_table),
+            (source.join_table, target.join_table),
             (source.mul_table, target.mul_table))))
         if hit is not None:
             x, y, law = hit
@@ -336,38 +337,37 @@ def is_injective(u):
 
 
 class IntervalQuantale(Quantale):
-    "Quantale on the up-set of an anchor: the parent's operations, each joined with the anchor."
+    """Quantale on the up-set of an anchor: the parent's operations, each joined with the anchor.
+
+    to_interval[x] is the position of x v anchor in the carrier, for each of the
+    parent's elements x."""
 
     def __init__(self, parent, anchor):
-        poset = parent.lattice.poset
+        poset = parent.poset
         carrier = poset.leq[anchor].nonzero()[0]
         grid = carrier[:, None], carrier
         self.parent = parent
         self.anchor = anchor
         self.carrier = tuple(carrier.tolist())
-        self.to_interval = {x: i for i, x in enumerate(self.carrier)}
+        # the carrier ascends, so positions in it are found by bisection
+        self.to_interval = np.searchsorted(carrier, parent.join_table[:, anchor])
+        self.to_interval.setflags(write=False)
         # [anchor) is an up-set, so its order and its covers are the parent's
         # restricted to it, and a sublattice, so its join and meet are the
         # parent's; like the products, they are read at their positions in the
         # carrier after joining the anchor, which leaves x v y and x ^ y alone
+        into = self.to_interval
         lattice = FiniteLattice._from_tables(
             FinitePoset._from_order([parent.label(x) for x in self.carrier], poset.leq[grid],
                                     poset._cover_matrix[grid]),
-            _into(self, parent.lattice.join_table[grid]),
-            _into(self, parent.lattice.meet_table[grid]),
-            np.searchsorted(carrier, anchor), np.searchsorted(carrier, parent.top))
-        super().__init__(lattice, _into(self, parent.mul_table[grid]))
+            into[parent.join_table[grid]], into[parent.meet_table[grid]],
+            *np.searchsorted(carrier, (anchor, parent.top)))
+        super().__init__(lattice, into[parent.mul_table[grid]])
 
     @cached_property
     def surjection(self):
         'The canonical surjection x -> x v anchor from the parent onto the interval.'
-        return QuantaleMorphism(self.parent, self, _into(self, np.arange(len(self.parent))))
-
-
-def _into(part, xs):
-    'Positions in the carrier of the interval part of x v anchor, for parent elements xs.'
-    # the carrier ascends, so positions in it are found by bisection
-    return np.searchsorted(part.carrier, part.parent.lattice.join_table[xs, part.anchor])
+        return QuantaleMorphism(self.parent, self, self.to_interval)
 
 
 def _element_index(q, a):
@@ -407,7 +407,7 @@ def _product(factors):
     leq = np.ones((1, 1), dtype=bool)
     for f in factors:
         # [x, y, x', y']: x <= x' and y <= y', C order with the first factor outermost
-        f_leq = f.lattice.poset.leq
+        f_leq = f.poset.leq
         m, k = len(leq), len(f_leq)
         leq = (leq[:, None, :, None] & f_leq[None, :, None, :]).reshape(m * k, m * k)
 
@@ -418,8 +418,8 @@ def _product(factors):
     # join, meet and bounds are the factors' taken componentwise
     lattice = FiniteLattice._from_tables(
         FinitePoset._from_order(labels, leq),
-        componentwise([f.lattice.join_table for f in factors]),
-        componentwise([f.lattice.meet_table for f in factors]),
+        componentwise([f.join_table for f in factors]),
+        componentwise([f.meet_table for f in factors]),
         np.ravel_multi_index([f.bottom for f in factors], sizes),
         np.ravel_multi_index([f.top for f in factors], sizes))
     return Quantale(lattice, componentwise([f.mul_table for f in factors])), coords
@@ -438,7 +438,7 @@ def decompose_by_elements(q, anchors):
     if not anchors:
         raise PreconditionFailed('need at least one element')
     at = np.array(anchors, dtype=np.intp)
-    hit = first_true(np.triu(q.lattice.join_table[at[:, None], at] != q.top, 1))
+    hit = first_true(np.triu(q.join_table[at[:, None], at] != q.top, 1))
     if hit is not None:
         raise PreconditionFailed('elements %d and %d do not join to top' % hit)
     base = q.meet_all(anchors)
@@ -447,7 +447,7 @@ def decompose_by_elements(q, anchors):
     target = parts[0] if len(parts) == 1 else _product(parts)[0]
     carrier = np.asarray(source.carrier)
     mapping = np.ravel_multi_index(
-        tuple(_into(p, carrier) for p in parts), tuple(len(p) for p in parts))
+        tuple(p.to_interval[carrier] for p in parts), tuple(len(p) for p in parts))
     u = QuantaleMorphism(source, target, mapping)
     if len(set(u.mapping)) != len(source) or not u.is_surjective():
         raise QuantaleError('decomposition map is not bijective')
@@ -518,6 +518,6 @@ def find_quantale_isomorphism(source, target):
     # a size mismatch is decided before either profile is computed
     if len(source) != len(target):
         return None
-    return _isomorphism((source.lattice.poset.leq, source.mul_table),
-                        (target.lattice.poset.leq, target.mul_table),
+    return _isomorphism((source.poset.leq, source.mul_table),
+                        (target.poset.leq, target.mul_table),
                         (source._element_profile, target._element_profile))

@@ -5,6 +5,7 @@ its generator, and is passed as that element."""
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 
 import numpy as np
@@ -38,8 +39,11 @@ class NotAReticulation(QuantaleError):
         self.witness = witness
 
 
-class Reticulation:
-    'Quotient of the carrier by equal radicals, carrying join and multiplication classwise.'
+class Reticulation(Quantale):
+    """Quotient of the carrier by equal radicals, carrying join and multiplication classwise.
+
+    A bounded distributive lattice is the quantale whose multiplication is meet,
+    and the reticulation is that quantale on the classes."""
 
     def __init__(self, source):
         self.source = source
@@ -58,34 +62,30 @@ class Reticulation:
                 lam[c] = ci
         self.lam = tuple(lam)
         at = np.array(radicals, dtype=np.intp)
-        leq = source.lattice.poset.leq[at[:, None], at]
+        leq = source.poset.leq[at[:, None], at]
         labels = [source.label(rep) for rep in self.representatives]
-        # a bounded distributive lattice is the quantale whose multiplication is meet
         lattice = FiniteLattice(FinitePoset._from_order(labels, leq))
-        self.lattice = Quantale(lattice, lattice.meet_table)
+        super().__init__(lattice, lattice.meet_table)
         self._verify()
 
-    def __len__(self):
-        return len(self.classes)
-
     def _verify(self):
-        source, lam, lattice = self.source, self.lam, self.lattice
+        source, lam = self.source, self.lam
         if set(lam) != set(range(len(self.classes))):
             raise AxiomViolation('class map is not surjective')
         classes = np.asarray(lam)
         masks = unpreserved(classes, (
-            (source.lattice.join_table, lattice.join_table),
-            (source.mul_table, lattice.meet_table)))
+            (source.join_table, self.join_table),
+            (source.mul_table, self.meet_table)))
         # [a, b]: class(a) <= class(b) against a's stable power lying below b
-        below = lattice.poset.leq[classes[:, None], classes]
-        masks.append(below != source.lattice.poset.leq[source.stable_powers])
+        below = self.poset.leq[classes[:, None], classes]
+        masks.append(below != source.poset.leq[source.stable_powers])
         hit = first_law_failure(masks)
         if hit is not None:
             a, b, law = hit
             raise AxiomViolation(
                 ('join not classwise at %r, %r', 'product does not meet classwise at %r, %r',
                  'power criterion fails at %r, %r')[law] % (source.label(a), source.label(b)))
-        if lam[source.bottom] != lattice.bottom or lam[source.top] != lattice.top:
+        if lam[source.bottom] != self.bottom or lam[source.top] != self.top:
             raise AxiomViolation('bounds not preserved by the class map')
 
 
@@ -120,15 +120,15 @@ def _generator(lattice, members):
 def _star(r, a):
     'Generator of the ideal of the classes of the elements below a.'
     members = np.zeros(len(r), dtype=bool)
-    members[np.asarray(r.lam)[r.source.lattice.poset.leq[:, a]]] = True
-    return _generator(r.lattice, members)
+    members[np.asarray(r.lam)[r.source.poset.leq[:, a]]] = True
+    return _generator(r, members)
 
 
 def _unstar(r, x):
     'Join of the elements whose class lies below the reticulation element x.'
     if not 0 <= x < len(r):
         raise NotAnIdeal('%r is not an element of the reticulation lattice' % (x,))
-    below = r.lattice.poset.leq[np.asarray(r.lam), x]
+    below = r.poset.leq[np.asarray(r.lam), x]
     return r.source.join_all(below.nonzero()[0].tolist())
 
 
@@ -138,8 +138,9 @@ def star(q, a):
 
 
 def unstar(q, x):
-    'Join of the elements whose class lies in the ideal generated by x.'
-    return _unstar(reticulate(q), x)
+    'Join of the elements whose class lies in the ideal generated by x, an integer.'
+    # operator.index refuses a float, and reads a bool as 0 or 1 rather than as a mask
+    return _unstar(reticulate(q), operator.index(x))
 
 
 def frame_iso(q):
@@ -155,10 +156,10 @@ def frame_iso(q):
             raise QuantaleError('star and unstar are not mutually inverse at %r' % (
                 q.label(a),))
     # star preserves the frame's joins and meets, and its bounds
-    LatticeMorphism(frame.lattice, r.lattice, tuple(phi.values()))
+    LatticeMorphism(frame, r, tuple(phi.values()))
     # adjunction: unstar(g) <= a iff g <= star(a)
-    hit = first_true(q.lattice.poset.leq[list(psi.values())][:, list(frame.carrier)]
-                     != r.lattice.poset.leq[:, list(phi.values())])
+    hit = first_true(q.poset.leq[list(psi.values())][:, list(frame.carrier)]
+                     != r.poset.leq[:, list(phi.values())])
     if hit is not None:
         raise QuantaleError('adjunction fails at %r' % (q.label(frame.carrier[hit[1]]),))
     return phi, psi
@@ -167,8 +168,7 @@ def frame_iso(q):
 def spectrum_homeomorphism(q):
     'Inverse bijections between the spectrum and the prime reticulation ideals, by generator.'
     r = reticulate(q)
-    quotient = r.lattice
-    primes = quotient.spectrum
+    primes = r.spectrum
     u = {p: _star(r, p) for p in q.spectrum}
     v = {g: _unstar(r, g) for g in primes}
     if sorted(u.values()) != list(primes):
@@ -179,11 +179,11 @@ def spectrum_homeomorphism(q):
                 q.label(p),))
     # [a, p]: a below p against star(a) inside the prime ideal u(p)
     stars = [_star(r, a) for a in range(len(q))]
-    hit = first_true(q.lattice.poset.leq[:, list(u)]
-                     != quotient.lattice.poset.leq[stars][:, list(u.values())])
+    hit = first_true(q.poset.leq[:, list(u)]
+                     != r.poset.leq[stars][:, list(u.values())])
     if hit is not None:
         raise QuantaleError('closed-set correspondence fails at %r' % (q.label(hit[0]),))
-    if sorted(u[m] for m in q.maximal_elements) != list(quotient.maximal_elements):
+    if sorted(u[m] for m in q.maximal_elements) != list(r.maximal_elements):
         raise QuantaleError('maximal elements do not biject with maximal ideals')
     return u, v
 
@@ -192,9 +192,8 @@ def mu(q):
     'Embedding of the reticulation into the radical frame: class(c) to radical(c).'
     r = reticulate(q)
     frame = q.radical_frame
-    mapping = tuple(
-        frame.to_frame[q.radical_of(r.representatives[ci])] for ci in range(len(r)))
-    morphism = LatticeMorphism(r.lattice, frame.lattice, mapping)
+    mapping = frame.to_frame[list(r.representatives)].tolist()
+    morphism = LatticeMorphism(r, frame, mapping)
     if not morphism.is_injective():
         raise QuantaleError('reticulation embedding is not injective')
     if not morphism.is_surjective():
@@ -214,7 +213,7 @@ def lift_morphism(u):
     mapping, split = _induced(ra.lam, np.asarray(rb.lam)[list(u.mapping)])
     if split is not None:
         raise QuantaleError('lifted map is not well defined on class %d' % (split,))
-    return LatticeMorphism(ra.lattice, rb.lattice, mapping)
+    return LatticeMorphism(ra, rb, mapping)
 
 
 def interval_reticulation_iso(q, a):
@@ -223,17 +222,16 @@ def interval_reticulation_iso(q, a):
     r = reticulate(q)
     r_part = reticulate(part)
     g = star(q, a)
-    quotient, p = interval_quantale(r.lattice, g)
+    quotient, p = interval_quantale(r, g)
     lifted = lift_morphism(u_a)
-    if not np.array_equal(np.asarray(lifted.mapping) == r_part.lattice.bottom,
-                          r.lattice.poset.leq[:, g]):
+    if not np.array_equal(np.asarray(lifted.mapping) == r_part.bottom, r.poset.leq[:, g]):
         raise QuantaleError('kernel of the lifted interval map is not star(a)')
     # factor the lifted map through the quotient: classes of the quotient are
     # fibers of join-with-class(a), so any section through p determines it
     mapping, split = _induced(p.mapping, lifted.mapping)
     if split is not None:
         raise QuantaleError('lifted map does not factor through the quotient')
-    iso = LatticeMorphism(quotient.lattice, r_part.lattice, mapping)
+    iso = LatticeMorphism(quotient, r_part, mapping)
     if not (iso.is_injective() and iso.is_surjective()):
         raise QuantaleError('interval reticulation comparison is not bijective')
     return iso
@@ -244,10 +242,10 @@ def boolean_isos(q):
     r = reticulate(q)
     frame = q.radical_frame
     center = q.center
-    center_l = r.lattice.center
-    center_r = frame.lattice.center
+    center_l = r.center
+    center_r = frame.center
     b_lambda = {e: r.lam[e] for e in center}
-    b_rho = {e: frame.to_frame[q.radical_of(e)] for e in center}
+    b_rho = {e: frame.to_frame.item(e) for e in center}
     embedding = mu(q)
     b_mu = {x: embedding(x) for x in center_l}
     _check_center_bijection(b_lambda, center, center_l, 'reticulation')
@@ -281,9 +279,9 @@ def check_unicity(reticulation, lattice, lam):
     # axiom class(a*b) = class(a) ^ class(b), and the power axiom
     # class(a) <= class(b) iff a's stable power lies below b
     hit = first_law_failure([
-        ~lattice.poset.leq[f[q.lattice.join_table], lattice.join_table[f[:, None], f]],
+        ~lattice.poset.leq[f[q.join_table], lattice.join_table[f[:, None], f]],
         f[q.mul_table] != lattice.meet_table[f[:, None], f],
-        lattice.poset.leq[f[:, None], f] != q.lattice.poset.leq[q.stable_powers]])
+        lattice.poset.leq[f[:, None], f] != q.poset.leq[q.stable_powers]])
     if hit is not None:
         a, b, law = hit
         raise NotAReticulation('candidate breaks the %s axiom' % (
@@ -291,7 +289,7 @@ def check_unicity(reticulation, lattice, lam):
     mapping, split = _induced(reticulation.lam, f)
     if split is not None:
         raise NotAReticulation('candidate classes do not refine radical classes', (split,))
-    iso = LatticeMorphism(reticulation.lattice, lattice, mapping)
+    iso = LatticeMorphism(reticulation, lattice, mapping)
     if not (iso.is_injective() and iso.is_surjective()):
         raise NotAReticulation('comparison map is not bijective')
     return iso

@@ -449,7 +449,7 @@ def _agreement(legs, values=None, passed=None):
         'the stored tables satisfy all quantale axioms and survive a round trip')
 def _check_axioms(member):
     q = member.quantale
-    Quantale(q.lattice, q.mul_table)
+    Quantale(q, q.mul_table)
     failure = axiom_failure(q)
     if failure is not None:
         law, triple = failure
@@ -460,7 +460,7 @@ def _check_axioms(member):
         return REFUTED, 'round trip changes the elements'
     for part, before, after in (
             ('multiplication', q.mul_table, again.mul_table),
-            ('order', q.lattice.poset.leq, again.lattice.poset.leq)):
+            ('order', q.poset.leq, again.poset.leq)):
         hit = first_true(before != after)
         if hit is not None:
             return REFUTED, 'round trip changes the %s at (%r, %r)' % (
@@ -610,7 +610,7 @@ def _check_reticulation_axioms(member):
 def _check_class_map(member):
     q = member.quantale
     ret = reticulate(q)
-    lam, lat = ret.lam, ret.lattice
+    lam, lat = ret.lam, ret
     n = len(q)
     if set(lam) != set(range(len(lat))):
         return REFUTED, 'class map is not surjective'
@@ -638,13 +638,11 @@ def _check_unicity(member):
     q = member.quantale
     ret = reticulate(q)
     frame = q.radical_frame
-    onto_frame = check_unicity(
-        ret, frame.lattice,
-        tuple(frame.to_frame[q.radical_of(a)] for a in range(len(q))))
+    onto_frame = check_unicity(ret, frame, frame.to_frame)
     m = len(ret)
     swap = tuple(m - 1 - i for i in range(m))
     # relabeled[swap[i], swap[j]] = leq[i, j], and swap reverses the indices
-    relabeled = ret.lattice.poset.leq[::-1, ::-1]
+    relabeled = ret.poset.leq[::-1, ::-1]
     copy = FiniteLattice(FinitePoset(['k%d' % i for i in range(m)], relabeled))
     onto_copy = check_unicity(ret, copy, tuple(swap[ret.lam[a]] for a in range(len(q))))
     if not (onto_frame.is_injective() and onto_copy.is_injective()):
@@ -660,11 +658,11 @@ def _check_star_unstar(member):
     for g in range(len(ret)):
         if star(q, unstar(q, g)) != g:
             return REFUTED, 'star(unstar(I)) != I at ideal %r' % (
-                sorted(map(ret.lattice.label, ret.lattice.down_set(g))),)
+                sorted(map(ret.label, ret.down_set(g))),)
     for a in range(len(q)):
         if unstar(q, star(q, a)) != q.radical_of(a):
             return REFUTED, 'unstar(star(a)) != rho(a) at %r' % (q.label(a),)
-    primes = ret.lattice.spectrum
+    primes = ret.spectrum
     for p in q.spectrum:
         image = star(q, p)
         if image not in primes:
@@ -675,7 +673,7 @@ def _check_star_unstar(member):
     for g in primes:
         if unstar(q, g) not in spectrum:
             return REFUTED, 'unstar of prime ideal %r is not m-prime' % (
-                sorted(map(ret.lattice.label, ret.lattice.down_set(g))),)
+                sorted(map(ret.label, ret.down_set(g))),)
     return PASS, '%d ideals, %d prime' % (len(ret), len(primes))
 
 
@@ -753,7 +751,7 @@ def _check_morphisms_preserve_center(member):
         'every central element is a finite join of join-irreducible elements')
 def _check_center_compact(member):
     q = member.quantale
-    irreducible = q.lattice.poset.join_irreducibles.tolist()
+    irreducible = q.poset.join_irreducibles.tolist()
     for e in q.center:
         parts = [j for j in irreducible if q.leq(j, e)]
         if q.join_all(parts) != e:
@@ -768,9 +766,9 @@ def _check_center_in_reticulation(member):
     ret = reticulate(q)
     frame = q.radical_frame
     for e in q.center:
-        if complement_of(ret.lattice, ret.lam[e]) is None:
+        if complement_of(ret, ret.lam[e]) is None:
             return REFUTED, 'class of central %r has no complement' % (q.label(e),)
-        if complement_of(frame.lattice, frame.to_frame[q.radical_of(e)]) is None:
+        if complement_of(frame, frame.to_frame.item(e)) is None:
             return REFUTED, 'radical of central %r has no complement' % (q.label(e),)
     return PASS, ''
 
@@ -844,7 +842,7 @@ def _check_interval_reticulation(member):
         'lifting for the quantale, its radical frame and its quotient agree with B-normality for all three')
 def _check_lifting_equivalence(member):
     q = member.quantale
-    frame = q.radical_frame.lattice
+    frame = q.radical_frame
     quotient = reticulate(q)
     lifting = {}
     for name, part in (('quantale', q), ('frame', frame)):
@@ -855,11 +853,10 @@ def _check_lifting_equivalence(member):
     verdicts = {
         'quantale-lifting': bool(lifting['quantale']),
         'frame-lifting': bool(lifting['frame']),
-        'quotient-ideal-lifting': bool(has_id_blp(quotient.lattice)),
+        'quotient-ideal-lifting': bool(has_id_blp(quotient)),
         'quantale-b-normal': bool(is_b_normal(q)),
         'frame-b-normal': bool(is_b_normal(frame)),
-        'quotient-b-normal': normal_witness(
-            quotient.lattice, quotient.lattice.center) is None,
+        'quotient-b-normal': normal_witness(quotient, quotient.center) is None,
     }
     return _agreement(verdicts)
 
@@ -870,8 +867,8 @@ def _check_local_equivalence(member):
     q = member.quantale
     values = {
         'quantale': is_local(q),
-        'frame': is_local(q.radical_frame.lattice),
-        'quotient': lattice_is_id_local(reticulate(q).lattice),
+        'frame': is_local(q.radical_frame),
+        'quotient': lattice_is_id_local(reticulate(q)),
     }
     return _agreement(values)
 
@@ -882,8 +879,8 @@ def _check_semilocal_equivalence(member):
     q = member.quantale
     values = {
         'quantale': is_semilocal(q),
-        'frame': is_semilocal(q.radical_frame.lattice),
-        'quotient': len(reticulate(q).lattice.maximal_elements) >= 0,
+        'frame': is_semilocal(q.radical_frame),
+        'quotient': len(reticulate(q).maximal_elements) >= 0,
     }
     return _agreement(values, passed='finite carriers are always semilocal')
 
@@ -903,7 +900,7 @@ def _check_local_implies_lifting(member):
         'a totally ordered quotient forces the lifting property')
 def _check_chain_implies_lifting(member):
     q = member.quantale
-    lat = reticulate(q).lattice
+    lat = reticulate(q)
     m = len(lat)
     chain = all(lat.leq(i, j) or lat.leq(j, i) for i in range(m) for j in range(m))
     if not chain:
@@ -997,10 +994,10 @@ def _check_b_normality_reduction(member):
         'normality for the quantale, its radical frame and its quotient coincide')
 def _check_normality_equivalence(member):
     q = member.quantale
-    quotient = reticulate(q).lattice
+    quotient = reticulate(q)
     values = {
         'quantale': bool(is_normal(q)),
-        'frame': bool(is_normal(q.radical_frame.lattice)),
+        'frame': bool(is_normal(q.radical_frame)),
         'quotient': normal_witness(quotient, range(len(quotient))) is None,
     }
     return _agreement(values)
@@ -1051,7 +1048,7 @@ def _check_star_implies_lifting(member):
 def _check_star_to_frame(member):
     q = member.quantale
     # a generator, so the frame is read only once q splits
-    frame = (('on the radical frame', q.radical_frame.lattice) for q in [q])
+    frame = (('on the radical frame', q.radical_frame) for q in [q])
     return _transfer(has_property_star, 'splitting', q, frame)
 
 
@@ -1162,7 +1159,7 @@ def _check_radical_interval_factors(member):
     if morphism.source.anchor != jacobson_radical(q):
         raise QuantaleError('the maximal elements do not meet to the radical')
     return PASS, '%d factors of sizes %s' % (
-        len(maxima), [len(q.lattice.up_set(m)) for m in maxima])
+        len(maxima), [len(q.up_set(m)) for m in maxima])
 
 
 @_check('central-below-radical-vanishes',

@@ -433,9 +433,11 @@ def decompose_by_elements(q, anchors):
     base = q.meet_all(anchors)
     source = IntervalQuantale(q, base)
     parts = [IntervalQuantale(q, a) for a in anchors]
+    # positions in each part's carrier, looked up rather than read off to_interval
+    positions = [{x: i for i, x in enumerate(p.carrier)} for p in parts]
     if len(parts) == 1:
         target = parts[0]
-        mapping = tuple(target.to_interval[x] for x in source.carrier)
+        mapping = tuple(positions[0][x] for x in source.carrier)
     else:
         target, _ = product(parts)
         # the product was built over cartesian(*factor index ranges), so the
@@ -443,7 +445,7 @@ def decompose_by_elements(q, anchors):
         tuples = list(cartesian(*[range(len(p)) for p in parts]))
         position = {t: k for k, t in enumerate(tuples)}
         mapping = tuple(
-            position[tuple(p.to_interval[q.join(x, a)] for p, a in zip(parts, anchors))]
+            position[tuple(at[q.join(x, a)] for at, a in zip(positions, anchors))]
             for x in source.carrier)
     u = QuantaleMorphism(source, target, mapping)
     if len(set(u.mapping)) != len(source) or not u.is_surjective():

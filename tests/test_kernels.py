@@ -727,7 +727,7 @@ class _Tables:
 
     def __init__(self, join, mul, center):
         n = len(join)
-        self.lattice = SimpleNamespace(join_table=join)
+        self.join_table = join
         self.mul_table = mul
         self.center = center
         self.bottom, self.top = 0, n - 1
@@ -737,7 +737,7 @@ class _Tables:
         return self._n
 
     def join(self, i, j):
-        return int(self.lattice.join_table[i, j])
+        return int(self.join_table[i, j])
 
     def mul(self, i, j):
         return int(self.mul_table[i, j])
@@ -875,7 +875,9 @@ def _interval_outcome(result):
     if result[0] == 'raised':
         return result
     part, u = result[1]
-    return ('returned', part.carrier, part.to_interval, part.elements,
+    # the loop keeps positions of the carrier only, as a dict
+    position = {x: part.to_interval.item(x) for x in part.carrier}
+    return ('returned', part.carrier, position, part.elements,
             part.mul_table.tolist(), u.mapping)
 
 
@@ -1052,12 +1054,14 @@ def test_radical_frames_match_the_loop(q):
     ours, theirs = outcome(RadicalFrame, q), outcome(ref.radical_frame, q)
     if ours[0] == 'returned':
         frame, (carrier, lattice, to_frame) = ours[1], theirs[1]
-        assert (frame.carrier, frame.to_frame) == (carrier, to_frame)
-        assert frame.lattice.join_table.tolist() == lattice.join_table.tolist()
+        # the loop keeps positions of the radical elements only, as a dict
+        assert frame.carrier == carrier
+        assert {a: frame.to_frame.item(a) for a in carrier} == to_frame
+        assert frame.join_table.tolist() == lattice.join_table.tolist()
         # the loop looked radicals up among the frame's elements
         if set(q.radical_table) <= set(carrier):
             assert _mapping_outcome(lambda: frame.radical_morphism) == _mapping_outcome(
-                ref.radical_morphism, q, to_frame, frame.lattice)
+                ref.radical_morphism, q, to_frame, frame)
     else:
         assert ours == theirs
 

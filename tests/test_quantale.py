@@ -204,6 +204,18 @@ def test_interval_quantale_of_d12(d12):
     assert u(ix('4')) == part.to_interval[ix('2')]
 
 
+def test_to_interval_is_the_surjection(corpus):
+    for member in corpus:
+        q = member.quantale
+        for a in range(len(q)):
+            part, u = interval_quantale(q, a)
+            to_interval = part.to_interval
+            assert to_interval.dtype == np.intp and not to_interval.flags.writeable
+            assert to_interval.tolist() == [
+                part.carrier.index(q.join(x, a)) for x in range(len(q))], (member.name, a)
+            assert tuple(to_interval) == u.mapping, (member.name, a)
+
+
 def test_interval_anchor_at_bottom_is_identity(d12):
     part, u = interval_quantale(d12, d12.bottom)
     assert len(part) == len(d12)

@@ -7,7 +7,7 @@ from quantales import io
 from quantales.lattices import FiniteLattice, FinitePoset, NotAnIdeal
 from quantales.quantale import Quantale
 from quantales.reticulation import (
-    NotAReticulation, boolean_isos, check_unicity, frame_iso,
+    NotAReticulation, Reticulation, boolean_isos, check_unicity, frame_iso,
     interval_reticulation_iso, mu, reticulate, spectrum_homeomorphism,
     star, unstar)
 
@@ -41,10 +41,24 @@ def test_class_map_turns_products_into_meets(corpus):
 
 
 def test_reticulation_and_radical_frame_are_meet_quantales(corpus):
+    # each is the quantale itself, not a holder of one
+    assert '__len__' not in vars(Reticulation)
     for q in _members(corpus):
-        for lattice in (reticulate(q).lattice, q.radical_frame.lattice):
-            assert isinstance(lattice, Quantale)
-            np.testing.assert_array_equal(lattice.mul_table, lattice.meet_table)
+        for derived in (reticulate(q), q.radical_frame):
+            assert isinstance(derived, Quantale)
+            assert derived.lattice is derived
+            np.testing.assert_array_equal(derived.mul_table, derived.meet_table)
+
+
+def test_to_frame_is_the_radical_morphism(corpus):
+    for member in corpus:
+        q = member.quantale
+        frame = q.radical_frame
+        to_frame = frame.to_frame
+        assert to_frame.dtype == np.intp and not to_frame.flags.writeable
+        assert to_frame.tolist() == [
+            frame.carrier.index(q.radical_of(x)) for x in range(len(q))], member.name
+        assert tuple(to_frame) == frame.radical_morphism.mapping, member.name
 
 
 def test_unstar_of_star_is_the_radical(corpus):
@@ -70,6 +84,15 @@ def test_star_matches_primes_both_ways(d12):
 def test_unstar_refuses_generators_out_of_range(d12):
     for x in (-1, len(reticulate(d12))):
         with pytest.raises(NotAnIdeal):
+            unstar(d12, x)
+
+
+def test_unstar_reads_a_bool_as_an_integer_and_refuses_a_float(d12):
+    # numpy would read a bool scalar as a mask, and a float as a bad index
+    assert unstar(d12, True) == unstar(d12, 1) != unstar(d12, False) == unstar(d12, 0)
+    assert unstar(d12, np.intp(1)) == unstar(d12, 1)
+    for x in (1.5, 1.0, np.float64(1.0), '1'):
+        with pytest.raises(TypeError):
             unstar(d12, x)
 
 
