@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -211,14 +212,20 @@ class FinitePoset:
         diagonal = leq.diagonal()
         if not diagonal.all():
             raise NotAPoset('not reflexive at %r' % (self.elements[int(diagonal.argmin())],))
-        ar = np.arange(n)
+        self._admit(leq, _pack_pair(leq, leq.T))
+
+    def _admit(self, leq, words, passed=None):
+        """Keep leq, a reflexive relation on self.elements packed as words (see
+        _order_words), once it is antisymmetric and transitive; the first pair
+        that fails either is named, in that order.  passed is the (cover, gap)
+        of the transitivity pass when the caller has run it already."""
+        ar = np.arange(len(leq))
         hit = first_true(leq & leq.T & (ar[:, None] < ar))
         if hit is not None:
             i, j = hit
             raise NotAPoset(
                 'not antisymmetric: %r and %r' % (self.elements[i], self.elements[j]))
-        words = _pack_pair(leq, leq.T)
-        cover, gap = _covers_and_gap(words, leq)
+        cover, gap = passed or _covers_and_gap(words, leq)
         if gap is not None:
             i, j = gap
             raise NotAPoset(
@@ -228,6 +235,30 @@ class FinitePoset:
         self.leq = leq
         # the transitivity check has packed the order and found its covers
         self._order_words, self._cover_matrix = words, cover
+
+    @classmethod
+    def _generated_by(cls, elements, rel):
+        """The order a reflexive relation of the caller's own generates on
+        unique labels, checked as the constructor checks it.  A relation that
+        is already transitive is its own closure: the transitivity pass runs
+        first, and such a relation is packed and passed once and never
+        closed.  Any other stops at the pass's first gap and is closed then.
+        The pass is skipped when no element is below every element, as in the
+        covers an emitted document lists: such a relation is not the order of
+        a bounded lattice, so it is closed first, which changes nothing when
+        it was transitive after all."""
+        poset = cls.__new__(cls)
+        poset.elements = elements
+        passed = None
+        if rel.all(axis=1).any():
+            words = _pack_pair(rel, rel.T)
+            passed = _covers_and_gap(words, rel)
+        if passed is None or passed[1] is not None:
+            for k in range(len(rel)):
+                rel |= np.outer(rel[:, k], rel[k])
+            words, passed = _pack_pair(rel, rel.T), None
+        poset._admit(rel, words, passed)
+        return poset
 
     @classmethod
     def _from_order(cls, elements, leq, cover=None):
@@ -371,15 +402,31 @@ def build_lattice(elements, leq_pairs):
     index = {label: i for i, label in enumerate(elements)}
     if len(index) != len(elements):
         raise NotAPoset('element labels are not unique')
-    n = len(elements)
-    rel = np.eye(n, dtype=bool)
-    for a, b in leq_pairs:
+    rel = np.eye(len(elements), dtype=bool)
+    lower, upper = _pair_positions(list(leq_pairs), index)
+    rel[lower, upper] = True
+    return FiniteLattice(FinitePoset._generated_by(elements, rel))
+
+
+def _pair_positions(pairs, index):
+    """The positions of the lower and of the upper labels of the pairs, read
+    in one pass when every pair is two declared labels.  Otherwise the pairs
+    are read one at a time, so that the first pair that is not raises what
+    unpacking or looking it up raises, or NotAPoset for an undeclared label."""
+    try:
+        if set(map(len, pairs)) <= {2}:
+            at = np.fromiter(map(index.get, chain.from_iterable(pairs), repeat(-1)), np.intp)
+            if (at >= 0).all():
+                return at.reshape(-1, 2).T
+    except TypeError:
+        # a pair without a length, or a label that cannot be hashed
+        pass
+    at = []
+    for a, b in pairs:
         if a not in index or b not in index:
             raise NotAPoset('order pair (%r, %r) uses undeclared elements' % (a, b))
-        rel[index[a], index[b]] = True
-    for k in range(n):
-        rel |= np.outer(rel[:, k], rel[k])
-    return FiniteLattice(FinitePoset(elements, rel))
+        at.append((index[a], index[b]))
+    return np.array(at, dtype=np.intp).reshape(-1, 2).T
 
 
 def irreducibles_join_prime(lat):
@@ -406,6 +453,20 @@ def prime_mask(poset, op):
         bad = up[:, op[rows, cols]] & outside[:, rows, None] & outside[:, None, cols]
         broken |= np.bitwise_or.reduce(bad, axis=(1, 2))
     return np.unpackbits(broken.view(np.uint8), count=len(poset), bitorder='little') == 0
+
+
+def _common_upper_bounds(poset, mask):
+    """[s]: how many elements are upper bounds of s and of every x with
+    mask[s, x], for a bool matrix mask over the elements of poset.  Those
+    bounds are the AND of the packed up-sets of s and of those x, in
+    n**2 * ceil(n / 64) words."""
+    up = poset._order_words[0]
+    bounds = up.T.copy()
+    for rows, cols in blocks(len(poset), len(up)):
+        # [s, word, x]: the up-set of x where mask[s, x] holds, every bit elsewhere
+        bounds[rows] &= np.bitwise_and.reduce(
+            np.where(mask[rows, None, cols], up[:, cols], ~np.uint64(0)), axis=2)
+    return np.bitwise_count(bounds).sum(axis=1)
 
 
 def is_distributive(lat):

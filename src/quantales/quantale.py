@@ -8,8 +8,9 @@ from functools import cached_property
 import numpy as np
 
 from quantales.lattices import (
-    FiniteLattice, FinitePoset, blocks, distributivity_failure, first_in_blocks,
-    first_law_failure, first_true, irreducibles_join_prime, prime_mask, unpreserved)
+    FiniteLattice, FinitePoset, _common_upper_bounds, blocks, distributivity_failure,
+    first_in_blocks, first_law_failure, first_true, irreducibles_join_prime, prime_mask,
+    unpreserved)
 
 
 class QuantaleError(Exception):
@@ -171,15 +172,14 @@ class Quantale(FiniteLattice):
     @cached_property
     def center(self):
         'Indices of complemented elements: e v f = 1 and e*f = 0 for some f.'
-        leq, join, mul = self.poset.leq, self.join_table, self.mul_table
+        join, mul = self.join_table, self.mul_table
         annihilates = mul == self.bottom
         complemented = ((join == self.top) & annihilates).any(axis=1)
         # cross-check the complement definition against e v (e -> 0) = 1; the
-        # negation e -> 0 joins the x with e*x = 0, and that join is the common
-        # upper bound with the largest up-set
-        bounds = ~(annihilates @ ~leq)
-        negations = (bounds * leq.sum(axis=1)).argmax(axis=1)
-        hit = first_true(complemented != (join[np.arange(len(self)), negations] == self.top))
+        # negation e -> 0 joins the x with e*x = 0, so the common upper bounds
+        # of e and those x are the up-set of e v (e -> 0), which is {1}
+        # exactly when that join is 1
+        hit = first_true(complemented != (_common_upper_bounds(self.poset, annihilates) == 1))
         if hit is not None:
             raise QuantaleError('complements and negations disagree at %r' % (
                 self.label(hit[0]),))
@@ -208,24 +208,33 @@ class Quantale(FiniteLattice):
 
 
 def _laws_hold_on_irreducibles(lattice, mul):
-    """Whether x*(y v j) = x*y v x*j and (x*y)*j = x*(y*j) for all x, y and every
-    join-irreducible j, for a commutative table with x*0 = 0.
+    """Whether x*(y v j) = x*y v x*j for all x, y and every join-irreducible j,
+    and (a*b)*c = (a*c)*b for all join-irreducibles a, b and c, for a
+    commutative table with x*0 = 0.
 
-    That is distributivity and associativity over all triples: every z is the
-    join of the j below it, so the first law extends from J to z one j at a
-    time, and then both sides of the second preserve joins in z."""
+    That is distributivity and associativity over all triples.  Every z is
+    the join of the j below it (the empty join when z is the bottom), so the
+    first law extends from J to z one j at a time.  Multiplying then
+    preserves finite joins in each argument, empty joins included, and so do
+    both sides of (x*y)*z = (x*z)*y in each of x, y and z: each side is the
+    join of its values at the (a, b, c) in J x J x J below (x, y, z), and
+    the two agree everywhere once they agree there.  For a commutative table
+    that law is associativity: x*(y*z) = (y*z)*x = (y*x)*z = (x*y)*z."""
     if (mul == lattice.meet_table).all():
         # meet is associative, so only the lattice's distributivity is left
         return irreducibles_join_prime(lattice)
     irreducibles = lattice.poset.join_irreducibles
     join = lattice.join_table
-    # [x, j]: x*j and x v j
+    # [x, j]: x*j and x v j, and [a, b]: a*b for a and b in J
     times_j, join_j = mul[:, irreducibles], join[:, irreducibles]
+    on_j = times_j[irreducibles]
     for rows, cols in blocks(len(mul), len(irreducibles)):
-        # [x, y, j]: row x of mul read at y v j is x*(y v j), read at y*j it is x*(y*j)
-        mul_rows, xy = mul[rows], mul[rows, cols]
-        if ((mul_rows[:, join_j[cols]] != join[xy[:, :, None], times_j[rows, None, :]]).any()
-                or (times_j[xy] != mul_rows[:, times_j[cols]]).any()):
+        # [x, y, j]: row x of mul read at y v j is x*(y v j)
+        if (mul[rows][:, join_j[cols]] != join[mul[rows, cols, None], times_j[rows, None, :]]).any():
+            return False
+        # the blocks cover the positions of J x J among J as well: [a, b, c]
+        # for the a and b at those positions is (a*b)*c, against (a*c)*b
+        if (times_j[on_j[rows, cols]] != times_j[:, cols][on_j[rows]].transpose(0, 2, 1)).any():
             return False
     return True
 
@@ -404,12 +413,17 @@ def _product(factors):
     coords = np.unravel_index(np.arange(np.prod(sizes, dtype=np.intp)), sizes)
     labels = ['(%s)' % ','.join(t) for t in zip(*(
         [str(f.label(i)) for i in c.tolist()] for f, c in zip(factors, coords)))]
-    leq = np.ones((1, 1), dtype=bool)
+    leq, cover = np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool)
     for f in factors:
-        # [x, y, x', y']: x <= x' and y <= y', C order with the first factor outermost
-        f_leq = f.poset.leq
+        # [x, y, x', y']: x <= x' and y <= y', C order with the first factor
+        # outermost; (x', y') covers (x, y) when x' covers x and y' = y, or
+        # when x' = x and y' covers y
+        f_leq, f_cover = f.poset.leq, f.poset._cover_matrix
         m, k = len(leq), len(f_leq)
+        eye_m, eye_k = np.eye(m, dtype=bool), np.eye(k, dtype=bool)
         leq = (leq[:, None, :, None] & f_leq[None, :, None, :]).reshape(m * k, m * k)
+        cover = ((cover[:, None, :, None] & eye_k[None, :, None, :])
+                 | (eye_m[:, None, :, None] & f_cover[None, :, None, :])).reshape(m * k, m * k)
 
     def componentwise(tables):
         'The product of one table per factor, each read at the coordinates of its factor.'
@@ -417,7 +431,7 @@ def _product(factors):
 
     # join, meet and bounds are the factors' taken componentwise
     lattice = FiniteLattice._from_tables(
-        FinitePoset._from_order(labels, leq),
+        FinitePoset._from_order(labels, leq, cover),
         componentwise([f.join_table for f in factors]),
         componentwise([f.meet_table for f in factors]),
         np.ravel_multi_index([f.bottom for f in factors], sizes),

@@ -17,6 +17,9 @@ tables before the bit-packed up-sets did, and a join-prime check by list
 reads that holds the packed one to is_distributive's verdict at sizes where
 that triple loop is too slow, and the chain and set-family frames as the
 generators built them from label pairs and product loops before they read the order matrix and its meet table,
+and the lattice from label pairs that looked each pair up in turn and
+always closed the relation before build_lattice read the pairs in one pass
+and closed only a relation that is not yet transitive,
 and the instance reader that checked, looked up and stored each product
 triple in turn before it read the multiplication into arrays, and the test
 of property (*) that joined every small element with every central one per
@@ -48,7 +51,7 @@ from quantales.io import (
     _positive_int, _set_label, _string_list, generate)
 from quantales.lattices import (
     FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
-    NotAnIdeal, NotAPoset, Verdict, blocks, build_lattice)
+    NotAnIdeal, NotAPoset, Verdict, blocks)
 from quantales.oracles import lattice_boolean_center, normal_witness
 from quantales.quantale import (
     AxiomError, EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
@@ -777,8 +780,32 @@ def enumerate_quantales(max_size, bound=5):
 
 
 # ---------------------------------------------------------------------------
-# frames from label pairs closed by build_lattice, with product loops, as the
-# chain and set-family generators built them before the order matrix did
+# the lattice from label pairs, as build_lattice made it before it read the
+# pairs in one pass and closed only a relation the transitivity pass finds a
+# gap in: each pair looked up in turn, then the relation always closed and
+# checked
+
+def build_lattice(elements, leq_pairs):
+    'Lattice from order pairs on labels; the relation is closed reflexively and transitively.'
+    elements = tuple(elements)
+    index = {label: i for i, label in enumerate(elements)}
+    if len(index) != len(elements):
+        raise NotAPoset('element labels are not unique')
+    n = len(elements)
+    rel = np.eye(n, dtype=bool)
+    for a, b in leq_pairs:
+        if a not in index or b not in index:
+            raise NotAPoset('order pair (%r, %r) uses undeclared elements' % (a, b))
+        rel[index[a], index[b]] = True
+    for k in range(n):
+        rel |= np.outer(rel[:, k], rel[k])
+    return FiniteLattice(FinitePoset(elements, rel))
+
+
+# ---------------------------------------------------------------------------
+# frames from label pairs closed by the build_lattice loop above, with product
+# loops, as the chain and set-family generators built them before the order
+# matrix did
 
 def generate_chain(arg):
     head, _, variant = arg.partition(',')

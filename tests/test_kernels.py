@@ -73,9 +73,9 @@ from test_fuzz import documents, junk
 from quantales import io, suite
 from quantales.lattices import (
     FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
-    NotAnIdeal, NotAPoset, _joins_and_meets, blocks, first_law_failure, irreducibles_join_prime,
-    is_distributive)
-from quantales.oracles import has_id_blp, has_lp_per_anchor, lattice_is_id_local
+    NotAnIdeal, NotAPoset, _common_upper_bounds, _joins_and_meets, blocks, first_law_failure,
+    irreducibles_join_prime, is_distributive)
+from quantales.oracles import axiom_failure, has_id_blp, has_lp_per_anchor, lattice_is_id_local
 from quantales.properties import (
     _stranded, element_has_lp, has_lp, has_property_star, is_b_normal, is_normal)
 from quantales.lattices import build_lattice
@@ -323,6 +323,68 @@ def test_packed_order_kernels_match_the_loops_across_word_boundaries(name, leq):
         assert poset.join_irreducibles.tolist() == (lower == 1).nonzero()[0].tolist()
 
 
+def _built(build, elements, pairs):
+    'A lattice built from label pairs, reduced to comparable values, or the class and message raised.'
+    try:
+        lat = build(elements, pairs() if callable(pairs) else pairs)
+    except (LatticeError, TypeError, ValueError) as exc:
+        return 'raised', type(exc), str(exc)
+    return ('returned', lat.elements, lat.poset.leq.tolist(), lat.poset.covers,
+            lat.join_table.tolist(), lat.meet_table.tolist(), lat.bottom, lat.top)
+
+
+def _label_pairs(leq, seed):
+    """Every pair of leq, and only its covers, as label pairs of a shuffled
+    copy, each list in shuffled order."""
+    leq = _shuffled(leq, seed)
+    names = labels(len(leq))
+    rng = np.random.default_rng(seed)
+    every = [(names[x], names[y]) for x, y in zip(*leq.nonzero())]
+    covers = [(names[x], names[y]) for x, y in ref.covers(FinitePoset(names, leq))]
+    return names, [every[k] for k in rng.permutation(len(every))], [
+        covers[k] for k in rng.permutation(len(covers))]
+
+
+# a pair list is given as a function when reading it once would use it up
+BUILD_CASES = [
+    ('undeclared label', 'abc', [('a', 'b'), ('b', 'z')]),
+    ('undeclared before a short pair', 'abc', [('a', 'z'), ('b',)]),
+    ('short pair', 'abc', [('a', 'b'), ('b',)]),
+    ('long pair', 'abc', [('a', 'b', 'c')]),
+    ('long pair before an undeclared one', 'abc', [('a', 'b', 'c'), ('a', 'z')]),
+    ('long and short pair', 'abc', [('a', 'b', 'c'), ('c',)]),
+    ('unhashable label after an undeclared one', 'abc', [('z', 'a'), (['a'], 'b')]),
+    ('unhashable label', 'abc', [(['a'], 'b')]),
+    ('a number for a pair', 'abc', [('a', 'b'), 5]),
+    ('a number for the pairs', 'abc', 5),
+    ('duplicate labels', 'aab', [('a', 'b')]),
+    ('no elements', '', []),
+    ('pairs as strings', 'abc', ['ab', 'bc']),
+    ('pairs read once', 'abc', lambda: [iter('ab'), iter('bc')]),
+    ('pairs from a generator', 'abc', lambda: ((a, b) for a, b in ['ab', 'bc'])),
+    # before closure only y and z are related both ways; after it all four are
+    ('three-cycle', 'wxyz', [('y', 'z'), ('z', 'y'), ('w', 'x'), ('x', 'y'), ('y', 'w')]),
+    ('three-cycle alone', 'abcd', [('a', 'b'), ('b', 'c'), ('c', 'a'), ('c', 'd')]),
+    ('two-cycle in a transitive relation', 'ab', [('a', 'b'), ('b', 'a')]),
+    ('no join', 'abcd', [('a', 'b'), ('a', 'c'), ('b', 'd')]),
+    # the bottom below every element, so the pass runs and finds b <= d missing
+    ('a bottom and covers above it', 'abcd', [('a', 'b'), ('a', 'c'), ('a', 'd'), ('b', 'c'),
+                                              ('c', 'd')]),
+] + [case for name, leq in WORD_EDGE_ORDERS for names, every, covers in [
+    _label_pairs(leq, len(leq))] for case in (
+        ('%s-%d, every pair' % (name, len(leq)), names, every),
+        ('%s-%d, covers only' % (name, len(leq)), names, covers))]
+
+
+@pytest.mark.parametrize('name, elements, pairs', BUILD_CASES,
+                         ids=[case[0] for case in BUILD_CASES])
+def test_lattices_from_label_pairs_match_the_loop_that_always_closes(name, elements, pairs):
+    ours = _built(build_lattice, elements, pairs)
+    assert ours == _built(ref.build_lattice, elements, pairs)
+    if name.startswith('three-cycle'):
+        assert ours[:2] == ('raised', NotAPoset) and 'not antisymmetric' in ours[2]
+
+
 def _spliced(n, top_covers):
     """A chain of n points in which three consecutive points are made pairwise
     incomparable: the next point covers all three (M3), or only the first two
@@ -379,6 +441,40 @@ def test_m_primes_match_the_loop_across_word_boundaries(name, q):
     shuffled = Quantale(lattice, mul)
     assert shuffled.spectrum == ref.spectrum(shuffled)
     assert len(q.spectrum) == len(shuffled.spectrum)
+
+
+CENTER_QUANTALES = SPECTRUM_QUANTALES + [(spec, io.generate(spec)) for spec in (
+    'zn:55440', 'product:zn:12;boolean:4', 'product:zn:8;chain:16,frame', 'zn:720720')]
+
+
+@pytest.mark.parametrize('name, q', CENTER_QUANTALES,
+                         ids=['%s-%d' % (name, len(q)) for name, q in CENTER_QUANTALES])
+def test_center_bounds_match_the_loop_across_word_boundaries(name, q):
+    perm = np.random.default_rng(len(q)).permutation(len(q))
+    shuffled = Quantale(*permuted(q.lattice, q.mul_table, perm))
+    assert shuffled.center == ref.center(shuffled)
+    assert len(shuffled.center) == len(q.center)
+    # the annihilators, and random sets, against a matmul of the order: y is
+    # an upper bound of s and of the x in row s unless one of them is not <= y
+    leq = shuffled.poset.leq
+    rng = np.random.default_rng(len(q))
+    for mask in (shuffled.mul_table == shuffled.bottom, rng.random(leq.shape) < 0.05,
+                 rng.random(leq.shape) < 0.5):
+        above = (mask | np.eye(len(q), dtype=bool)).astype(np.int64) @ ~leq == 0
+        assert _common_upper_bounds(shuffled.poset, mask).tolist() == above.sum(axis=1).tolist()
+
+
+def test_common_upper_bounds_when_the_blocks_split_columns():
+    'A shuffled chain of 1,024 points, whose rows the blocks cut in two.'
+    n = 1024
+    rng = np.random.default_rng(n)
+    rank = rng.permutation(n)
+    poset = FinitePoset._from_order(labels(n), rank[:, None] <= rank)
+    assert next(blocks(n, len(poset._order_words[0])))[1] != slice(0, n)
+    mask = rng.random((n, n)) < 0.01
+    # on a chain the common upper bounds are the points from the highest one up
+    highest = np.maximum(rank, np.where(mask, rank, -1).max(axis=1))
+    assert _common_upper_bounds(poset, mask).tolist() == (n - highest).tolist()
 
 
 def test_intervals_restrict_the_tables_their_own_order_gives():
@@ -657,7 +753,44 @@ def test_validation_over_irreducibles_matches_the_loops_on_non_chain_tables(case
 @example((N5, N5.meet_table))
 def test_irreducible_predicate_holds_iff_the_laws_hold_on_all_triples(case):
     lattice, mul = case
-    assert _laws_hold_on_irreducibles(lattice, mul) == _laws_hold_on_all_triples(lattice, mul)
+    holds = _laws_hold_on_irreducibles(lattice, mul)
+    assert holds == _laws_hold_on_all_triples(lattice, mul)
+    tables = SimpleNamespace(mul_table=mul, join_table=lattice.join_table)
+    assert holds == (axiom_failure(tables) is None)
+
+
+def test_the_irreducible_laws_refuse_the_table_that_validation_accepts():
+    'The failing triple lies in J x J x J; the sorted-triple scan of _validate misses it.'
+    lattice, table = SORTED_SCAN_MISSES
+    assert not _laws_hold_on_irreducibles(lattice, table)
+    assert Quantale(lattice, table).mul_table.tolist() == table.tolist()
+
+
+@st.composite
+def long_chain_tables(draw):
+    """The Lukasiewicz table on a chain of 63 to 129 points, where the blocks
+    split the rows of J x J, with one pair of entries redrawn within the
+    bounds its neighbours set: still monotone, so distributive, and often
+    not associative.  The index order is then shuffled."""
+    q = draw(st.sampled_from(SPECTRUM_QUANTALES[:6]))[1]
+    mul, top = q.mul_table.copy(), len(q) - 1
+    i = draw(st.integers(1, top - 1))
+    j = draw(st.integers(i, top - 1))
+    low = max(mul[i - 1, j], mul[i, j - 1])
+    mul[i, j] = mul[j, i] = draw(st.integers(low, min(mul[i + 1, j], mul[i, j + 1])))
+    return permuted(q.lattice, mul, np.random.default_rng(top).permutation(len(q)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_chain_tables())
+def test_irreducible_predicate_on_long_chains_whose_blocks_split_rows(case):
+    lattice, mul = case
+    assert next(blocks(len(mul), len(lattice.poset.join_irreducibles)))[0].stop < len(mul) - 1
+    join = lattice.join_table
+    # the two laws over every triple, one x at a time
+    holds = all((row[join] == join[row[:, None], row]).all() and (mul[row] == row[mul]).all()
+                for row in mul)
+    assert _laws_hold_on_irreducibles(lattice, mul) == holds
 
 
 @pytest.mark.parametrize('spec', ['product:zn:720;zn:4', 'boolean:6', 'zn:5040'])
@@ -937,8 +1070,10 @@ def test_product_bounds_read_off_the_factors_are_the_least_bounds_of_its_order(f
     assert lattice.meet_table.tolist() == meet.tolist()
     assert (lattice.bottom, lattice.top) == (leq.all(axis=1).argmax(), leq.all(axis=0).argmax())
     assert not (lattice.join_table.flags.writeable or lattice.meet_table.flags.writeable)
-    # the order, built without the partial-order checks, is the one they accept
+    # the order, built without the partial-order checks, is the one they accept,
+    # and the covers read off the factors' are the covers of that order
     _same_order(lattice.poset)
+    assert lattice.poset.covers == ref.covers(lattice.poset)
 
 
 def _decomposition_outcome(fn, q, anchors):
