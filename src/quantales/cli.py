@@ -95,11 +95,10 @@ def _corpus_from_target(target):
 
 def _cmd_verify(args):
     corpus = _corpus_from_target(args.corpus)
-    if args.enumerate_up_to:
-        corpus = corpus.extended(suite.enumerated(args.enumerate_up_to))
-    checks = args.theorems or None
+    extra = suite.enumerated(args.enumerate_up_to) if args.enumerate_up_to else ()
     try:
-        report = suite.run_suite(corpus, checks)
+        # a member named like an enumerated one, or an unknown check name
+        report = suite.run_suite(corpus.extended(extra), args.theorems or None)
     except ValueError as exc:
         print('error: %s' % exc, file=sys.stderr)
         return 2

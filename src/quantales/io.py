@@ -14,7 +14,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .lattices import FiniteLattice, FinitePoset, LatticeError, build_lattice, first_true
+from .lattices import FiniteLattice, FinitePoset, LatticeError, first_true
 from .quantale import AxiomError, Quantale, _product
 from .reticulation import reticulate
 
@@ -84,35 +84,35 @@ def parse_instance(text):
     return instance_from_dict(doc)
 
 
-def _product_rows(triples, index):
-    """The [x, y, xy] entries as an m x 3 array of element indices, read in one
-    pass, or None when some entry is not a list of three known labels."""
-    if not all(issubclass(t, list) for t in set(map(type, triples))):
+def _label_rows(entries, index, width):
+    """The entries as an m x width array of element indices, read in one pass,
+    or None when some entry is not a list of width known labels."""
+    if not all(issubclass(t, list) for t in set(map(type, entries))):
         return None
-    if set(map(len, triples)) - {3}:
+    if set(map(len, entries)) - {width}:
         return None
-    labels = list(chain.from_iterable(triples))
-    if len(labels) != 3 * len(triples) or not all(
+    labels = list(chain.from_iterable(entries))
+    if len(labels) != width * len(entries) or not all(
             issubclass(t, str) for t in set(map(type, labels))):
         return None
     try:
         flat = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
     except KeyError:
         return None
-    return flat.reshape(-1, 3)
+    return flat.reshape(-1, width)
 
 
-def _first_malformed(triples, index):
-    """Position of the first entry that is not a list of three known labels,
-    and the error naming it; called only once the array read has failed."""
-    for k, triple in enumerate(triples):
-        where = 'mul[%d]' % k
-        if not (isinstance(triple, list) and len(triple) == 3):
-            return k, ParseError('expected a triple [x, y, xy]', where)
-        for label in triple:
+def _first_malformed(entries, index, key, width, shape):
+    """Position of the first entry of doc[key] that is not a list of width known
+    labels, and the error naming it; called only once the array read has failed."""
+    for k, entry in enumerate(entries):
+        where = '%s[%d]' % (key, k)
+        if not (isinstance(entry, list) and len(entry) == width):
+            return k, ParseError('expected %s' % shape, where)
+        for label in entry:
             if not isinstance(label, str) or label not in index:
                 return k, ParseError('unknown element %r' % (label,), where)
-    return len(triples), None
+    return len(entries), None
 
 
 def _first_conflict(rows, n):
@@ -151,26 +151,24 @@ def instance_from_dict(doc):
     pairs = doc.get('leq', [])
     if not isinstance(pairs, list):
         raise ParseError('expected a list', 'leq')
-    for k, pair in enumerate(pairs):
-        where = 'leq[%d]' % k
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParseError('expected a pair [lower, upper]', where)
-        for label in pair:
-            if not isinstance(label, str) or label not in index:
-                raise ParseError('unknown element %r' % (label,), where)
+    positions = _label_rows(pairs, index, 2)
+    if positions is None:
+        raise _first_malformed(pairs, index, 'leq', 2, 'a pair [lower, upper]')[1]
+    rel = np.eye(len(elements), dtype=bool)
+    rel[positions[:, 0], positions[:, 1]] = True
     try:
-        lattice = build_lattice(elements, [tuple(p) for p in pairs])
+        lattice = FiniteLattice(FinitePoset._generated_by(tuple(elements), rel))
     except LatticeError as exc:
         raise ValidationError(str(exc), type(exc).__name__) from None
 
     triples = doc.get('mul', [])
     if not isinstance(triples, list):
         raise ParseError('expected a list', 'mul')
-    rows, malformed = _product_rows(triples, index), None
+    rows, malformed = _label_rows(triples, index, 3), None
     if rows is None:
         # only the entries before the first malformed one can hold a conflict to report
-        bad, malformed = _first_malformed(triples, index)
-        rows = _product_rows(triples[:bad], index)
+        bad, malformed = _first_malformed(triples, index, 'mul', 3, 'a triple [x, y, xy]')
+        rows = _label_rows(triples[:bad], index, 3)
     conflict = _first_conflict(rows, len(elements))
     if conflict is not None:
         triple = triples[conflict]

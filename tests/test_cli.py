@@ -99,6 +99,14 @@ def test_verify_empty_directory_exits_2(capsys, tmp_path):
     assert cli.main(['verify', str(tmp_path)]) == 2
 
 
+def test_verify_member_named_like_an_enumerated_one_exits_2(capsys, tmp_path):
+    (tmp_path / 'E1.1.json').write_text(io.emit_instance(io.generate('chain:2,frame')))
+    assert cli.main(['verify', str(tmp_path), '--enumerate-up-to', '1']) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: duplicate corpus member name 'E1.1'\n"
+    assert not captured.out
+
+
 def test_enumerate_lists_instances(capsys):
     assert cli.main(['enumerate', '--max-size', '3']) == 0
     out = capsys.readouterr().out

@@ -1734,16 +1734,28 @@ def _reads_like_the_loop(doc):
 
 @st.composite
 def mutated_documents(draw):
-    """A fuzzed document whose product list then gets a few of: an entry repeated
-    later with another product, an entry repeated later with x and y swapped, a
-    conflicting repeat followed by a non-list entry, entries of a list subclass."""
+    """A fuzzed document whose order list then gets a few of: a junk entry, a
+    pair too short or too long, a non-string or undeclared label, two labels
+    joined into one string.  Its product list then gets a few of: an entry
+    repeated later with another product, an entry repeated later with x and y
+    swapped, a conflicting repeat followed by a non-list entry, entries of a
+    list subclass."""
     doc = draw(documents())
-    triples = doc.get('mul') if isinstance(doc, dict) else None
-    if not isinstance(triples, list):
+    if not isinstance(doc, dict):
         return doc
     elements = doc.get('elements')
     names = [e for e in elements if isinstance(e, str)] if isinstance(elements, list) else []
     names = names or ['a']
+    pairs = doc.get('leq')
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if isinstance(pairs, list) else 0):
+        lower, upper = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        entry = draw(st.one_of(junk, st.sampled_from([
+            [lower], [lower, upper, upper], [lower, 1], [None, upper], [lower, 'nowhere'],
+            lower + upper])))
+        pairs.insert(draw(st.integers(0, len(pairs))), entry)
+    triples = doc.get('mul')
+    if not isinstance(triples, list):
+        return doc
     for _ in range(draw(st.integers(0, 3))):
         entries = [k for k, t in enumerate(triples) if isinstance(t, list) and len(t) == 3]
         if not entries:
@@ -1772,6 +1784,8 @@ def mutated_documents(draw):
           'mul': [_Triple(['0', '0', '0']), ['0', '0', '1'], 7]})
 @example({'elements': ['0', '1'], 'leq': [['0', '1']], 'mul': [['0', '0', '0'], 7,
                                                             ['0', '0', '1']]})
+@example({'elements': ['a', 'b'], 'leq': [['a', 'b'], 'ab'], 'mul': [['a', 'a', 'a']]})
+@example({'elements': ['a', 'b'], 'leq': [['a', 'nowhere'], ['a']], 'mul': []})
 def test_parse_matches_the_triple_loop_on_mutated_documents(doc):
     _reads_like_the_loop(doc)
 

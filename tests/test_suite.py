@@ -258,6 +258,51 @@ def test_transfer_checks_name_the_first_target_that_loses_the_property(corpus, m
     for name, detail in TRANSFER_CHECKS.items():
         result = suite._run_check(suite.CHECKS[name], member)
         assert (result.status, result.detail) == (suite.REFUTED, detail), name
+    # a member without the property keeps nothing to lose
+    monkeypatch.setattr(suite, 'has_lp', lambda p: Verdict(False, len(p)))
+    monkeypatch.setattr(suite, 'has_property_star', lambda p: Verdict(False, len(p)))
+    for name in TRANSFER_CHECKS:
+        absent = 'no lifting' if 'lifting' in name else 'no splitting'
+        result = suite._run_check(suite.CHECKS[name], member)
+        assert (result.status, result.detail) == (
+            suite.PASS, 'premise is false (%s), implication holds vacuously' % absent), name
+
+
+IMPLICATION_CHECKS = {
+    'local-implies-lifting': ("local but lifting fails at 'w'", 'not local'),
+    'chain-reticulation-implies-lifting': (
+        "chain quotient but lifting fails at 'w'", 'quotient is not a chain'),
+    'hyperarchimedean-implies-lifting': (
+        "hyperarchimedean but lifting fails at 'w'", 'not hyperarchimedean'),
+    'star-implies-lifting': ("splits everywhere but lifting fails at 'w'", 'no splitting'),
+    'normality-lifts-radical': ("normal but '1' lacks lifting at 'w'", 'not normal'),
+}
+
+
+def test_implication_checks_name_the_failed_conclusion_or_the_false_premise(corpus, monkeypatch):
+    'The quotient of C3 is a chain and that of B4 is not; the other verdicts are patched.'
+    premises = ('is_local', 'is_hyperarchimedean', 'has_property_star', 'is_normal')
+    for name in premises:
+        monkeypatch.setattr(suite, name, lambda q: Verdict(True))
+    monkeypatch.setattr(suite, 'has_lp', lambda q: Verdict(False, 'w'))
+    monkeypatch.setattr(suite, 'element_has_lp', lambda q, a: Verdict(False, 'w'))
+    for name, (broken, _) in IMPLICATION_CHECKS.items():
+        result = suite._run_check(suite.CHECKS[name], corpus.get('C3'))
+        assert (result.status, result.detail) == (suite.REFUTED, broken), name
+    for name in premises:
+        monkeypatch.setattr(suite, name, lambda q: Verdict(False, 'w'))
+    for name, (_, absent) in IMPLICATION_CHECKS.items():
+        result = suite._run_check(suite.CHECKS[name], corpus.get('B4'))
+        assert (result.status, result.detail) == (
+            suite.PASS, 'premise is false (%s), implication holds vacuously' % absent), name
+
+
+def test_a_kernel_that_disagrees_with_injectivity_is_refuted(corpus, monkeypatch):
+    'is_injective compares the kernel criterion with direct injectivity and raises.'
+    monkeypatch.setattr('quantales.quantale.kernel', lambda u: u.source.top)
+    result = suite._run_check(suite.CHECKS['kernel-detects-injectivity'], corpus.get('C3'))
+    assert (result.status, result.detail) == (
+        suite.REFUTED, 'QuantaleError: kernel criterion disagrees with direct injectivity')
 
 
 def test_disagreeing_legs_are_refuted_with_every_leg_shown(corpus, monkeypatch):
