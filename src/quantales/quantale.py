@@ -64,6 +64,19 @@ class Quantale(FiniteLattice):
         if mul.size and (mul.min() < 0 or mul.max() >= n):
             raise QuantaleError('multiplication table entry out of range')
         self._validate(lattice, mul)
+        self._adopt(lattice, mul)
+
+    def _adopt(self, lattice, mul):
+        """Keep the order, join and meet of lattice, its bounds and the
+        multiplication mul, a table of the caller's own, frozen and unchecked.
+
+        The constructor adopts after _validate.  A derived quantale adopts
+        tables read off a validated source and proves them by one map check
+        instead.  Every quantale law is an equation in join, multiplication,
+        bottom and top, and an equation that holds in the source holds in the
+        image of an onto map that preserves those operations, and in a product
+        whose factors satisfy it, coordinate by coordinate (Birkhoff, On the
+        structure of abstract algebras, 1935)."""
         mul.setflags(write=False)
         self.poset, self.join_table, self.meet_table = (
             lattice.poset, lattice.join_table, lattice.meet_table)
@@ -256,42 +269,60 @@ def jacobson_radical(q):
     return q.meet_all(q.maximal_elements)
 
 
+def _check_induced_order(q, error, what):
+    """Raise error unless the order q stores is the one its tables induce:
+    x <= y exactly when x v y = y, and exactly when x ^ y = x.  A derived
+    lattice whose join and meet are read off a source, not off its order,
+    runs this one mask to tie the two together."""
+    ar = np.arange(len(q))
+    leq = q.poset.leq
+    hit = first_law_failure([leq != (q.join_table == ar), leq != (q.meet_table == ar[:, None])])
+    if hit is not None:
+        x, y, law = hit
+        raise error('%s order is not the one its %s induces at %r, %r' % (
+            what, ('join', 'meet')[law], q.label(x), q.label(y)))
+
+
 class RadicalFrame(Quantale):
     """Frame on the radical elements; its join is the radical of the carrier join.
 
     The frame is the quantale whose multiplication is meet.  to_frame[x] is the
-    position of the radical of the parent's element x in the carrier."""
+    position of the radical of the parent's element x in the carrier.  The join
+    rho(x v y) and the meet, the parent's once the radicals are known to be
+    closed under it, are read off the parent.  The radical map is then checked
+    as a morphism onto the frame; it is onto, so the frame is its image and
+    every quantale law of the parent holds there, meet for multiplication.
+    _check_induced_order ties the order, the parent's restricted, to the tables."""
 
     def __init__(self, parent):
         radical = np.asarray(parent.radical_table)
+        hit = first_true(radical[radical] != radical)
+        if hit is not None:
+            raise QuantaleError('the radical of %r is not a radical element' % (
+                parent.label(hit[0]),))
         at = (radical == np.arange(len(parent))).nonzero()[0]
+        grid = at[:, None], at
         carrier = tuple(at.tolist())
-        sub = parent.poset.leq[at[:, None], at]
-        labels = [parent.label(a) for a in carrier]
         self.parent = parent
         self.carrier = carrier
-        lattice = FiniteLattice(FinitePoset._from_order(labels, sub))
-        super().__init__(lattice, lattice.meet_table)
-        self.to_frame = np.searchsorted(at, radical)
-        self.to_frame.setflags(write=False)
-        # [i, j]: the frame join against the radical of the carrier join, then
-        # the frame meet against the carrier meet
-        hit = first_law_failure(unpreserved(carrier, (
-            (self.join_table, radical[parent.join_table]),
-            (self.meet_table, parent.meet_table))))
+        meet = parent.meet_table[grid]
+        hit = first_true(radical[meet] != meet)
         if hit is not None:
-            i, j, law = hit
-            raise QuantaleError('radical %s mismatch at %r, %r' % (
-                ('join', 'meet')[law], parent.label(carrier[i]), parent.label(carrier[j])))
-        if carrier[self.bottom] != parent.radical_of(parent.bottom):
-            raise QuantaleError('frame bottom is not the radical of bottom')
+            i, j = hit
+            raise QuantaleError('radicals are not closed under meet at %r, %r' % (
+                parent.label(carrier[i]), parent.label(carrier[j])))
+        # every radical is a radical element, so positions in the carrier are
+        # found by bisection
+        into = self.to_frame = np.searchsorted(at, radical)
+        into.setflags(write=False)
+        lattice = FiniteLattice._from_tables(
+            FinitePoset._from_order([parent.label(a) for a in carrier], parent.poset.leq[grid]),
+            into[parent.join_table[grid]], into[meet], into[parent.bottom], into[parent.top])
+        self._adopt(lattice, lattice.meet_table)
         if carrier[self.top] != parent.top:
             raise QuantaleError('frame top is not the unit')
-
-    @cached_property
-    def radical_morphism(self):
-        'The radical map as a surjective unital quantale morphism onto the frame.'
-        return QuantaleMorphism(self.parent, self, self.to_frame)
+        _check_induced_order(self, QuantaleError, 'frame')
+        self.radical_morphism = QuantaleMorphism(parent, self, into)
 
 
 class QuantaleMorphism:
@@ -349,7 +380,11 @@ class IntervalQuantale(Quantale):
     """Quantale on the up-set of an anchor: the parent's operations, each joined with the anchor.
 
     to_interval[x] is the position of x v anchor in the carrier, for each of the
-    parent's elements x."""
+    parent's elements x.  [anchor) is a sublattice, so its order, join and meet
+    are the parent's restricted.  Its multiplication is read off the parent's
+    through x -> x v anchor, the surjection, which is checked as a morphism
+    when the interval is built; it is onto, so the interval is its image and
+    every quantale law of the parent holds there."""
 
     def __init__(self, parent, anchor):
         poset = parent.poset
@@ -371,12 +406,8 @@ class IntervalQuantale(Quantale):
                                     poset._cover_matrix[grid]),
             into[parent.join_table[grid]], into[parent.meet_table[grid]],
             *np.searchsorted(carrier, (anchor, parent.top)))
-        super().__init__(lattice, into[parent.mul_table[grid]])
-
-    @cached_property
-    def surjection(self):
-        'The canonical surjection x -> x v anchor from the parent onto the interval.'
-        return QuantaleMorphism(self.parent, self, self.to_interval)
+        self._adopt(lattice, into[parent.mul_table[grid]])
+        self.surjection = QuantaleMorphism(parent, self, into)
 
 
 def _element_index(q, a):
@@ -405,7 +436,11 @@ def interval_quantale(q, a):
 
 def _product(factors):
     """Componentwise product quantale, and per factor the coordinate of each of
-    its elements: element k has the coordinates unravel_index(k, sizes)."""
+    its elements: element k has the coordinates unravel_index(k, sizes).
+
+    The factors are quantales already, and every quantale law is an equation
+    that holds in the product exactly when it holds coordinate by coordinate,
+    so the componentwise tables are adopted without a check."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct('need at least one factor')
@@ -436,7 +471,9 @@ def _product(factors):
         componentwise([f.meet_table for f in factors]),
         np.ravel_multi_index([f.bottom for f in factors], sizes),
         np.ravel_multi_index([f.top for f in factors], sizes))
-    return Quantale(lattice, componentwise([f.mul_table for f in factors])), coords
+    prod = Quantale.__new__(Quantale)
+    prod._adopt(lattice, componentwise([f.mul_table for f in factors]))
+    return prod, coords
 
 
 def product(factors):

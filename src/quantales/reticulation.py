@@ -22,6 +22,7 @@ from quantales.lattices import (
 from quantales.quantale import (
     Quantale,
     QuantaleError,
+    _check_induced_order,
     _element_index,
     interval_quantale,
 )
@@ -43,7 +44,11 @@ class Reticulation(Quantale):
     """Quotient of the carrier by equal radicals, carrying join and multiplication classwise.
 
     A bounded distributive lattice is the quantale whose multiplication is meet,
-    and the reticulation is that quantale on the classes."""
+    and the reticulation is that quantale on the classes.  Its order is the
+    source's on the radicals of the classes, and its join and meet are read
+    classwise at the representatives.  _verify is the proof: the class map is
+    onto and carries join to join and multiplication to meet, so the classes
+    are its image and every quantale law of the source holds on them."""
 
     def __init__(self, source):
         self.source = source
@@ -56,16 +61,19 @@ class Reticulation(Quantale):
         self.classes = tuple(tuple(members) for _, members in groups)
         self.representatives = tuple(members[0] for _, members in groups)
         radicals = [rad for rad, _ in groups]
-        lam = [0] * n
+        lam = np.empty(n, dtype=np.intp)
         for ci, (_, members) in enumerate(groups):
-            for c in members:
-                lam[c] = ci
-        self.lam = tuple(lam)
+            lam[members] = ci
+        self.lam = tuple(lam.tolist())
         at = np.array(radicals, dtype=np.intp)
-        leq = source.poset.leq[at[:, None], at]
+        reps = np.array(self.representatives, dtype=np.intp)
+        grid = reps[:, None], reps
         labels = [source.label(rep) for rep in self.representatives]
-        lattice = FiniteLattice(FinitePoset._from_order(labels, leq))
-        super().__init__(lattice, lattice.meet_table)
+        lattice = FiniteLattice._from_tables(
+            FinitePoset._from_order(labels, source.poset.leq[at[:, None], at]),
+            lam[source.join_table[grid]], lam[source.meet_table[grid]],
+            lam[source.bottom], lam[source.top])
+        self._adopt(lattice, lattice.meet_table)
         self._verify()
 
     def _verify(self):
@@ -85,8 +93,11 @@ class Reticulation(Quantale):
             raise AxiomViolation(
                 ('join not classwise at %r, %r', 'product does not meet classwise at %r, %r',
                  'power criterion fails at %r, %r')[law] % (source.label(a), source.label(b)))
+        # the constructor reads the bounds through the class map, so this
+        # can fail only on a copy whose class map was redrawn since
         if lam[source.bottom] != self.bottom or lam[source.top] != self.top:
             raise AxiomViolation('bounds not preserved by the class map')
+        _check_induced_order(self, AxiomViolation, 'class')
 
 
 @cache

@@ -391,12 +391,21 @@ def _product_structure(generator):
 
 
 def _product_parts(member):
+    """Factors and projections of a member built as a product, or None.  The
+    member's elements are matched to the rebuilt product's by label, in any
+    order, and each projection, read through that match, is checked as a
+    morphism from the member.  Jointly they are then a bijective morphism onto
+    the product, whose inverse preserves join and multiplication too, so a
+    member that is not the product is refused."""
     if not member.generator or not member.generator.startswith('product:'):
         return None
     factors, prod, projections = _product_structure(member.generator)
-    if prod.elements != member.quantale.elements:
+    q = member.quantale
+    at = [prod.poset.index.get(label) for label in q.elements]
+    if len(q) != len(prod) or None in at:
         raise QuantaleError('product rebuilt from %r differs' % (member.generator,))
-    return factors, prod, projections
+    return factors, tuple(QuantaleMorphism(q, f, np.asarray(p.mapping)[at])
+                          for f, p in zip(factors, projections))
 
 
 def _surjection_family(member):
@@ -407,7 +416,7 @@ def _surjection_family(member):
         yield 'u_%s' % q.label(a), u
     parts = _product_parts(member)
     if parts:
-        factors, prod, projections = parts
+        factors, projections = parts
         for k, proj in enumerate(projections):
             yield 'proj_%d' % (k + 1), proj
 
@@ -594,10 +603,10 @@ def _check_radical_oracle(member):
 def _check_radical_frame_carrier(member):
     q = member.quantale
     frame = q.radical_frame
+    Quantale._validate(frame, frame.mul_table)
     image = sorted({q.radical_of(a) for a in range(len(q))})
     if list(frame.carrier) != image:
         return REFUTED, 'fixed points differ from the radical image'
-    frame.radical_morphism
     return PASS, '%d radical elements' % len(frame.carrier)
 
 
@@ -608,6 +617,7 @@ def _check_radical_frame_carrier(member):
         'the quotient by equal radicals is a bounded distributive lattice quotient')
 def _check_reticulation_axioms(member):
     ret = reticulate(member.quantale)
+    Quantale._validate(ret, ret.mul_table)
     return PASS, '%d classes' % len(ret)
 
 
@@ -811,6 +821,7 @@ def _check_interval_quantales(member):
     q = member.quantale
     for a in range(len(q)):
         part, u = _interval(q, a)
+        Quantale._validate(part, part.mul_table)
         for x in part.carrier:
             inside = part.carrier[part.radical_of(part.to_interval[x])]
             if inside != q.radical_of(x):
@@ -1089,7 +1100,7 @@ def _check_product_recognition(member):
     parts = _product_parts(member)
     if parts is None:
         return NOT_APPLICABLE, 'not built as a product'
-    factors, prod, projections = parts
+    factors, projections = parts
     q = member.quantale
     central = set(q.center)
     anchors = [kernel(proj) for proj in projections]
@@ -1115,7 +1126,7 @@ def _check_product_maximals(member):
     parts = _product_parts(member)
     if parts is None:
         return NOT_APPLICABLE, 'not built as a product'
-    factors, prod, projections = parts
+    factors, projections = parts
     q = member.quantale
     expected = set()
     for slot, factor in enumerate(factors):
@@ -1167,7 +1178,7 @@ def _check_product_lifting_transfer(member):
     parts = _product_parts(member)
     if parts is None:
         return NOT_APPLICABLE, 'not built as a product'
-    factors, prod, projections = parts
+    factors, projections = parts
     q = member.quantale
     lift_product = bool(has_lp(q))
     lift_factors = all(bool(has_lp(f)) for f in factors)

@@ -37,6 +37,11 @@ normality verdicts wrap quantales.oracles.normal_witness, the loop the
 law suite uses too.  The interval loop reads join and meet, like the
 multiplication, off the parent's tables joined with the anchor, as an
 interval now restricts its parent's lattice instead of building its own.
+The interval, product and radical frame loops keep their tables unchecked,
+as the package adopts them, and prove them as the package does: the
+interval and the frame by quantale_morphism_checks on the map they are the
+image of (the frame also by induced_order_checks), the product by nothing,
+since its laws hold coordinate by coordinate.
 Nothing under src/ imports this module.
 """
 
@@ -296,14 +301,16 @@ def center(q):
 
 
 def quantale_morphism_checks(source, target, mapping, unital=True):
-    'The validation QuantaleMorphism ran on a mapping, in its scan order.'
+    """The validation QuantaleMorphism runs on a mapping, in its scan order:
+    every pair, row by row, since the source of an interval's surjection may
+    hold a table that is not symmetric."""
     mapping = tuple(int(m) for m in mapping)
     if len(mapping) != len(source):
         raise QuantaleError('mapping length does not match source carrier')
     if mapping[source.bottom] != target.bottom:
         raise QuantaleError('bottom not preserved')
     for x in range(len(source)):
-        for y in range(x, len(source)):
+        for y in range(len(source)):
             if mapping[source.join(x, y)] != target.join(mapping[x], mapping[y]):
                 raise QuantaleError('join not preserved at %r, %r' % (
                     source.label(x), source.label(y)))
@@ -338,6 +345,25 @@ def reticulation_verify(ret):
                     'power criterion fails at %r, %r' % (source.label(a), source.label(b)))
     if lam[source.bottom] != lattice.bottom or lam[source.top] != lattice.top:
         raise AxiomViolation('bounds not preserved by the class map')
+    induced_order_checks(ret, AxiomViolation, 'class')
+
+
+def induced_order_checks(q, error, what):
+    'The order against the one join and meet induce, pair by pair, as _check_induced_order reads it.'
+    for x in range(len(q)):
+        for y in range(len(q)):
+            below = q.leq(x, y)
+            for law, induced in (('join', q.join(x, y) == y), ('meet', q.meet(x, y) == x)):
+                if below != induced:
+                    raise error('%s order is not the one its %s induces at %r, %r' % (
+                        what, law, q.label(x), q.label(y)))
+
+
+def _adopted(lattice, mul):
+    'A quantale holding the lattice and the table unchecked, as a derived quantale adopts them.'
+    q = Quantale.__new__(Quantale)
+    q._adopt(lattice, np.array(mul, dtype=np.intp))
+    return q
 
 
 def _normality_verdict(q, pool):
@@ -360,7 +386,8 @@ def is_b_normal(q):
 def interval_quantale(parent, anchor):
     """Carrier, positions, quantale and canonical surjection of [anchor): the
     order checked, and join, meet and multiplication the parent's, each
-    relativized by joining the anchor, looked up entry by entry."""
+    relativized by joining the anchor, looked up entry by entry.  The tables
+    are kept unchecked; the checks of the surjection, onto, prove them."""
     carrier = [x for x in range(len(parent)) if parent.leq(anchor, x)]
     sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
     position = {x: i for i, x in enumerate(carrier)}
@@ -372,10 +399,10 @@ def interval_quantale(parent, anchor):
     lattice = FiniteLattice._from_tables(
         FinitePoset([parent.label(x) for x in carrier], sub), relative(parent.join),
         relative(parent.meet), position[anchor], position[parent.top])
-    part = Quantale(lattice, relative(parent.mul))
-    u = QuantaleMorphism(
-        parent, part, tuple(position[parent.join(x, anchor)] for x in range(len(parent))))
-    return tuple(carrier), position, part, u
+    part = _adopted(lattice, relative(parent.mul))
+    mapping = tuple(position[parent.join(x, anchor)] for x in range(len(parent)))
+    quantale_morphism_checks(parent, part, mapping)
+    return tuple(carrier), position, part, QuantaleMorphism(parent, part, mapping)
 
 
 def element_has_lp(q, a):
@@ -401,7 +428,9 @@ def has_lp(q):
 
 
 def product(factors):
-    'Componentwise product quantale with its projection morphisms.'
+    """Componentwise product quantale with its projection morphisms: the order
+    checked, and join, meet, bounds and multiplication the factors' read
+    coordinate by coordinate, entry by entry, and kept unchecked."""
     factors = list(factors)
     if not factors:
         raise EmptyProduct('need at least one factor')
@@ -413,10 +442,16 @@ def product(factors):
     for f in factors:
         # cartesian order puts the first factor outermost, as kron does
         leq = np.kron(leq, f.lattice.poset.leq)
-    lattice = FiniteLattice(FinitePoset(labels, leq))
-    mul = [[position[tuple(f.mul(i, j) for f, i, j in zip(factors, left, right))]
-            for right in tuples] for left in tuples]
-    prod = Quantale(lattice, mul)
+
+    def componentwise(op):
+        return np.array([[position[tuple(op(f)(i, j) for f, i, j in zip(factors, left, right))]
+                          for right in tuples] for left in tuples], dtype=np.intp)
+
+    lattice = FiniteLattice._from_tables(
+        FinitePoset(labels, leq), componentwise(lambda f: f.join),
+        componentwise(lambda f: f.meet), position[tuple(f.bottom for f in factors)],
+        position[tuple(f.top for f in factors)])
+    prod = _adopted(lattice, componentwise(lambda f: f.mul))
     projections = [
         QuantaleMorphism(prod, f, tuple(t[k] for t in tuples))
         for k, f in enumerate(factors)]
@@ -457,33 +492,34 @@ def decompose_by_elements(q, anchors):
 
 
 def radical_frame(parent):
-    'Carrier, lattice and positions of the radical frame, after the checks RadicalFrame ran.'
-    carrier = tuple(a for a in range(len(parent)) if parent.radical_of(a) == a)
-    sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
-    labels = [parent.label(a) for a in carrier]
-    lattice = FiniteLattice(FinitePoset(labels, sub))
-    lattice = Quantale(lattice, lattice.meet_table)
+    """Carrier, frame and positions of the radical frame, after the checks
+    RadicalFrame runs: every radical a radical element, the radicals closed
+    under meet, the unit kept, the order the tables induce and the radical map
+    a morphism.  The tables are looked up entry by entry and kept unchecked."""
+    n = len(parent)
+    rho = parent.radical_of
+    for x in range(n):
+        if rho(rho(x)) != rho(x):
+            raise QuantaleError('the radical of %r is not a radical element' % (parent.label(x),))
+    carrier = tuple(a for a in range(n) if rho(a) == a)
+    for a in carrier:
+        for b in carrier:
+            if rho(parent.meet(a, b)) != parent.meet(a, b):
+                raise QuantaleError('radicals are not closed under meet at %r, %r' % (
+                    parent.label(a), parent.label(b)))
     to_frame = {a: i for i, a in enumerate(carrier)}
-    for i, a in enumerate(carrier):
-        for j, b in enumerate(carrier):
-            joined = carrier[lattice.join(i, j)]
-            if joined != parent.radical_of(parent.join(a, b)):
-                raise QuantaleError('radical join mismatch at %r, %r' % (
-                    parent.label(a), parent.label(b)))
-            if carrier[lattice.meet(i, j)] != parent.meet(a, b):
-                raise QuantaleError('radical meet mismatch at %r, %r' % (
-                    parent.label(a), parent.label(b)))
-    if carrier[lattice.bottom] != parent.radical_of(parent.bottom):
-        raise QuantaleError('frame bottom is not the radical of bottom')
-    if carrier[lattice.top] != parent.top:
+    join = [[to_frame[rho(parent.join(a, b))] for b in carrier] for a in carrier]
+    meet = [[to_frame[parent.meet(a, b)] for b in carrier] for a in carrier]
+    sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
+    lattice = FiniteLattice._from_tables(
+        FinitePoset([parent.label(a) for a in carrier], sub), np.array(join, dtype=np.intp),
+        np.array(meet, dtype=np.intp), to_frame[rho(parent.bottom)], to_frame[rho(parent.top)])
+    frame = _adopted(lattice, meet)
+    if carrier[frame.top] != parent.top:
         raise QuantaleError('frame top is not the unit')
-    return carrier, lattice, to_frame
-
-
-def radical_morphism(parent, to_frame, frame_quantale):
-    'The radical map onto the frame, as RadicalFrame.radical_morphism built it.'
-    mapping = tuple(to_frame[parent.radical_of(a)] for a in range(len(parent)))
-    return QuantaleMorphism(parent, frame_quantale, mapping)
+    induced_order_checks(frame, QuantaleError, 'frame')
+    quantale_morphism_checks(parent, frame, [to_frame[rho(x)] for x in range(n)])
+    return carrier, frame, to_frame
 
 
 def lift_morphism(u):

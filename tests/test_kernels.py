@@ -1004,21 +1004,27 @@ def parents(draw):
     return q if kind == 'valid' else _perturbed_bounds(draw, q, kind)
 
 
+def _derived_tables(part):
+    return tuple(t.tolist() for t in (part.join_table, part.meet_table, part.mul_table)) + (
+        part.bottom, part.top)
+
+
 def _interval_outcome(result):
     if result[0] == 'raised':
         return result
     part, u = result[1]
-    # the loop keeps positions of the carrier only, as a dict
-    position = {x: part.to_interval.item(x) for x in part.carrier}
-    return ('returned', part.carrier, position, part.elements,
-            part.mul_table.tolist(), u.mapping)
+    assert u.mapping == tuple(part.to_interval.tolist())
+    return ('returned', part.carrier, part.elements, _derived_tables(part), u.mapping)
 
 
 def _reference_interval_outcome(result):
+    """The loop's positions are those of the carrier; the surjection reads them at
+    x v anchor, which on a parent whose join table is redrawn need not be x."""
     if result[0] == 'raised':
         return result
     carrier, position, part, u = result[1]
-    return ('returned', carrier, position, part.elements, part.mul_table.tolist(), u.mapping)
+    assert all(position[x] == i for i, x in enumerate(carrier))
+    return ('returned', carrier, part.elements, _derived_tables(part), u.mapping)
 
 
 @CASES
@@ -1183,20 +1189,21 @@ W5 = io.generate('downsets:z<x,z<y')
 
 @CASES
 @given(radical_parents())
-@example(_with_radicals(E54, _labelled(E54, [('x3', 'x0')])))  # join mismatch at x1, x2
-@example(_with_radicals(W5, _labelled(W5, [('{z}', '{}')])))  # meet mismatch at {x,z}, {y,z}
+@example(_with_radicals(E54, _labelled(E54, [('x3', 'x0')])))  # join not preserved at x1, x3
+@example(_with_radicals(E54, _labelled(E54, [('x3', 'x1')])))  # order not induced at x2, x1
+@example(_with_radicals(W5, _labelled(W5, [('{z}', '{}')])))  # not meet-closed at {x,z}, {y,z}
 def test_radical_frames_match_the_loop(q):
     ours, theirs = outcome(RadicalFrame, q), outcome(ref.radical_frame, q)
     if ours[0] == 'returned':
-        frame, (carrier, lattice, to_frame) = ours[1], theirs[1]
+        frame, (carrier, theirs, to_frame) = ours[1], theirs[1]
         # the loop keeps positions of the radical elements only, as a dict
         assert frame.carrier == carrier
         assert {a: frame.to_frame.item(a) for a in carrier} == to_frame
-        assert frame.join_table.tolist() == lattice.join_table.tolist()
-        # the loop looked radicals up among the frame's elements
-        if set(q.radical_table) <= set(carrier):
-            assert _mapping_outcome(lambda: frame.radical_morphism) == _mapping_outcome(
-                ref.radical_morphism, q, to_frame, frame)
+        for table in ('join_table', 'meet_table', 'mul_table'):
+            assert getattr(frame, table).tolist() == getattr(theirs, table).tolist()
+        assert (frame.bottom, frame.top) == (theirs.bottom, theirs.top)
+        assert frame.radical_morphism.mapping == tuple(
+            to_frame[q.radical_of(x)] for x in range(len(q)))
     else:
         assert ours == theirs
 
