@@ -342,16 +342,6 @@ class FiniteLattice:
         self.bottom = int(bottoms[0])
         self.top = int(tops[0])
 
-    @classmethod
-    def _from_tables(cls, poset, join, meet, bottom, top):
-        'The lattice on poset whose join and meet tables and bounds the caller already knows.'
-        lattice = cls.__new__(cls)
-        join.setflags(write=False)
-        meet.setflags(write=False)
-        lattice.poset, lattice.join_table, lattice.meet_table = poset, join, meet
-        lattice.bottom, lattice.top = int(bottom), int(top)
-        return lattice
-
     @property
     def elements(self):
         return self.poset.elements

@@ -64,24 +64,26 @@ class Quantale(FiniteLattice):
         if mul.size and (mul.min() < 0 or mul.max() >= n):
             raise QuantaleError('multiplication table entry out of range')
         self._validate(lattice, mul)
-        self._adopt(lattice, mul)
+        self._adopt(lattice.poset, lattice.join_table, lattice.meet_table, lattice.bottom,
+                    lattice.top, mul)
 
-    def _adopt(self, lattice, mul):
-        """Keep the order, join and meet of lattice, its bounds and the
-        multiplication mul, a table of the caller's own, frozen and unchecked.
+    def _adopt(self, poset, join, meet, bottom, top, mul):
+        """Keep poset, the join, meet and multiplication tables, each the
+        caller's own and frozen here, and the bounds, all unchecked: the one
+        step by which a quantale takes its tables.
 
-        The constructor adopts after _validate.  A derived quantale adopts
-        tables read off a validated source and proves them by one map check
-        instead.  Every quantale law is an equation in join, multiplication,
-        bottom and top, and an equation that holds in the source holds in the
-        image of an onto map that preserves those operations, and in a product
-        whose factors satisfy it, coordinate by coordinate (Birkhoff, On the
-        structure of abstract algebras, 1935)."""
-        mul.setflags(write=False)
-        self.poset, self.join_table, self.meet_table = (
-            lattice.poset, lattice.join_table, lattice.meet_table)
-        self.bottom, self.top = lattice.bottom, lattice.top
-        self.mul_table = mul
+        The constructor adopts the tables of the lattice it has validated.  A
+        derived quantale adopts tables read off a validated source through its
+        index map and proves them by one map check instead.  Every quantale law
+        is an equation in join, multiplication, bottom and top, and an equation
+        that holds in the source holds in the image of an onto map that
+        preserves those operations, and in a product whose factors satisfy it,
+        coordinate by coordinate (Birkhoff, On the structure of abstract
+        algebras, 1935)."""
+        for table in (join, meet, mul):
+            table.setflags(write=False)
+        self.poset, self.join_table, self.meet_table, self.mul_table = poset, join, meet, mul
+        self.bottom, self.top = int(bottom), int(top)
 
     @property
     def lattice(self):
@@ -302,9 +304,8 @@ class RadicalFrame(Quantale):
                 parent.label(hit[0]),))
         at = (radical == np.arange(len(parent))).nonzero()[0]
         grid = at[:, None], at
-        carrier = tuple(at.tolist())
+        carrier = self.carrier = tuple(at.tolist())
         self.parent = parent
-        self.carrier = carrier
         meet = parent.meet_table[grid]
         hit = first_true(radical[meet] != meet)
         if hit is not None:
@@ -315,10 +316,10 @@ class RadicalFrame(Quantale):
         # found by bisection
         into = self.to_frame = np.searchsorted(at, radical)
         into.setflags(write=False)
-        lattice = FiniteLattice._from_tables(
+        meet = into[meet]
+        self._adopt(
             FinitePoset._from_order([parent.label(a) for a in carrier], parent.poset.leq[grid]),
-            into[parent.join_table[grid]], into[meet], into[parent.bottom], into[parent.top])
-        self._adopt(lattice, lattice.meet_table)
+            into[parent.join_table[grid]], meet, into[parent.bottom], into[parent.top], meet)
         if carrier[self.top] != parent.top:
             raise QuantaleError('frame top is not the unit')
         _check_induced_order(self, QuantaleError, 'frame')
@@ -394,19 +395,17 @@ class IntervalQuantale(Quantale):
         self.anchor = anchor
         self.carrier = tuple(carrier.tolist())
         # the carrier ascends, so positions in it are found by bisection
-        self.to_interval = np.searchsorted(carrier, parent.join_table[:, anchor])
-        self.to_interval.setflags(write=False)
+        into = self.to_interval = np.searchsorted(carrier, parent.join_table[:, anchor])
+        into.setflags(write=False)
         # [anchor) is an up-set, so its order and its covers are the parent's
         # restricted to it, and a sublattice, so its join and meet are the
         # parent's; like the products, they are read at their positions in the
         # carrier after joining the anchor, which leaves x v y and x ^ y alone
-        into = self.to_interval
-        lattice = FiniteLattice._from_tables(
+        self._adopt(
             FinitePoset._from_order([parent.label(x) for x in self.carrier], poset.leq[grid],
                                     poset._cover_matrix[grid]),
             into[parent.join_table[grid]], into[parent.meet_table[grid]],
-            *np.searchsorted(carrier, (anchor, parent.top)))
-        self._adopt(lattice, into[parent.mul_table[grid]])
+            *np.searchsorted(carrier, (anchor, parent.top)), into[parent.mul_table[grid]])
         self.surjection = QuantaleMorphism(parent, self, into)
 
 
@@ -464,15 +463,14 @@ def _product(factors):
         'The product of one table per factor, each read at the coordinates of its factor.'
         return np.ravel_multi_index(tuple(t[c[:, None], c] for t, c in zip(tables, coords)), sizes)
 
-    # join, meet and bounds are the factors' taken componentwise
-    lattice = FiniteLattice._from_tables(
+    prod = Quantale.__new__(Quantale)
+    prod._adopt(
         FinitePoset._from_order(labels, leq, cover),
         componentwise([f.join_table for f in factors]),
         componentwise([f.meet_table for f in factors]),
         np.ravel_multi_index([f.bottom for f in factors], sizes),
-        np.ravel_multi_index([f.top for f in factors], sizes))
-    prod = Quantale.__new__(Quantale)
-    prod._adopt(lattice, componentwise([f.mul_table for f in factors]))
+        np.ravel_multi_index([f.top for f in factors], sizes),
+        componentwise([f.mul_table for f in factors]))
     return prod, coords
 
 

@@ -11,7 +11,6 @@ from functools import cache
 import numpy as np
 
 from quantales.lattices import (
-    FiniteLattice,
     FinitePoset,
     LatticeMorphism,
     NotAnIdeal,
@@ -52,28 +51,24 @@ class Reticulation(Quantale):
 
     def __init__(self, source):
         self.source = source
-        n = len(source)
+        radical = source.radical_table
         by_radical = {}
-        for c in range(n):
-            by_radical.setdefault(source.radical_of(c), []).append(c)
-        # canonical class order: ascending minimum-index representative
-        groups = sorted(by_radical.items(), key=lambda kv: kv[1][0])
-        self.classes = tuple(tuple(members) for _, members in groups)
-        self.representatives = tuple(members[0] for _, members in groups)
-        radicals = [rad for rad, _ in groups]
-        lam = np.empty(n, dtype=np.intp)
-        for ci, (_, members) in enumerate(groups):
-            lam[members] = ci
-        self.lam = tuple(lam.tolist())
-        at = np.array(radicals, dtype=np.intp)
+        for c, rad in enumerate(radical):
+            by_radical.setdefault(rad, []).append(c)
+        # a dict keeps its keys in first-occurrence order, so the classes come
+        # in the canonical order, ascending by least member
+        self.classes = tuple(map(tuple, by_radical.values()))
+        self.representatives = tuple(members[0] for members in self.classes)
+        position = {rad: k for k, rad in enumerate(by_radical)}
+        self.lam = tuple(position[rad] for rad in radical)
+        at, lam = np.fromiter(by_radical, np.intp), np.array(self.lam, dtype=np.intp)
         reps = np.array(self.representatives, dtype=np.intp)
         grid = reps[:, None], reps
-        labels = [source.label(rep) for rep in self.representatives]
-        lattice = FiniteLattice._from_tables(
-            FinitePoset._from_order(labels, source.poset.leq[at[:, None], at]),
-            lam[source.join_table[grid]], lam[source.meet_table[grid]],
-            lam[source.bottom], lam[source.top])
-        self._adopt(lattice, lattice.meet_table)
+        meet = lam[source.meet_table[grid]]
+        self._adopt(
+            FinitePoset._from_order([source.label(rep) for rep in self.representatives],
+                                    source.poset.leq[at[:, None], at]),
+            lam[source.join_table[grid]], meet, lam[source.bottom], lam[source.top], meet)
         self._verify()
 
     def _verify(self):

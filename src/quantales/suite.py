@@ -26,10 +26,9 @@ from .properties import (
     is_b_normal, is_hyperarchimedean, is_local, is_normal, is_semilocal,
     local_decomposition)
 from .quantale import (
-    AxiomError, Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale,
-    _interval_at, _isomorphism, _profile, decompose_by_elements,
-    find_quantale_isomorphism, interval_quantale, jacobson_radical, kernel,
-    is_injective, negation, product, residuum)
+    Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale, _interval_at,
+    _isomorphism, _product, _profile, decompose_by_elements, find_quantale_isomorphism,
+    interval_quantale, jacobson_radical, kernel, is_injective, negation, residuum)
 from .reticulation import (
     boolean_isos, check_unicity, frame_iso, interval_reticulation_iso,
     reticulate, spectrum_homeomorphism, star, unstar)
@@ -226,10 +225,8 @@ def enumerate_quantales(max_size, bound=5):
             # can match, and of those only the ones with the same sorted profile
             kept = {}
             for mul in _mul_candidates(lattice):
-                try:
-                    q = Quantale(lattice, mul)
-                except AxiomError:
-                    continue
+                # the fill decides what validation checks: a refusal is a fault, raised
+                q = Quantale(lattice, mul)
                 rivals = kept.setdefault(tuple(sorted(q._element_profile)), [])
                 if all(find_quantale_isomorphism(q, k) is None for k in rivals):
                     rivals.append(q)
@@ -383,29 +380,26 @@ def _interval(q, a):
 
 @lru_cache(maxsize=None)
 def _product_structure(generator):
-    'Factors, product and projections rebuilt from a product generator string.'
-    parts = generator[len('product:'):].split(';')
-    factors = [io.generate(part) for part in parts]
-    prod, projections = product(factors)
-    return tuple(factors), prod, tuple(projections)
+    'Factors, product and per factor the coordinate of each element, from a product generator.'
+    factors = tuple(io.generate(part) for part in generator[len('product:'):].split(';'))
+    return (factors,) + _product(factors)
 
 
 def _product_parts(member):
     """Factors and projections of a member built as a product, or None.  The
     member's elements are matched to the rebuilt product's by label, in any
-    order, and each projection, read through that match, is checked as a
-    morphism from the member.  Jointly they are then a bijective morphism onto
-    the product, whose inverse preserves join and multiplication too, so a
-    member that is not the product is refused."""
+    order, and each projection, the coordinates read through that match, is
+    checked as a morphism from the member.  Jointly they are then a bijective
+    morphism onto the product, whose inverse preserves join and multiplication
+    too, so a member that is not the product is refused."""
     if not member.generator or not member.generator.startswith('product:'):
         return None
-    factors, prod, projections = _product_structure(member.generator)
+    factors, prod, coords = _product_structure(member.generator)
     q = member.quantale
     at = [prod.poset.index.get(label) for label in q.elements]
     if len(q) != len(prod) or None in at:
         raise QuantaleError('product rebuilt from %r differs' % (member.generator,))
-    return factors, tuple(QuantaleMorphism(q, f, np.asarray(p.mapping)[at])
-                          for f, p in zip(factors, projections))
+    return factors, tuple(QuantaleMorphism(q, f, c[at]) for f, c in zip(factors, coords))
 
 
 def _surjection_family(member):
@@ -894,10 +888,11 @@ def _check_local_equivalence(member):
         'finitely many maximal elements transfers to the radical frame and the quotient')
 def _check_semilocal_equivalence(member):
     q = member.quantale
+    # a finite carrier is always semilocal, so the number of maximal elements is compared
     values = {
-        'quantale': is_semilocal(q),
-        'frame': is_semilocal(q.radical_frame),
-        'quotient': len(reticulate(q).maximal_elements) >= 0,
+        'quantale': len(q.maximal_elements),
+        'frame': len(q.radical_frame.maximal_elements),
+        'quotient': len(reticulate(q).maximal_elements),
     }
     return _agreement(values, passed='finite carriers are always semilocal')
 

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from quantales import io, suite
+from quantales.lattices import FiniteLattice, FinitePoset
+from quantales.quantale import Quantale
 
 # pytest rewrites the asserts of test modules and conftest only; registered
 # before the test modules import it, the reference loops keep their asserts
@@ -21,6 +24,15 @@ def small_corpus():
 
 def build(generator):
     return io.generate(generator)
+
+
+def relabel(q, perm, labels=None):
+    'A copy of q whose index k stands for old index perm[k], with its labels or the given ones.'
+    perm = np.asarray(perm, dtype=np.intp)
+    leq = q.poset.leq[np.ix_(perm, perm)]
+    labels = [q.label(i) for i in perm] if labels is None else labels
+    return Quantale(FiniteLattice(FinitePoset(labels, leq)),
+                    np.argsort(perm)[q.mul_table[np.ix_(perm, perm)]])
 
 
 @pytest.fixture(scope='session')

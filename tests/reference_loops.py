@@ -359,10 +359,11 @@ def induced_order_checks(q, error, what):
                         what, law, q.label(x), q.label(y)))
 
 
-def _adopted(lattice, mul):
-    'A quantale holding the lattice and the table unchecked, as a derived quantale adopts them.'
+def _adopted(poset, join, meet, bottom, top, mul):
+    'A quantale holding the order, tables and bounds unchecked, as a derived quantale adopts them.'
     q = Quantale.__new__(Quantale)
-    q._adopt(lattice, np.array(mul, dtype=np.intp))
+    join, meet, mul = (np.array(t, dtype=np.intp) for t in (join, meet, mul))
+    q._adopt(poset, join, meet, bottom, top, mul)
     return q
 
 
@@ -396,10 +397,9 @@ def interval_quantale(parent, anchor):
         return np.array([[position[parent.join(op(x, y), anchor)] for y in carrier]
                          for x in carrier], dtype=np.intp)
 
-    lattice = FiniteLattice._from_tables(
+    part = _adopted(
         FinitePoset([parent.label(x) for x in carrier], sub), relative(parent.join),
-        relative(parent.meet), position[anchor], position[parent.top])
-    part = _adopted(lattice, relative(parent.mul))
+        relative(parent.meet), position[anchor], position[parent.top], relative(parent.mul))
     mapping = tuple(position[parent.join(x, anchor)] for x in range(len(parent)))
     quantale_morphism_checks(parent, part, mapping)
     return tuple(carrier), position, part, QuantaleMorphism(parent, part, mapping)
@@ -447,11 +447,10 @@ def product(factors):
         return np.array([[position[tuple(op(f)(i, j) for f, i, j in zip(factors, left, right))]
                           for right in tuples] for left in tuples], dtype=np.intp)
 
-    lattice = FiniteLattice._from_tables(
+    prod = _adopted(
         FinitePoset(labels, leq), componentwise(lambda f: f.join),
         componentwise(lambda f: f.meet), position[tuple(f.bottom for f in factors)],
-        position[tuple(f.top for f in factors)])
-    prod = _adopted(lattice, componentwise(lambda f: f.mul))
+        position[tuple(f.top for f in factors)], componentwise(lambda f: f.mul))
     projections = [
         QuantaleMorphism(prod, f, tuple(t[k] for t in tuples))
         for k, f in enumerate(factors)]
@@ -511,10 +510,9 @@ def radical_frame(parent):
     join = [[to_frame[rho(parent.join(a, b))] for b in carrier] for a in carrier]
     meet = [[to_frame[parent.meet(a, b)] for b in carrier] for a in carrier]
     sub = parent.lattice.poset.leq[np.ix_(carrier, carrier)]
-    lattice = FiniteLattice._from_tables(
-        FinitePoset([parent.label(a) for a in carrier], sub), np.array(join, dtype=np.intp),
-        np.array(meet, dtype=np.intp), to_frame[rho(parent.bottom)], to_frame[rho(parent.top)])
-    frame = _adopted(lattice, meet)
+    frame = _adopted(
+        FinitePoset([parent.label(a) for a in carrier], sub), join, meet,
+        to_frame[rho(parent.bottom)], to_frame[rho(parent.top)], meet)
     if carrier[frame.top] != parent.top:
         raise QuantaleError('frame top is not the unit')
     induced_order_checks(frame, QuantaleError, 'frame')

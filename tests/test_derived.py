@@ -8,8 +8,8 @@ show two things.  Everything built over the fixtures and every quantale of
 at most six elements still passes Quantale._validate.  And a table read the
 wrong way (three mutants, patched over _adopt) is refused when it is built
 and REFUTED by the check that claims the theorem, under python -O too.  A
-product member is matched to its rebuilt product by label, so a relabelled
-product keeps its statuses, and a member whose labels lie is refused.
+product member is matched to its rebuilt product by label, so a member whose
+labels lie is refused.
 """
 
 import os
@@ -17,12 +17,11 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 import quantales
+from conftest import relabel
 from quantales import suite
-from quantales.lattices import FiniteLattice, FinitePoset
 from quantales.oracles import axiom_failure
 from quantales.quantale import (
     IntervalQuantale, Quantale, QuantaleError, RadicalFrame, decompose_by_elements,
@@ -79,35 +78,34 @@ MUTANTS = textwrap.dedent("""
 
 
     def adopting(wrong):
-        'An _adopt that adopts the join, meet and multiplication wrong(self, lattice, mul) gives.'
-        def _adopt(self, lattice, mul):
-            tables = wrong(self, lattice, mul)
+        'An _adopt that adopts the join, meet and multiplication wrong(self, join, meet, mul) gives.'
+        def _adopt(self, poset, join, meet, bottom, top, mul):
+            tables = wrong(self, join, meet, mul)
             changed.append(not all(np.array_equal(ours, right) for ours, right in zip(
-                tables, (lattice.join_table, lattice.meet_table, mul))))
+                tables, (join, meet, mul))))
             join, meet, times = tables
-            Quantale._adopt(self, FiniteLattice._from_tables(
-                lattice.poset, join, meet, lattice.bottom, lattice.top), times)
+            Quantale._adopt(self, poset, join, meet, bottom, top, times)
         return _adopt
 
 
-    def interval_mul_without_the_anchor(self, lattice, mul):
+    def interval_mul_without_the_anchor(self, join, meet, mul):
         'x*y at the position of x*y in [a), not of x*y v a.'
         carrier = np.asarray(self.carrier)
-        return lattice.join_table, lattice.meet_table, np.searchsorted(
+        return join, meet, np.searchsorted(
             carrier, self.parent.mul_table[carrier[:, None], carrier])
 
 
-    def meet_at_the_wrong_representatives(self, lattice, mul):
+    def meet_at_the_wrong_representatives(self, join, meet, mul):
         'Each class meet read at the representatives of the classes one place on.'
         reps = np.roll(self.representatives, 1)
         meet = np.asarray(self.lam)[self.source.meet_table[reps[:, None], reps]]
-        return lattice.join_table, meet, meet
+        return join, meet, meet
 
 
-    def frame_join_without_the_radical(self, lattice, mul):
+    def frame_join_without_the_radical(self, join, meet, mul):
         'x v y at the position of x v y among the radicals, not of its radical.'
         at = np.asarray(self.carrier)
-        return np.searchsorted(at, self.parent.join_table[at[:, None], at]), lattice.meet_table, mul
+        return np.searchsorted(at, self.parent.join_table[at[:, None], at]), meet, mul
 
 
     MUTANTS = {
@@ -195,31 +193,6 @@ def test_mutant_tables_are_refuted_under_optimisation():
         "radical-frame-carrier ['E6.34r'] 1"]
 
 
-def _relabelled(q, perm, labels=None):
-    'A copy of q whose index k stands for old index perm[k], with its labels or the given ones.'
-    perm = np.asarray(perm)
-    leq = q.poset.leq[np.ix_(perm, perm)]
-    labels = [q.label(i) for i in perm] if labels is None else labels
-    return Quantale(FiniteLattice(FinitePoset(labels, leq)),
-                    np.argsort(perm)[q.mul_table[np.ix_(perm, perm)]])
-
-
-def _statuses(member):
-    return [(r.check, r.status) for r in suite.run_suite(suite.Corpus([member])).results]
-
-
-@pytest.mark.parametrize('name', ['C3xC3', 'D12xC3'])
-def test_a_relabelled_product_keeps_every_status(corpus, name):
-    member = corpus.get(name)
-    q = member.quantale
-    perm = np.random.default_rng(0).permutation(len(q))
-    assert perm.tolist() != list(range(len(q)))
-    moved = suite.CorpusMember(name, _relabelled(q, perm), member.generator)
-    statuses = _statuses(member)
-    assert len(statuses) == len(suite.CHECKS) == 52
-    assert _statuses(moved) == statuses
-
-
 def test_a_product_member_whose_labels_lie_is_refused(corpus):
     'Two labels of C3xC3 exchanged: matched by label, the projections are no morphisms.'
     member = corpus.get('C3xC3')
@@ -227,7 +200,7 @@ def test_a_product_member_whose_labels_lie_is_refused(corpus):
     labels = list(q.elements)
     i, j = labels.index('(0,1)'), labels.index('(1,0)')
     labels[i], labels[j] = labels[j], labels[i]
-    liar = suite.CorpusMember('C3xC3', _relabelled(q, range(len(q)), labels), member.generator)
+    liar = suite.CorpusMember('C3xC3', relabel(q, range(len(q)), labels), member.generator)
     report = suite.run_suite(suite.Corpus([liar]), checks=['product-recognition'])
     (row,) = report.results
     assert row.status == suite.REFUTED

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ def test_enumeration_respects_the_bound():
     # ROADMAP item 1 turns 130 into 129: one six-chain class passes only the
     # sorted-triple associativity scan
     assert [sizes.count(n) for n in range(1, 7)] == [1, 1, 2, 7, 26, 130]
+
+
+def test_every_fill_up_to_six_elements_is_accepted():
+    'The fill decides the laws validation checks, so validation refuses none of its tables.'
+    filled = [(lattice, mul) for n in range(1, 7) for lattice in suite.enumerate_lattices(n)
+              for mul in suite._mul_candidates(lattice)]
+    assert len(filled) == 181
+    for lattice, mul in filled:
+        Quantale(lattice, mul)
 
 
 def _tables_on(lat):
@@ -140,6 +150,19 @@ def test_recorded_spectrum_fact_matches_known_split(corpus):
 def test_suite_is_green_on_enumerated_instances(small_corpus):
     report = suite.run_suite(small_corpus)
     assert report.ok(), report.failures()[:3]
+
+
+def test_the_size_six_suite_report_is_pinned():
+    """Every check over every quantale of at most six elements.  It reaches
+    E6.34, the one member of that size whose radicals are not closed under
+    join, which verify --enumerate-up-to 5 does not.  The one REFUTED row is
+    quantale-axioms on E6.85, a table validation accepts (ROADMAP item 1)."""
+    report = suite.run_suite(suite.enumerated(6, bound=6))
+    assert Counter(r.status for r in report.results) == {
+        suite.PASS: 8005, suite.RECORDED: 167, suite.NOT_APPLICABLE: 511, suite.REFUTED: 1}
+    assert [(r.check, r.member) for r in report.failures()] == [('quantale-axioms', 'E6.85')]
+    assert hashlib.sha256(report.fingerprint().encode()).hexdigest() == (
+        '5d64979182c7fa8d86bdb17f9ecd3d23eb626f2142768d0895ae69d28e9d36ea')
 
 
 def test_fingerprint_is_deterministic(corpus):
@@ -312,6 +335,16 @@ def test_disagreeing_legs_are_refuted_with_every_leg_shown(corpus, monkeypatch):
     details = {r.member: (r.status, r.detail) for r in report.results}
     assert details['D12'] == (suite.REFUTED, 'quantale=False frame=False quotient=True')
     assert details['C3'] == (suite.PASS, 'quantale=True frame=True quotient=True')
+
+
+def test_semilocal_equivalence_compares_the_counts_of_maximal_elements(corpus, monkeypatch):
+    'Equal counts PASS with the fixed text; a reticulation that lost a maximal element is REFUTED.'
+    d12 = suite.Corpus([corpus.get('D12')])
+    (row,) = suite.run_suite(d12, checks=['semilocal-equivalence']).results
+    assert (row.status, row.detail) == (suite.PASS, 'finite carriers are always semilocal')
+    monkeypatch.setattr(suite, 'reticulate', lambda q: SimpleNamespace(maximal_elements=(0,)))
+    (row,) = suite.run_suite(d12, checks=['semilocal-equivalence']).results
+    assert (row.status, row.detail) == (suite.REFUTED, 'quantale=2 frame=2 quotient=1')
 
 
 def test_report_text_layout(corpus):
