@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 a law was refuted, 2 usage or input errors.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -20,13 +21,19 @@ from .quantale import QuantaleError
 from .reticulation import reticulate
 
 
-def _load_instance(path):
+def _read(path):
     try:
-        text = Path(path).read_text(encoding='utf-8')
+        return Path(path).read_text(encoding='utf-8')
     except UnicodeDecodeError as exc:
         # other read errors are OSErrors, which main reports as they are
         raise io.InstanceError('%s is not UTF-8 text: %s' % (path, exc.reason)) from None
-    return io.parse_instance(text)
+
+
+def _member(path):
+    'Corpus member from an instance file, with the generator string its accepted document names.'
+    text = _read(path)
+    q, generator = io.parse_instance(text), json.loads(text).get('generator')
+    return suite.CorpusMember(path.stem, q, generator if isinstance(generator, str) else None)
 
 
 def _labels(q, indices):
@@ -73,7 +80,7 @@ def _analyze_lines(name, q):
 
 
 def _cmd_analyze(args):
-    q = _load_instance(args.instance)
+    q = io.parse_instance(_read(args.instance))
     print('\n'.join(_analyze_lines(Path(args.instance).stem, q)))
     return 0
 
@@ -86,9 +93,9 @@ def _corpus_from_target(target):
         files = sorted(path.glob('*.json'))
         if not files:
             raise io.InstanceError('no .json instance files in %s' % path)
-        return suite.Corpus([suite.CorpusMember(f.stem, _load_instance(f)) for f in files])
+        return suite.Corpus([_member(f) for f in files])
     if path.is_file():
-        return suite.Corpus([suite.CorpusMember(path.stem, _load_instance(path))])
+        return suite.Corpus([_member(path)])
     raise io.InstanceError('no such corpus: %r (expected "fixtures", a file or a directory)'
                            % target)
 
@@ -122,7 +129,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_export_dot(args):
-    q = _load_instance(args.instance)
+    q = io.parse_instance(_read(args.instance))
     sys.stdout.write(io.export_dot(q, view=args.view))
     return 0
 

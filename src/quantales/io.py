@@ -348,7 +348,8 @@ def _generate_downsets(arg):
     return _frame_of_sets(downsets)
 
 
-def _generate_product(arg):
+def _product_factors(arg):
+    'The factors that product:arg names, refused as generate refuses that product.'
     parts = arg.split(';')
     if len(parts) < 2:
         raise InvalidParameter('a product needs at least two factors')
@@ -357,7 +358,7 @@ def _generate_product(arg):
             raise InvalidParameter('nested products are not supported')
     factors = [generate(part) for part in parts]
     _bounded(prod(len(f) for f in factors), 'the product')
-    return _product(factors)[0]
+    return factors
 
 
 _GENERATORS = {
@@ -365,7 +366,7 @@ _GENERATORS = {
     'chain': _generate_chain,
     'boolean': _generate_boolean,
     'downsets': _generate_downsets,
-    'product': _generate_product,
+    'product': lambda arg: _product(_product_factors(arg))[0],
 }
 
 

@@ -445,20 +445,6 @@ def prime_mask(poset, op):
     return np.unpackbits(broken.view(np.uint8), count=len(poset), bitorder='little') == 0
 
 
-def _common_upper_bounds(poset, mask):
-    """[s]: how many elements are upper bounds of s and of every x with
-    mask[s, x], for a bool matrix mask over the elements of poset.  Those
-    bounds are the AND of the packed up-sets of s and of those x, in
-    n**2 * ceil(n / 64) words."""
-    up = poset._order_words[0]
-    bounds = up.T.copy()
-    for rows, cols in blocks(len(poset), len(up)):
-        # [s, word, x]: the up-set of x where mask[s, x] holds, every bit elsewhere
-        bounds[rows] &= np.bitwise_and.reduce(
-            np.where(mask[rows, None, cols], up[:, cols], ~np.uint64(0)), axis=2)
-    return np.bitwise_count(bounds).sum(axis=1)
-
-
 def is_distributive(lat):
     'Distributive law over all triples; the witness is the first failing (x, y, z).'
     # a finite lattice is distributive iff its join-irreducibles are join-prime,

@@ -8,9 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from quantales.lattices import (
-    FiniteLattice, FinitePoset, _common_upper_bounds, blocks, distributivity_failure,
-    first_in_blocks, first_law_failure, first_true, irreducibles_join_prime, prime_mask,
-    unpreserved)
+    FiniteLattice, FinitePoset, blocks, distributivity_failure, first_in_blocks,
+    first_law_failure, first_true, irreducibles_join_prime, prime_mask, unpreserved)
 
 
 class QuantaleError(Exception):
@@ -190,11 +189,13 @@ class Quantale(FiniteLattice):
         join, mul = self.join_table, self.mul_table
         annihilates = mul == self.bottom
         complemented = ((join == self.top) & annihilates).any(axis=1)
-        # cross-check the complement definition against e v (e -> 0) = 1; the
-        # negation e -> 0 joins the x with e*x = 0, so the common upper bounds
-        # of e and those x are the up-set of e v (e -> 0), which is {1}
-        # exactly when that join is 1
-        hit = first_true(complemented != (_common_upper_bounds(self.poset, annihilates) == 1))
+        # cross-check against e v (e -> 0) = 1.  Every element below 1 lies
+        # below a maximal one, so that fails exactly when some maximal m lies
+        # above e and above e -> 0, that is above every x with e*x = 0.  The
+        # boolean product is [e, m]: some x with e*x = 0 is not below m
+        above = self.poset.leq[:, self.maximal_elements]
+        shared = above & ~(annihilates @ ~above)
+        hit = first_true(complemented != ~shared.any(axis=1))
         if hit is not None:
             raise QuantaleError('complements and negations disagree at %r' % (
                 self.label(hit[0]),))

@@ -44,10 +44,11 @@ class Reticulation(Quantale):
 
     A bounded distributive lattice is the quantale whose multiplication is meet,
     and the reticulation is that quantale on the classes.  Its order is the
-    source's on the radicals of the classes, and its join and meet are read
-    classwise at the representatives.  _verify is the proof: the class map is
-    onto and carries join to join and multiplication to meet, so the classes
-    are its image and every quantale law of the source holds on them."""
+    source's on the radicals of the classes, and so are its join and meet,
+    read classwise: lam(rho(a)) = lam(a), lam preserves joins and rho meets.
+    _verify is the proof: the class map is onto and carries join to join and
+    multiplication to meet, so the classes are its image and every quantale
+    law of the source holds on them."""
 
     def __init__(self, source):
         self.source = source
@@ -62,12 +63,11 @@ class Reticulation(Quantale):
         position = {rad: k for k, rad in enumerate(by_radical)}
         self.lam = tuple(position[rad] for rad in radical)
         at, lam = np.fromiter(by_radical, np.intp), np.array(self.lam, dtype=np.intp)
-        reps = np.array(self.representatives, dtype=np.intp)
-        grid = reps[:, None], reps
+        grid = at[:, None], at
         meet = lam[source.meet_table[grid]]
         self._adopt(
             FinitePoset._from_order([source.label(rep) for rep in self.representatives],
-                                    source.poset.leq[at[:, None], at]),
+                                    source.poset.leq[grid]),
             lam[source.join_table[grid]], meet, lam[source.bottom], lam[source.top], meet)
         self._verify()
 

@@ -23,8 +23,7 @@ from .oracles import (
     normal_witness, radical_by_powers)
 from .properties import (
     element_has_lp, has_lp, has_property_star, hyperarchimedean_equivalents,
-    is_b_normal, is_hyperarchimedean, is_local, is_normal, is_semilocal,
-    local_decomposition)
+    is_b_normal, is_hyperarchimedean, is_local, is_normal, local_decomposition)
 from .quantale import (
     Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale, _interval_at,
     _isomorphism, _product, _profile, decompose_by_elements, find_quantale_isomorphism,
@@ -380,8 +379,8 @@ def _interval(q, a):
 
 @lru_cache(maxsize=None)
 def _product_structure(generator):
-    'Factors, product and per factor the coordinate of each element, from a product generator.'
-    factors = tuple(io.generate(part) for part in generator[len('product:'):].split(';'))
+    'Factors, product and per factor the coordinates, from a product generator within the bound.'
+    factors = tuple(io._product_factors(generator[len('product:'):]))
     return (factors,) + _product(factors)
 
 
@@ -1210,11 +1209,10 @@ def _local_family_exists(q):
 def _check_local_decomposition(member):
     q = member.quantale
     r = jacobson_radical(q)
-    semilocal = is_semilocal(q)
     conditions = {
-        'splitting': semilocal and bool(has_property_star(q)),
-        'lifting': semilocal and bool(has_lp(q)),
-        'radical-lifting': semilocal and bool(element_has_lp(q, r)),
+        'splitting': bool(has_property_star(q)),
+        'lifting': bool(has_lp(q)),
+        'radical-lifting': bool(element_has_lp(q, r)),
     }
     recipe = local_decomposition(q)
     conditions['constructed-factoring'] = bool(recipe)

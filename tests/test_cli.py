@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+import re
 
 import pytest
 
@@ -194,3 +196,89 @@ def test_unreadable_input_exits_2_with_one_error_line(capsys, unreadable, monkey
     err = capsys.readouterr().err
     assert err.startswith('error: ') and message in err, err
     assert 'Traceback' not in err and len(err.splitlines()) == 1
+
+
+PRODUCT_CHECKS = ['product-recognition', 'product-maximals', 'product-lifting-transfer']
+
+
+def _product_document(tmp_path, generator):
+    'The emitted product of two three-chains as P33.json, with generator unless that is None.'
+    doc = json.loads(io.emit_instance(io.generate('product:chain:3,frame;chain:3,frame')))
+    if generator is not None:
+        doc['generator'] = generator
+    path = tmp_path / 'P33.json'
+    path.write_text(json.dumps(doc), encoding='utf-8')
+    return str(path)
+
+
+@pytest.mark.parametrize('generator, statuses, morphisms', [
+    ('product:chain:3,frame;chain:3,frame', ['PASS'] * 3, 11),
+    (None, ['NOT-APPLICABLE'] * 3, 9),
+    (3, ['NOT-APPLICABLE'] * 3, 9),
+], ids=['product-generator', 'no-generator', 'generator-not-a-string'])
+def test_verify_keeps_a_documents_generator(capsys, tmp_path, generator, statuses, morphisms):
+    'A document that names its product generator is checked as that product.'
+    path = _product_document(tmp_path, generator)
+    assert cli.main(['verify', path, '--no-timings', '--theorems', *PRODUCT_CHECKS,
+                     'morphisms-preserve-center']) == 0
+    rows = {line.split()[0]: line.split(None, 3)[2:]
+            for line in capsys.readouterr().out.splitlines() if ' P33 ' in line}
+    assert [rows[check][0] for check in PRODUCT_CHECKS] == statuses
+    assert rows['morphisms-preserve-center'] == ['PASS', '[%d morphisms]' % morphisms]
+
+
+@pytest.mark.parametrize('generator, message', [
+    ('product:boolean:6;boolean:6', 'the product would have 4096 elements, the bound is 1024'),
+    ('product:chain:3,frame;cube:3', "unknown generator 'cube'"),
+], ids=['product-above-the-bound', 'unknown-factor'])
+def test_verify_refuses_a_document_generator_as_generate_does(capsys, tmp_path, generator,
+                                                              message):
+    'The product a document names is bounded and checked before it is built.'
+    path = _product_document(tmp_path, generator)
+    assert cli.main(['verify', path, '--no-timings', '--theorems', *PRODUCT_CHECKS]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith('error: ') and message in err, err
+
+
+def _order_invariant(report):
+    """The lines of an analyze report with their lists sorted, the witness
+    texts dropped and the factorization idempotents, each with its factor
+    size, taken as a set: what the report says whatever the order of the
+    elements in the document.  Which witness is met first depends on that order."""
+    out = []
+    for line in report.splitlines():
+        key, _, value = line.partition(': ')
+        if key in ('elements', 'm-primes', 'maximal', 'center'):
+            value = sorted(value.split(', '))
+        elif key in ('covers', 'radical'):
+            value = sorted(value.split('; '))
+        elif key == 'quotient classes':
+            value = sorted(sorted(c.split()) for c in re.findall(r'\[([^\]]*)\]', value))
+        elif key.startswith('witness'):
+            value = None
+        elif key == 'local factorization' and value != 'none':
+            idempotents, _, sizes = value[len('idempotents '):].partition(', factor sizes ')
+            value = sorted(zip(idempotents.split(', '), sizes.split(', ')))
+        out.append((key, value))
+    return out
+
+
+def test_analyze_reports_the_same_on_shuffled_documents(capsys, tmp_path):
+    'Each member of the fixtures and enumerated(5), with its elements, leq and mul shuffled thrice.'
+    members = list(suite.fixtures()) + list(suite.enumerated(5))
+    assert len(members) == 49
+    for member in members:
+        doc = json.loads(io.emit_instance(member.quantale))
+        reports = []
+        for seed in range(4):
+            if seed:
+                rng = random.Random(seed)
+                for key in ('elements', 'leq', 'mul'):
+                    rng.shuffle(doc[key])
+            folder = tmp_path / str(seed)
+            folder.mkdir(exist_ok=True)
+            path = folder / ('%s.json' % member.name)
+            path.write_text(json.dumps(doc), encoding='utf-8')
+            assert cli.main(['analyze', str(path)]) == 0
+            reports.append(_order_invariant(capsys.readouterr().out))
+        assert reports[1:] == reports[:1] * 3, member.name

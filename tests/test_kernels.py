@@ -73,7 +73,7 @@ from test_fuzz import documents, junk
 from quantales import io, suite
 from quantales.lattices import (
     FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
-    NotAnIdeal, NotAPoset, _common_upper_bounds, _joins_and_meets, blocks, first_law_failure,
+    NotAnIdeal, NotAPoset, _joins_and_meets, blocks, first_law_failure,
     irreducibles_join_prime, is_distributive)
 from quantales.oracles import axiom_failure, has_id_blp, has_lp_per_anchor, lattice_is_id_local
 from quantales.properties import (
@@ -449,32 +449,40 @@ CENTER_QUANTALES = SPECTRUM_QUANTALES + [(spec, io.generate(spec)) for spec in (
 
 @pytest.mark.parametrize('name, q', CENTER_QUANTALES,
                          ids=['%s-%d' % (name, len(q)) for name, q in CENTER_QUANTALES])
-def test_center_bounds_match_the_loop_across_word_boundaries(name, q):
+def test_center_matches_the_loop_across_word_boundaries(name, q):
     perm = np.random.default_rng(len(q)).permutation(len(q))
     shuffled = Quantale(*permuted(q.lattice, q.mul_table, perm))
     assert shuffled.center == ref.center(shuffled)
     assert len(shuffled.center) == len(q.center)
-    # the annihilators, and random sets, against a matmul of the order: y is
-    # an upper bound of s and of the x in row s unless one of them is not <= y
-    leq = shuffled.poset.leq
-    rng = np.random.default_rng(len(q))
-    for mask in (shuffled.mul_table == shuffled.bottom, rng.random(leq.shape) < 0.05,
-                 rng.random(leq.shape) < 0.5):
-        above = (mask | np.eye(len(q), dtype=bool)).astype(np.int64) @ ~leq == 0
-        assert _common_upper_bounds(shuffled.poset, mask).tolist() == above.sum(axis=1).tolist()
 
 
-def test_common_upper_bounds_when_the_blocks_split_columns():
-    'A shuffled chain of 1,024 points, whose rows the blocks cut in two.'
-    n = 1024
-    rng = np.random.default_rng(n)
-    rank = rng.permutation(n)
-    poset = FinitePoset._from_order(labels(n), rank[:, None] <= rank)
-    assert next(blocks(n, len(poset._order_words[0])))[1] != slice(0, n)
-    mask = rng.random((n, n)) < 0.01
-    # on a chain the common upper bounds are the points from the highest one up
-    highest = np.maximum(rank, np.where(mask, rank, -1).max(axis=1))
-    assert _common_upper_bounds(poset, mask).tolist() == (n - highest).tolist()
+def test_center_of_a_shuffled_boolean_algebra_at_the_input_bound():
+    'boolean:10 shuffled: 1,024 elements, 10 maximal ones, and every element complemented.'
+    q = io.generate('boolean:10')
+    n = len(q)
+    perm = np.random.default_rng(n).permutation(n)
+    shuffled = Quantale(*permuted(q.lattice, q.mul_table, perm))
+    assert len(shuffled.maximal_elements) == 10
+    assert shuffled.center == tuple(range(n))
+
+
+def test_center_refuses_a_complement_no_negation_confirms():
+    'On a three-chain whose join is redrawn so that 1 v 0 = 2, 0 complements 1, yet 1 -> 0 = 0.'
+    broken = copy.copy(io.generate('chain:3,frame'))
+    join = broken.join_table.copy()
+    join[0, 1] = join[1, 0] = 2
+    broken.join_table = join
+    with pytest.raises(QuantaleError, match=r"^complements and negations disagree at '1'$"):
+        broken.center
+
+
+def test_center_leaves_the_order_of_intervals_and_products_unpacked():
+    'Intervals and products take their order from their source, and center reads it unpacked.'
+    q = io.generate('zn:72')
+    for part in (interval_quantale(q, 1)[0], product([q, io.generate('chain:3,frame')])[0]):
+        assert '_order_words' not in vars(part.poset)
+        assert part.center == ref.center(part)
+        assert '_order_words' not in vars(part.poset)
 
 
 def test_intervals_restrict_the_tables_their_own_order_gives():
