@@ -143,11 +143,6 @@ def is_local(q):
     return len(q.maximal_elements) == 1
 
 
-def is_semilocal(q):
-    'Finitely many maximal elements; a finite carrier always qualifies.'
-    return True
-
-
 @dataclass(frozen=True)
 class Decomposition:
     'Product decomposition data: central idempotent anchors and local factors.'
@@ -210,7 +205,8 @@ class PropertyReport:
         verdicts = {name: bool(v) for name, v in named.items()}
         verdicts['semiprime'] = is_semiprime(q)
         verdicts['local'] = is_local(q)
-        verdicts['semilocal'] = is_semilocal(q)
+        # every finite carrier has finitely many maximal elements
+        verdicts['semilocal'] = True
         witnesses = {name: v.witness for name, v in named.items() if not v}
         decomposition = local_decomposition(q)
         if isinstance(decomposition, Verdict):

@@ -1187,19 +1187,15 @@ def _check_product_lifting_transfer(member):
 
 def _local_family_exists(q):
     'Exhaustive search for central elements giving a local factorization.'
-    center = q.center
-    local_interval = {}
-    for e in center:
-        part, _ = _interval(q, e)
-        local_interval[e] = is_local(part)
-    for size in range(1, len(center) + 1):
-        for family in combinations(center, size):
+    # a family with a member whose interval is not local never factors, so
+    # only the central elements with a local interval are combined
+    local = [e for e in q.center if is_local(_interval(q, e)[0])]
+    for size in range(1, len(local) + 1):
+        for family in combinations(local, size):
             if q.meet_all(family) != q.bottom:
                 continue
-            if any(q.join(family[i], family[j]) != q.top
+            if all(q.join(family[i], family[j]) == q.top
                    for i in range(size) for j in range(i + 1, size)):
-                continue
-            if all(local_interval[e] for e in family):
                 return True
     return False
 

@@ -39,9 +39,10 @@ multiplication, off the parent's tables joined with the anchor, as an
 interval now restricts its parent's lattice instead of building its own.
 The interval, product and radical frame loops keep their tables unchecked,
 as the package adopts them, and prove them as the package does: the
-interval and the frame by quantale_morphism_checks on the map they are the
-image of (the frame also by induced_order_checks), the product by nothing,
-since its laws hold coordinate by coordinate.
+interval, the frame and the reticulation by quantale_morphism_checks on the
+map they are the image of (the frame and the reticulation also by
+induced_order_checks, the reticulation first by the power criterion), the
+product by nothing, since its laws hold coordinate by coordinate.
 Nothing under src/ imports this module.
 """
 
@@ -300,7 +301,7 @@ def center(q):
     return out
 
 
-def quantale_morphism_checks(source, target, mapping, unital=True):
+def quantale_morphism_checks(source, target, mapping):
     """The validation QuantaleMorphism runs on a mapping, in its scan order:
     every pair, row by row, since the source of an interval's surjection may
     hold a table that is not symmetric."""
@@ -317,34 +318,24 @@ def quantale_morphism_checks(source, target, mapping, unital=True):
             if mapping[source.mul(x, y)] != target.mul(mapping[x], mapping[y]):
                 raise QuantaleError('multiplication not preserved at %r, %r' % (
                     source.label(x), source.label(y)))
-    if unital and mapping[source.top] != target.top:
+    if mapping[source.top] != target.top:
         raise QuantaleError('unit not preserved')
 
 
 def reticulation_verify(ret):
-    'The classwise laws Reticulation._verify checked, in its scan order.'
+    'The checks Reticulation._verify runs on the class map, in its order and scan order.'
     source, lam, lattice = ret.source, ret.lam, ret.lattice
     n = len(source)
     if set(lam) != set(range(len(ret.classes))):
         raise AxiomViolation('class map is not surjective')
+    quantale_morphism_checks(source, ret, lam)
     for a in range(n):
         for b in range(n):
-            joined = lam[source.join(a, b)]
-            if joined != lattice.join(lam[a], lam[b]):
-                raise AxiomViolation(
-                    'join not classwise at %r, %r' % (source.label(a), source.label(b)))
-            times = lam[source.mul(a, b)]
-            if times != lattice.meet(lam[a], lam[b]):
-                raise AxiomViolation(
-                    'product does not meet classwise at %r, %r' % (
-                        source.label(a), source.label(b)))
             below = lattice.leq(lam[a], lam[b])
             eventually = source.leq(stable_power(source, a), b)
             if below != eventually:
                 raise AxiomViolation(
                     'power criterion fails at %r, %r' % (source.label(a), source.label(b)))
-    if lam[source.bottom] != lattice.bottom or lam[source.top] != lattice.top:
-        raise AxiomViolation('bounds not preserved by the class map')
     induced_order_checks(ret, AxiomViolation, 'class')
 
 
@@ -521,9 +512,7 @@ def radical_frame(parent):
 
 
 def lift_morphism(u):
-    'The induced map on reticulations of a unital quantale morphism.'
-    if not u.unital:
-        raise NotUnital('reticulation lifting needs a unital morphism', ())
+    'The induced map on reticulations of a quantale morphism.'
     ra = reticulate(u.source)
     rb = reticulate(u.target)
     mapping = [None] * len(ra)

@@ -16,8 +16,8 @@ from quantales.lattices import FiniteLattice, FinitePoset
 from quantales.oracles import has_id_blp, normal_witness, radical_by_powers
 from quantales.properties import (
     element_has_lp, has_lp, has_property_star, hyperarchimedean_equivalents,
-    is_b_normal, is_hyperarchimedean, is_local, is_normal, is_semilocal,
-    is_semiprime, local_decomposition)
+    is_b_normal, is_hyperarchimedean, is_local, is_normal, is_semiprime,
+    local_decomposition)
 from quantales.quantale import (
     AxiomError, Quantale, interval_quantale, jacobson_radical, product)
 from quantales.reticulation import (
@@ -245,9 +245,9 @@ def test_criterion_09_local_decomposition(corpus, small_corpus, d12, w5):
             continue
         r = jacobson_radical(q)
         values = {
-            is_semilocal(q) and bool(has_property_star(q)),
-            is_semilocal(q) and bool(has_lp(q)),
-            is_semilocal(q) and bool(element_has_lp(q, r)),
+            bool(has_property_star(q)),
+            bool(has_lp(q)),
+            bool(element_has_lp(q, r)),
             bool(local_decomposition(q)),
         }
         assert len(values) == 1, member.name

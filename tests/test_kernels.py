@@ -582,6 +582,18 @@ def test_reticulation_check_matches_the_loop_on_perturbed_class_maps(ret):
     assert outcome(ret._verify) == outcome(ref.reticulation_verify, ret)
 
 
+def test_class_map_that_moves_the_bottoms_class_is_refused():
+    # in zn:4 the zero ideal shares its class with (2); sending it to the
+    # class of the whole ring keeps the map onto but moves the bottom
+    q = io.generate('zn:4')
+    ret = copy.copy(Reticulation(q))
+    lam = list(ret.lam)
+    lam[q.bottom] = ret.lam[q.top]
+    ret.lam = tuple(lam)
+    refused = ('raised', QuantaleError, 'bottom not preserved', None)
+    assert outcome(ret._verify) == outcome(ref.reticulation_verify, ret) == refused
+
+
 @st.composite
 def morphism_cases(draw):
     'A source, a target and a mapping: an interval surjection, perturbed or not, or a random map.'
@@ -1378,8 +1390,6 @@ class _Map:
 
     def __init__(self, source, target, mapping):
         self.source, self.target, self.mapping = source, target, mapping
-        # the reference lift reads it; every QuantaleMorphism preserves the unit
-        self.unital = True
 
     def __call__(self, x):
         return self.mapping[x]

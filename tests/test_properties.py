@@ -10,7 +10,7 @@ from quantales.oracles import has_id_blp, normal_witness
 from quantales.properties import (
     Decomposition, PropertyReport, element_has_lp, has_lp, has_property_star,
     hyperarchimedean_equivalents, is_b_normal, is_hyperarchimedean, is_local,
-    is_normal, is_semilocal, is_semiprime, local_decomposition)
+    is_normal, is_semiprime, local_decomposition)
 from quantales.quantale import (
     TrivialQuantale, interval_quantale, jacobson_radical)
 from quantales.reticulation import reticulate
@@ -161,9 +161,9 @@ def test_five_way_decomposition_equivalence(corpus, small_corpus):
             continue
         r = jacobson_radical(q)
         values = {
-            is_semilocal(q) and bool(has_property_star(q)),
-            is_semilocal(q) and bool(has_lp(q)),
-            is_semilocal(q) and bool(element_has_lp(q, r)),
+            bool(has_property_star(q)),
+            bool(has_lp(q)),
+            bool(element_has_lp(q, r)),
             bool(local_decomposition(q)),
         }
         assert len(values) == 1, member.name

@@ -165,6 +165,35 @@ def test_the_size_six_suite_report_is_pinned():
         '5d64979182c7fa8d86bdb17f9ecd3d23eb626f2142768d0895ae69d28e9d36ea')
 
 
+def test_the_size_seven_local_decomposition_rows_are_pinned():
+    'The five-way factorization law over every quantale of at most seven elements.'
+    report = suite.run_suite(suite.enumerated(7, bound=7),
+                             checks=['local-decomposition-equivalence'])
+    assert Counter(r.status for r in report.results) == {
+        suite.PASS: 910, suite.NOT_APPLICABLE: 1}
+    assert hashlib.sha256(report.fingerprint().encode()).hexdigest() == (
+        '87ab19d8268201a8bf54038d222fcbc97742addd7ce51d5452f8a8f377aaa3e4')
+
+
+LOCAL_FAMILY_ON_BOOLEAN_7 = textwrap.dedent("""
+    from quantales import io, suite
+
+    print(suite._local_family_exists(io.generate('boolean:7')))
+""")
+
+
+def test_local_factorization_search_finishes_on_a_128_element_boolean_algebra():
+    """Its 128 central elements have 7 local intervals, one per coatom; a
+    search over every family of central elements would not finish."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(quantales.__file__))
+    env['PYTHONPATH'] = os.pathsep.join(filter(None, [src, env.get('PYTHONPATH')]))
+    done = subprocess.run([sys.executable, '-c', LOCAL_FAMILY_ON_BOOLEAN_7],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == 'True\n'
+
+
 def test_fingerprint_is_deterministic(corpus):
     first = suite.run_suite(corpus, checks=['radical-laws', 'center-laws'])
     second = suite.run_suite(corpus, checks=['radical-laws', 'center-laws'])
