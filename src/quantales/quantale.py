@@ -359,6 +359,9 @@ class QuantaleMorphism:
     def is_surjective(self):
         return len(self.image) == len(self.target)
 
+    def is_bijective(self):
+        return len(self.source) == len(self.image) == len(self.target)
+
 
 def kernel(u):
     'Join of everything the morphism sends to bottom.'
@@ -499,7 +502,7 @@ def decompose_by_elements(q, anchors):
     mapping = np.ravel_multi_index(
         tuple(p.to_interval[carrier] for p in parts), tuple(len(p) for p in parts))
     u = QuantaleMorphism(source, target, mapping)
-    if len(set(u.mapping)) != len(source) or not u.is_surjective():
+    if not u.is_bijective():
         raise QuantaleError('decomposition map is not bijective')
     return u
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from quantales.lattices import (
     FinitePoset,
-    LatticeMorphism,
     NotAnIdeal,
     first_law_failure,
     first_true,
@@ -153,7 +152,7 @@ def frame_iso(q):
             raise QuantaleError('star and unstar are not mutually inverse at %r' % (
                 q.label(a),))
     # star preserves the frame's joins and meets, and its bounds
-    LatticeMorphism(frame, r, tuple(phi.values()))
+    QuantaleMorphism(frame, r, tuple(phi.values()))
     # adjunction: unstar(g) <= a iff g <= star(a)
     hit = first_true(q.poset.leq[list(psi.values())][:, list(frame.carrier)]
                      != r.poset.leq[:, list(phi.values())])
@@ -189,17 +188,14 @@ def mu(q):
     'Embedding of the reticulation into the radical frame: class(c) to radical(c).'
     r = reticulate(q)
     frame = q.radical_frame
-    mapping = frame.to_frame[list(r.representatives)].tolist()
-    morphism = LatticeMorphism(r, frame, mapping)
-    if not morphism.is_injective():
-        raise QuantaleError('reticulation embedding is not injective')
-    if not morphism.is_surjective():
-        # every radical element is the radical of itself, so finite carriers
-        # force surjectivity
-        raise QuantaleError('reticulation embedding is not surjective on a finite carrier')
-    for c in range(len(q)):
-        if frame.carrier[mapping[r.lam[c]]] != q.radical_of(c):
-            raise QuantaleError('triangle radical = mu o class fails at %r' % (q.label(c),))
+    mapping = frame.to_frame[list(r.representatives)]
+    morphism = QuantaleMorphism(r, frame, mapping)
+    # every radical element is its own radical, so a finite carrier forces surjectivity
+    if not morphism.is_bijective():
+        raise QuantaleError('reticulation embedding is not bijective')
+    hit = first_true(np.asarray(frame.carrier)[mapping[list(r.lam)]] != q.radical_table)
+    if hit is not None:
+        raise QuantaleError('triangle radical = mu o class fails at %r' % (q.label(hit[0]),))
     return morphism
 
 
@@ -210,7 +206,7 @@ def lift_morphism(u):
     mapping, split = _induced(ra.lam, np.asarray(rb.lam)[list(u.mapping)])
     if split is not None:
         raise QuantaleError('lifted map is not well defined on class %d' % (split,))
-    return LatticeMorphism(ra, rb, mapping)
+    return QuantaleMorphism(ra, rb, mapping)
 
 
 def interval_reticulation_iso(q, a):
@@ -228,8 +224,8 @@ def interval_reticulation_iso(q, a):
     mapping, split = _induced(p.mapping, lifted.mapping)
     if split is not None:
         raise QuantaleError('lifted map does not factor through the quotient')
-    iso = LatticeMorphism(quotient, r_part, mapping)
-    if not (iso.is_injective() and iso.is_surjective()):
+    iso = QuantaleMorphism(quotient, r_part, mapping)
+    if not iso.is_bijective():
         raise QuantaleError('interval reticulation comparison is not bijective')
     return iso
 
@@ -245,40 +241,39 @@ def boolean_isos(q):
     b_rho = {e: frame.to_frame.item(e) for e in center}
     embedding = mu(q)
     b_mu = {x: embedding(x) for x in center_l}
-    _check_center_bijection(b_lambda, center, center_l, 'reticulation')
-    _check_center_bijection(b_rho, center, center_r, 'radical frame')
-    _check_center_bijection(b_mu, center_l, center_r, 'embedding')
+    # each map is built over its source center and a target center has no repeats,
+    # so one multiset comparison makes a map a bijection onto its target center
+    for name, mapping, target in (('reticulation', b_lambda, center_l),
+                                  ('radical frame', b_rho, center_r),
+                                  ('embedding', b_mu, center_r)):
+        if sorted(mapping.values()) != sorted(target):
+            raise QuantaleError('center map on %s is not onto the target center' % (name,))
     for e in center:
         if b_mu[b_lambda[e]] != b_rho[e]:
             raise QuantaleError('center triangle does not commute at %r' % (q.label(e),))
     return b_lambda, b_rho, b_mu
 
 
-def _check_center_bijection(mapping, source_center, target_center, name):
-    if set(mapping) != set(source_center):
-        raise QuantaleError('center map on %s has the wrong domain' % (name,))
-    if sorted(mapping.values()) != sorted(target_center):
-        raise QuantaleError('center map on %s is not onto the target center' % (name,))
-    if len(set(mapping.values())) != len(mapping):
-        raise QuantaleError('center map on %s is not injective' % (name,))
-
-
-def check_unicity(reticulation, lattice, lam):
-    'Isomorphism onto a candidate reticulation, after checking its axioms.'
+def check_unicity(reticulation, candidate, lam):
+    'Isomorphism onto a candidate reticulation, a meet-quantale, after checking its axioms.'
     q = reticulation.source
+    hit = first_true(candidate.mul_table != candidate.meet_table)
+    if hit is not None:
+        raise NotAReticulation('candidate multiplication is not its meet',
+                               tuple(map(candidate.label, hit)))
     lam = tuple(int(x) for x in lam)
     if len(lam) != len(q):
         raise NotAReticulation('candidate map length does not match the carrier')
-    if set(lam) != set(range(len(lattice))):
+    if set(lam) != set(range(len(candidate))):
         raise NotAReticulation('candidate map is not surjective')
     f = np.asarray(lam)
     # [a, b]: the join axiom class(a v b) <= class(a) v class(b), the product
     # axiom class(a*b) = class(a) ^ class(b), and the power axiom
     # class(a) <= class(b) iff a's stable power lies below b
     hit = first_law_failure([
-        ~lattice.poset.leq[f[q.join_table], lattice.join_table[f[:, None], f]],
-        f[q.mul_table] != lattice.meet_table[f[:, None], f],
-        lattice.poset.leq[f[:, None], f] != q.poset.leq[q.stable_powers]])
+        ~candidate.poset.leq[f[q.join_table], candidate.join_table[f[:, None], f]],
+        f[q.mul_table] != candidate.meet_table[f[:, None], f],
+        candidate.poset.leq[f[:, None], f] != q.poset.leq[q.stable_powers]])
     if hit is not None:
         a, b, law = hit
         raise NotAReticulation('candidate breaks the %s axiom' % (
@@ -286,7 +281,7 @@ def check_unicity(reticulation, lattice, lam):
     mapping, split = _induced(reticulation.lam, f)
     if split is not None:
         raise NotAReticulation('candidate classes do not refine radical classes', (split,))
-    iso = LatticeMorphism(reticulation, lattice, mapping)
-    if not (iso.is_injective() and iso.is_surjective()):
+    iso = QuantaleMorphism(reticulation, candidate, mapping)
+    if not iso.is_bijective():
         raise NotAReticulation('comparison map is not bijective')
     return iso

@@ -27,7 +27,9 @@ element before one read of the join table did, and the element reads that
 went through int(table[i, j]) behind one or two delegating calls, with the
 residuum and kernel scans over them, before each read became one
 ndarray.item, and the emitter that built the document as lists for
-json.dumps before it wrote the text from each label's encoding.
+json.dumps before it wrote the text from each label's encoding, and the
+center-laws check that tested distributivity over each central e at every
+pair (a, b) before one mask per e did.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
 class with the same message and witness, as the loop it replaced, the
@@ -64,7 +66,7 @@ from quantales.quantale import (
     NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale,
     _isomorphism, jacobson_radical, negation)
 from quantales.reticulation import AxiomViolation, NotAReticulation, reticulate
-from quantales.suite import BoundExceeded
+from quantales.suite import PASS, REFUTED, BoundExceeded
 
 
 def poset_checks(elements, leq):
@@ -521,7 +523,8 @@ def lift_morphism(u):
         if len(images) != 1:
             raise QuantaleError('lifted map is not well defined on class %d' % (ci,))
         mapping[ci] = images.pop()
-    lifted = LatticeMorphism(ra.lattice, rb.lattice, tuple(mapping))
+    quantale_morphism_checks(ra, rb, mapping)
+    lifted = QuantaleMorphism(ra, rb, mapping)
     for c in range(len(u.source)):
         if lifted(ra.lam[c]) != rb.lam[u(c)]:
             raise AxiomViolation('lifted map breaks the class maps at %r' % (u.source.label(c),))
@@ -541,24 +544,29 @@ def factor_through(quotient, r, p, lifted):
     return tuple(mapping)
 
 
-def check_unicity(reticulation, lattice, lam):
-    'Isomorphism onto a candidate reticulation, after checking its axioms.'
+def check_unicity(reticulation, candidate, lam):
+    'Isomorphism onto a candidate reticulation, a meet-quantale, after checking its axioms.'
     q = reticulation.source
+    for x in range(len(candidate)):
+        for y in range(len(candidate)):
+            if candidate.mul(x, y) != candidate.meet(x, y):
+                raise NotAReticulation('candidate multiplication is not its meet',
+                                       (candidate.label(x), candidate.label(y)))
     lam = tuple(int(x) for x in lam)
     n = len(q)
     if len(lam) != n:
         raise NotAReticulation('candidate map length does not match the carrier')
-    if set(lam) != set(range(len(lattice))):
+    if set(lam) != set(range(len(candidate))):
         raise NotAReticulation('candidate map is not surjective')
     for a in range(n):
         for b in range(n):
-            if not lattice.leq(lam[q.join(a, b)], lattice.join(lam[a], lam[b])):
+            if not candidate.leq(lam[q.join(a, b)], candidate.join(lam[a], lam[b])):
                 raise NotAReticulation(
                     'candidate breaks the join axiom', (q.label(a), q.label(b)))
-            if lam[q.mul(a, b)] != lattice.meet(lam[a], lam[b]):
+            if lam[q.mul(a, b)] != candidate.meet(lam[a], lam[b]):
                 raise NotAReticulation(
                     'candidate breaks the product axiom', (q.label(a), q.label(b)))
-            if lattice.leq(lam[a], lam[b]) != q.leq(q.stable_power(a), b):
+            if candidate.leq(lam[a], lam[b]) != q.leq(q.stable_power(a), b):
                 raise NotAReticulation(
                     'candidate breaks the power axiom', (q.label(a), q.label(b)))
     mapping = [None] * len(reticulation)
@@ -568,9 +576,10 @@ def check_unicity(reticulation, lattice, lam):
             raise NotAReticulation(
                 'candidate classes do not refine radical classes', (ci,))
         mapping[ci] = images.pop()
-    iso = LatticeMorphism(reticulation.lattice, lattice, tuple(mapping))
-    if not (iso.is_injective() and iso.is_surjective()):
+    quantale_morphism_checks(reticulation, candidate, mapping)
+    if len(set(mapping)) != len(reticulation) or set(mapping) != set(range(len(candidate))):
         raise NotAReticulation('comparison map is not bijective')
+    iso = QuantaleMorphism(reticulation, candidate, mapping)
     for c in range(n):
         if iso(reticulation.lam[c]) != lam[c]:
             raise NotAReticulation('comparison map breaks the class maps', (q.label(c),))
@@ -998,6 +1007,37 @@ def residuum(q, a, b):
 def negation_by_residuum(q, a):
     'Largest x with a*x = 0.'
     return residuum(q, a, q.lattice.bottom)
+
+
+def center_laws(member):
+    """The center-laws check as a triple loop over e, a and b, in the order
+    suite._check_center_laws keeps: central e in set order, then for each a the
+    meet law, the residuum law and distributivity over e at every b."""
+    q = member.quantale
+    n = len(q)
+    central = set(q.center)
+    for a in range(n):
+        coend = q.join(a, negation_by_residuum(q, a)) == q.top
+        if (a in central) != coend:
+            return REFUTED, 'center membership differs from a v a~ = 1 at %r' % (
+                q.label(a),)
+    for a in range(n):
+        for b in range(a, n):
+            if q.join(a, b) == q.top and q.mul(a, b) == q.bottom and not (
+                    a in central and b in central):
+                return REFUTED, 'coprime pair (%r, %r) with zero product not central' % (
+                    q.label(a), q.label(b))
+    for e in central:
+        for a in range(n):
+            if q.meet(e, a) != q.mul(e, a):
+                return REFUTED, 'e^a != e*a at (%r, %r)' % (q.label(e), q.label(a))
+            if residuum(q, e, a) != q.join(negation_by_residuum(q, e), a):
+                return REFUTED, 'e -> a != e~ v a at (%r, %r)' % (q.label(e), q.label(a))
+            for b in range(n):
+                if q.join(q.meet(a, b), e) != q.meet(q.join(a, e), q.join(b, e)):
+                    return REFUTED, 'join over e not distributive at (%r, %r, %r)' % (
+                        q.label(a), q.label(b), q.label(e))
+    return PASS, '%d central elements' % len(central)
 
 
 def kernel(u):

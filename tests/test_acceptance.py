@@ -118,7 +118,7 @@ def test_criterion_03_reticulation_axioms_and_unicity(corpus):
         q = member.quantale
         ret = reticulate(q)  # constructor re-verifies the quotient axioms
         frame = q.radical_frame
-        check_unicity(ret, frame.lattice,
+        check_unicity(ret, frame,
                       tuple(frame.to_frame[q.radical_of(a)] for a in range(len(q))))
         m = len(ret)
         swap = tuple(m - 1 - i for i in range(m))
@@ -127,7 +127,8 @@ def test_criterion_03_reticulation_axioms_and_unicity(corpus):
             for j in range(m):
                 rel[swap[i], swap[j]] = ret.lattice.leq(i, j)
         copy = FiniteLattice(FinitePoset(['k%d' % i for i in range(m)], rel))
-        check_unicity(ret, copy, tuple(swap[ret.lam[a]] for a in range(len(q))))
+        check_unicity(ret, Quantale(copy, copy.meet_table),
+                      tuple(swap[ret.lam[a]] for a in range(len(q))))
     _line(3, True,
           'quotient axioms hold and both candidates (radical frame, relabeled '
           'copy) are unique over the class map on all %d fixtures' % len(corpus))

@@ -621,6 +621,71 @@ def test_morphism_validation_matches_the_loops(case):
         ref.lattice_morphism_checks, source.lattice, target.lattice, mapping)
 
 
+@CASES
+@given(morphism_cases())
+def test_bijectivity_is_injectivity_and_surjectivity(case):
+    source, target, mapping = case
+    # the rule only counts the image, so it is read on maps that fail validation too
+    u = QuantaleMorphism.__new__(QuantaleMorphism)
+    u.source, u.target, u.mapping = source, target, mapping
+    injective = len(set(mapping)) == len(source)
+    surjective = set(mapping) == set(range(len(target)))
+    assert u.is_bijective() == (injective and surjective)
+
+
+# ---------------------------------------------------------------------------
+# the center laws, one mask per central element
+
+CENTER_MEMBERS = list(suite.fixtures()) + list(suite.enumerated(5))
+
+
+def _member_copy(member, **attributes):
+    'The member with a shallow copy of its quantale, its center read first and kept.'
+    member.quantale.center
+    q = copy.copy(member.quantale)
+    for name, value in attributes.items():
+        setattr(q, name, value)
+    return suite.CorpusMember(member.name, q)
+
+
+def test_center_laws_match_the_loop_on_centers_that_gain_an_element():
+    for member in CENTER_MEMBERS:
+        q = member.quantale
+        copies = [_member_copy(member, center=tuple(sorted(q.center + (x,))))
+                  for x in range(len(q)) if x not in q.center]
+        for case in [member] + copies:
+            assert suite._check_center_laws(case) == ref.center_laws(case), case.name
+
+
+@st.composite
+def center_law_cases(draw):
+    'A member whose meet and multiplication tables have one or two symmetric entries redrawn.'
+    member = draw(st.sampled_from(CENTER_MEMBERS))
+    n = len(member.quantale)
+    tables = {name: getattr(member.quantale, name).copy() for name in ('meet_table', 'mul_table')}
+    for _ in range(draw(st.integers(1, 2))):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table = tables[draw(st.sampled_from(sorted(tables)))]
+        table[x, y] = table[y, x] = draw(st.integers(0, n - 1))
+    return _member_copy(member, **tables)
+
+
+def _residuum_and_distributivity_fail_together():
+    'B4 with mul[1, 3] and meet[2, 3] redrawn: both laws fail first at the same e and a.'
+    member = next(m for m in CENTER_MEMBERS if m.name == 'B4')
+    mul, meet = member.quantale.mul_table.copy(), member.quantale.meet_table.copy()
+    mul[1, 3] = mul[3, 1] = 2
+    meet[2, 3] = meet[3, 2] = 0
+    return _member_copy(member, mul_table=mul, meet_table=meet)
+
+
+@CASES
+@given(center_law_cases())
+@example(_residuum_and_distributivity_fail_together())
+def test_center_laws_match_the_loop_on_redrawn_tables(member):
+    assert suite._check_center_laws(member) == ref.center_laws(member)
+
+
 # ---------------------------------------------------------------------------
 # monotone commutative tables on chains
 
@@ -1425,24 +1490,25 @@ def test_lifted_morphisms_match_the_loop(u):
 
 @st.composite
 def unicity_cases(draw):
-    """A reticulation, with its classes redrawn or not, a candidate lattice
-    (its own, the radical frame's, or its own with the indices reversed) and a
-    candidate map redrawn in a few places."""
+    """A reticulation, with its classes redrawn or not, a candidate (the
+    reticulation, the radical frame, the reticulation with the indices
+    reversed, or the quantale itself, a meet-quantale only if it is a frame)
+    and a candidate map redrawn in a few places."""
     q = draw(st.sampled_from(QUANTALES))
     ret = reticulate(q)
-    reversed_copy = FiniteLattice(FinitePoset(
-        ret.lattice.elements[::-1], ret.lattice.poset.leq[::-1, ::-1]))
-    lattice = draw(st.sampled_from([ret.lattice, q.radical_frame.lattice, reversed_copy]))
+    reversed_copy = FiniteLattice(FinitePoset(ret.elements[::-1], ret.poset.leq[::-1, ::-1]))
+    candidate = draw(st.sampled_from([
+        ret, q.radical_frame, Quantale(reversed_copy, reversed_copy.meet_table), q]))
     lam = list(ret.lam)
     for _ in range(draw(st.integers(0, 3))):
-        lam[draw(st.integers(0, len(q) - 1))] = draw(st.integers(0, len(lattice) - 1))
+        lam[draw(st.integers(0, len(q) - 1))] = draw(st.integers(0, len(candidate) - 1))
     if draw(st.booleans()):
         k = len(ret)
         classes = _classes(draw, len(q), k)
         ret = copy.copy(ret)
         ret.lam = tuple(classes)
         ret.classes = tuple(tuple(x for x in range(len(q)) if classes[x] == c) for c in range(k))
-    return ret, lattice, tuple(lam)
+    return ret, candidate, tuple(lam)
 
 
 def _unicity_join_failure():
@@ -1450,7 +1516,7 @@ def _unicity_join_failure():
     ret = reticulate(io.generate('zn:36'))
     lam = list(ret.lam)
     lam[ret.source.index_of('3')] = 1
-    return ret, ret.lattice, tuple(lam)
+    return ret, ret, tuple(lam)
 
 
 @CASES

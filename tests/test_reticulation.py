@@ -5,10 +5,10 @@ import pytest
 
 from quantales import io
 from quantales.lattices import FiniteLattice, FinitePoset, NotAnIdeal
-from quantales.quantale import Quantale
+from quantales.quantale import Quantale, QuantaleMorphism, interval_quantale
 from quantales.reticulation import (
     NotAReticulation, Reticulation, boolean_isos, check_unicity, frame_iso,
-    interval_reticulation_iso, mu, reticulate, spectrum_homeomorphism,
+    interval_reticulation_iso, lift_morphism, mu, reticulate, spectrum_homeomorphism,
     star, unstar)
 
 ALL_NAMES = ['Q1', 'C2', 'C3', 'B4', 'W5', 'D12', 'DIV4', 'DIV8', 'DIV30',
@@ -113,7 +113,23 @@ def test_boolean_triangle(corpus):
 def test_mu_is_a_lattice_isomorphism(corpus):
     for q in _members(corpus):
         bridge = mu(q)
-        assert bridge.is_injective() and bridge.is_surjective()
+        assert bridge.is_bijective()
+
+
+def test_bridges_are_bijective_quantale_morphisms(corpus, small_corpus):
+    for member in list(corpus) + list(small_corpus):
+        q = member.quantale
+        r = reticulate(q)
+        frame = q.radical_frame
+        bridges = [mu(q), check_unicity(r, frame, frame.to_frame)]
+        bridges += [interval_reticulation_iso(q, a) for a in range(len(q))]
+        for bridge in bridges:
+            assert type(bridge) is QuantaleMorphism and bridge.is_bijective(), member.name
+        for a in range(len(q)):
+            # onto, and its kernel is star(a), so one-to-one exactly when that is the bottom
+            lifted = lift_morphism(interval_quantale(q, a)[1])
+            assert type(lifted) is QuantaleMorphism and lifted.is_surjective()
+            assert lifted.is_bijective() == (star(q, a) == r.bottom), (member.name, a)
 
 
 def test_interval_reticulation_everywhere(corpus):
@@ -126,8 +142,8 @@ def test_unicity_accepts_the_radical_frame_candidate(d12):
     ret = reticulate(d12)
     frame = d12.radical_frame
     lam = tuple(frame.to_frame[d12.radical_of(a)] for a in range(len(d12)))
-    iso = check_unicity(ret, frame.lattice, lam)
-    assert iso.is_injective() and iso.is_surjective()
+    iso = check_unicity(ret, frame, lam)
+    assert iso.is_bijective()
 
 
 def test_unicity_accepts_a_relabeled_copy(d12):
@@ -139,19 +155,31 @@ def test_unicity_accepts_a_relabeled_copy(d12):
         for j in range(m):
             rel[swap[i], swap[j]] = ret.lattice.leq(i, j)
     copy = FiniteLattice(FinitePoset(['k%d' % i for i in range(m)], rel))
+    copy = Quantale(copy, copy.meet_table)
     iso = check_unicity(ret, copy, tuple(swap[ret.lam[a]] for a in range(len(d12))))
-    assert iso.is_surjective()
+    assert iso.is_bijective()
 
 
 def test_unicity_rejects_wrong_candidates(d12):
     ret = reticulate(d12)
     # constant-to-top map is not surjective onto a two-point lattice's bottom
     two = FiniteLattice(FinitePoset(['u', 'v'], np.array([[1, 1], [0, 1]], bool)))
+    two = Quantale(two, two.meet_table)
     with pytest.raises(NotAReticulation):
         check_unicity(ret, two, (1,) * len(d12))
     # a chain of the right size cannot satisfy the join axiom for D12
     m = len(ret)
     chain_rel = np.triu(np.ones((m, m), dtype=bool))
     chain = FiniteLattice(FinitePoset(['c%d' % i for i in range(m)], chain_rel))
+    chain = Quantale(chain, chain.meet_table)
     with pytest.raises(NotAReticulation):
         check_unicity(ret, chain, ret.lam)
+
+
+def test_unicity_refuses_a_candidate_whose_multiplication_is_not_its_meet(d12):
+    ret = reticulate(d12)
+    # in the ideals of Z/4, (2)*(2) is the zero ideal, strictly below (2) ^ (2)
+    z4 = io.generate('zn:4')
+    with pytest.raises(NotAReticulation, match='multiplication is not its meet') as refused:
+        check_unicity(ret, z4, [0] * len(d12))
+    assert refused.value.witness == ('2', '2')
