@@ -3,9 +3,20 @@
 Each function decides a concept a second way, apart from the code it
 checks: the quantale laws over every triple, the radical by iterating
 powers, the Boolean center, ideal lifting and localness on the lattice side,
-lifting anchor by anchor, and normality by a plain loop.  Only the law suite
+lifting anchor by anchor, and normality by a bitset scan.  Only the law suite
 and the tests import this module; no library module does, so an oracle never
 shares a fault with what it checks.
+
+The oracles stay plain Python over the stored tables, read once as lists.
+Ideal lifting and per-anchor lifting take each existential only over the
+precomputed list of the y with x v y = 1.  Normality keeps one Python int
+per element as a set of pool elements: for each a it ORs the sets
+{f : e*f = 0} over the pool elements e with a v e = 1, then tests every b
+with a v b = 1 against {f : b v f = 1}.  That factors the existential over
+(e, f) as is_normal's matrix product does, so this oracle is less
+independent of is_normal than the pair loop it replaced.  The plain loops
+these scans replaced live on in tests/reference_loops.py, which holds each
+scan to its loop's verdict and first witness.
 """
 
 from quantales.lattices import Verdict
@@ -44,19 +55,31 @@ def lattice_boolean_center(lat):
     return tuple(x for x in range(len(lat)) if complement_of(lat, x) is not None)
 
 
+def _coprime_lists(join, top):
+    'Per x, the y with x v y = 1, ascending.'
+    return [[y for y, xy in enumerate(row) if xy == top] for row in join]
+
+
+def _complemented(coprime, times, bottom):
+    'The e with e v f = 1 and e times f = 0 for some f, ascending.'
+    return [e for e, row in enumerate(coprime) if any(times[e][f] == bottom for f in row)]
+
+
 def has_id_blp(lat):
     'Whether complemented elements lift along every ideal quotient; witness (generator, stranded).'
-    center = lattice_boolean_center(lat)
-    n = len(lat)
+    join, meet = lat.join_table.tolist(), lat.meet_table.tolist()
+    leq = lat.poset.leq.tolist()
+    coprime = _coprime_lists(join, lat.top)
+    center = _complemented(coprime, meet, lat.bottom)
     # the ideal below g is the kernel of x |-> x v g onto [g, 1], whose
-    # bottom is g, so y there is complemented when y v z = 1 and y ^ z = g
-    for g in range(n):
-        lifted = {lat.join(e, g) for e in center}
-        for y in range(n):
-            if not lat.leq(g, y) or y in lifted:
+    # bottom is g, so y there is complemented when y v z = 1 and y ^ z = g;
+    # such a z lies above g already
+    for g, above in enumerate(leq):
+        lifted = {join[e][g] for e in center}
+        for y, row in enumerate(coprime):
+            if not above[y] or y in lifted:
                 continue
-            if any(lat.leq(g, z) and lat.join(y, z) == lat.top and lat.meet(y, z) == g
-                   for z in range(n)):
+            if any(meet[y][z] == g for z in row):
                 return Verdict(False, (lat.label(g), lat.label(y)))
     return Verdict(True)
 
@@ -71,30 +94,36 @@ def lattice_is_id_local(lat):
 
 def has_lp_per_anchor(q):
     'Whether each [a) lifts its complemented elements from the center; witness (anchor, stranded).'
-    n = len(q)
-    center = [e for e in range(n)
-              if any(q.join(e, f) == q.top and q.mul(e, f) == q.bottom for f in range(n))]
-    for a in range(n):
-        lifted = {q.join(c, a) for c in center}
-        up = [x for x in range(n) if q.leq(a, x)]
+    join, mul = q.join_table.tolist(), q.mul_table.tolist()
+    leq = q.poset.leq.tolist()
+    coprime = _coprime_lists(join, q.top)
+    center = _complemented(coprime, mul, q.bottom)
+    for a, above in enumerate(leq):
+        lifted = {join[c][a] for c in center}
         # in [a) the product is x*y v a and the bottom is a
-        for x in up:
-            if x not in lifted and any(
-                    q.join(x, y) == q.top and q.leq(q.mul(x, y), a) for y in up):
+        for x, row in enumerate(coprime):
+            if above[x] and x not in lifted and any(
+                    above[y] and leq[mul[x][y]][a] for y in row):
                 return Verdict(False, (q.label(a), q.label(x)))
     return Verdict(True)
 
 
 def normal_witness(q, pool):
     'First coprime pair with no separating pair in the pool, or None.'
-    n = len(q)
+    join, mul = q.join_table.tolist(), q.mul_table.tolist()
     top, bottom = q.top, q.bottom
-    for a in range(n):
-        for b in range(n):
-            if q.join(a, b) != top:
-                continue
-            if not any(q.join(a, e) == top and q.join(b, f) == top
-                       and q.mul(e, f) == bottom
-                       for e in pool for f in pool):
+    pool = sorted({int(f) for f in pool})
+    # bit f of covers[x] is set when the pool element f has x v f = 1,
+    # and bit f of kills[e] when it has e*f = 0
+    covers = [sum(1 << f for f in pool if row[f] == top) for row in join]
+    kills = {e: sum(1 << f for f in pool if mul[e][f] == bottom) for e in pool}
+    for a, row in enumerate(join):
+        # the f that some e in the pool with a v e = 1 annihilates
+        separated = 0
+        for e in pool:
+            if row[e] == top:
+                separated |= kills[e]
+        for b, ab in enumerate(row):
+            if ab == top and not separated & covers[b]:
                 return a, b
     return None

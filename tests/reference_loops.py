@@ -29,16 +29,22 @@ residuum and kernel scans over them, before each read became one
 ndarray.item, and the emitter that built the document as lists for
 json.dumps before it wrote the text from each label's encoding, and the
 center-laws check that tested distributivity over each central e at every
-pair (a, b) before one mask per e did.
+pair (a, b) before one mask per e did, and the suite's own oracles as
+plain loops before they became scans: normality over every coprime pair
+against every separating pair of the pool, lifting anchor by anchor and
+ideal lifting generator by generator with each existential over the whole
+carrier, and the residuation-adjunction check over every triple.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
 class with the same message and witness, as the loop it replaced, the
 search to find an isomorphism exactly when the canonical forms agree, and
-the fill and the walk to keep what the generate-and-test loops kept.  The
-normality verdicts wrap quantales.oracles.normal_witness, the loop the
-law suite uses too.  The interval loop reads join and meet, like the
-multiplication, off the parent's tables joined with the anchor, as an
-interval now restricts its parent's lattice instead of building its own.
+the fill and the walk to keep what the generate-and-test loops kept, and
+test_oracles.py holds each scan in quantales.oracles to its loop here.  The
+normality verdicts read the pair loop normal_witness below, which shares no
+code with the bitset scan the law suite uses.  The interval loop reads join
+and meet, like the multiplication, off the parent's tables joined with the
+anchor, as an interval now restricts its parent's lattice instead of
+building its own.
 The interval, product and radical frame loops keep their tables unchecked,
 as the package adopts them, and prove them as the package does: the
 interval, the frame and the reticulation by quantale_morphism_checks on the
@@ -60,7 +66,7 @@ from quantales.io import (
 from quantales.lattices import (
     FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
     NotAnIdeal, NotAPoset, Verdict, blocks)
-from quantales.oracles import lattice_boolean_center, normal_witness
+from quantales.oracles import lattice_boolean_center
 from quantales.quantale import (
     AxiomError, EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
     NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale,
@@ -360,6 +366,69 @@ def _adopted(poset, join, meet, bottom, top, mul):
     return q
 
 
+def normal_witness(q, pool):
+    'First coprime pair with no separating pair in the pool, or None.'
+    n = len(q)
+    top, bottom = q.top, q.bottom
+    for a in range(n):
+        for b in range(n):
+            if q.join(a, b) != top:
+                continue
+            if not any(q.join(a, e) == top and q.join(b, f) == top
+                       and q.mul(e, f) == bottom
+                       for e in pool for f in pool):
+                return a, b
+    return None
+
+
+def has_lp_per_anchor(q):
+    'Whether each [a) lifts its complemented elements from the center; witness (anchor, stranded).'
+    n = len(q)
+    center = [e for e in range(n)
+              if any(q.join(e, f) == q.top and q.mul(e, f) == q.bottom for f in range(n))]
+    for a in range(n):
+        lifted = {q.join(c, a) for c in center}
+        up = [x for x in range(n) if q.leq(a, x)]
+        # in [a) the product is x*y v a and the bottom is a
+        for x in up:
+            if x not in lifted and any(
+                    q.join(x, y) == q.top and q.leq(q.mul(x, y), a) for y in up):
+                return Verdict(False, (q.label(a), q.label(x)))
+    return Verdict(True)
+
+
+def has_id_blp_per_generator(lat):
+    'Whether complemented elements lift along every ideal quotient; witness (generator, stranded).'
+    center = lattice_boolean_center(lat)
+    n = len(lat)
+    # the ideal below g is the kernel of x |-> x v g onto [g, 1], whose
+    # bottom is g, so y there is complemented when y v z = 1 and y ^ z = g
+    for g in range(n):
+        lifted = {lat.join(e, g) for e in center}
+        for y in range(n):
+            if not lat.leq(g, y) or y in lifted:
+                continue
+            if any(lat.leq(g, z) and lat.join(y, z) == lat.top and lat.meet(y, z) == g
+                   for z in range(n)):
+                return Verdict(False, (lat.label(g), lat.label(y)))
+    return Verdict(True)
+
+
+def residuation_adjunction(member, residuum_of):
+    """The residuation-adjunction check as a loop over every triple (a, b, c),
+    with the table of b -> c read off residuum_of(q, b, c)."""
+    q = member.quantale
+    n = len(q)
+    res = [[residuum_of(q, b, c) for c in range(n)] for b in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if q.leq(a, res[b][c]) != q.leq(q.mul(a, b), c):
+                    return REFUTED, 'adjunction fails at (%r, %r, %r)' % (
+                        q.label(a), q.label(b), q.label(c))
+    return PASS, ''
+
+
 def _normality_verdict(q, pool):
     witness = normal_witness(q, pool)
     if witness is None:
@@ -467,7 +536,9 @@ def decompose_by_elements(q, anchors):
     positions = [{x: i for i, x in enumerate(p.carrier)} for p in parts]
     if len(parts) == 1:
         target = parts[0]
-        mapping = tuple(positions[0][x] for x in source.carrier)
+        # x v a, as for each factor of a product below: on a table whose join
+        # is redrawn, x >= a need not give x v a = x
+        mapping = tuple(positions[0][q.join(x, anchors[0])] for x in source.carrier)
     else:
         target, _ = product(parts)
         # the product was built over cartesian(*factor index ranges), so the

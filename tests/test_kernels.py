@@ -1195,11 +1195,15 @@ D12 = io.generate('zn:12')
 # of D12 onto [2) x [3) is a morphism but not injective
 WRONG_MEET = (_redrawn(D12, 'meet', [(D12.index_of('2'), D12.index_of('3'))]),
               [D12.index_of('2'), D12.index_of('3')])
+# 0 v 1 = 1 redrawn as the top 2 in the chain 0 < 1 < 2: over the one anchor 0,
+# x -> x v 0 sends 1 and 2 to 2, so the map onto [0) is not injective
+WRONG_JOIN = (_redrawn(io.generate('chain:3,frame'), 'join', [(0, 1)]), [0])
 
 
 @CASES
 @given(anchor_lists())
 @example(WRONG_MEET)
+@example(WRONG_JOIN)
 def test_decompositions_match_the_loop(case):
     q, anchors = case
     assert _decomposition_outcome(decompose_by_elements, q, anchors) == (

@@ -7,22 +7,30 @@ called the library, so the source is scanned both ways.  The per-anchor
 lifting oracle is also held to the library's lifting kernel, on the pool
 that test_kernels.py holds that kernel to the interval loop on.  The axiom
 oracle is held to the laws compared on every triple at once, and refutes,
-through the suite, a table that validation accepts.
+through the suite, a table that validation accepts.  The scans that decide
+normality, per-anchor lifting and ideal lifting, and the residuation-adjunction
+check, are each held to the plain loop they replaced in reference_loops.py:
+the same verdict and the same first witness on the fixtures, on every
+instance up to six elements and on drawn tables, unchecked ones included.
 """
 
 import ast
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quantales
+import reference_loops as ref
 from quantales import suite
-from quantales.oracles import axiom_failure, has_lp_per_anchor
+from quantales.oracles import axiom_failure, has_id_blp, has_lp_per_anchor, normal_witness
 from quantales.properties import has_lp
 from quantales.quantale import Quantale
+from quantales.reticulation import reticulate
 from test_kernels import (
-    NOT_LIFTING, SORTED_SCAN_MISSES, _laws_hold_on_all_triples, chain_tables,
+    M3, N5, NOT_LIFTING, SORTED_SCAN_MISSES, _laws_hold_on_all_triples, chain_tables,
     irreducible_tables, lifting_cases)
 
 PACKAGE = Path(quantales.__file__).parent
@@ -117,3 +125,81 @@ def test_the_axiom_oracle_refutes_a_table_that_validation_accepts():
     assert result.status == suite.REFUTED
     assert result.detail == (
         "validation accepts a table whose associativity fails at ('x2', 'x4', 'x3')")
+
+
+# ---------------------------------------------------------------------------
+# the scans against the loops they replaced
+
+def _verdict(v):
+    return bool(v), v.witness
+
+
+def _scans_match_the_loops(q, pools):
+    for pool in pools:
+        assert normal_witness(q, pool) == ref.normal_witness(q, pool), (q.elements, pool)
+    assert _verdict(has_lp_per_anchor(q)) == _verdict(ref.has_lp_per_anchor(q)), q.elements
+    assert _verdict(has_id_blp(q)) == _verdict(ref.has_id_blp_per_generator(q)), q.elements
+
+
+def _unchecked(lattice, mul):
+    'The lattice with the drawn table held unchecked, as the oracles may meet it.'
+    return ref._adopted(lattice.poset, lattice.join_table, lattice.meet_table,
+                        lattice.bottom, lattice.top, mul)
+
+
+@pytest.mark.parametrize('corpus', ['fixtures', 'enumerated(6)'])
+def test_the_scans_match_the_loops_on_every_small_member(corpus):
+    members = suite.fixtures() if corpus == 'fixtures' else suite.enumerated(6, bound=6)
+    check = suite.CHECKS['residuation-adjunction'].run
+    for member in members:
+        q = member.quantale
+        # the suite also asks the quotient and the radical frame
+        for part in (q, reticulate(q), q.radical_frame):
+            _scans_match_the_loops(part, (range(len(part)), part.center))
+        assert check(member) == ref.residuation_adjunction(member, suite.residuum), member.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifting_cases())
+@example(NOT_LIFTING[0])
+@example(NOT_LIFTING[1])
+def test_the_scans_match_the_loops_on_drawn_quantales(q):
+    _scans_match_the_loops(q, (range(len(q)), q.center))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(irreducible_tables(), chain_tables()), st.data())
+@example(SORTED_SCAN_MISSES, None)
+@example((M3, M3.meet_table), None)
+@example((N5, N5.meet_table), None)
+def test_the_scans_match_the_loops_on_drawn_tables(case, data):
+    lattice, mul = case
+    n = len(lattice)
+    pools = [range(n)]
+    if data is not None:
+        pools.append(data.draw(st.lists(st.integers(0, n - 1), unique=True)))
+    _scans_match_the_loops(_unchecked(lattice, mul), pools)
+
+
+ADJUNCTION_MEMBERS = [m for m in suite.fixtures() if len(m.quantale) > 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_wrong_residuum_is_refuted_where_the_loop_refutes_it(data):
+    member = data.draw(st.sampled_from(ADJUNCTION_MEMBERS), label='member')
+    q = member.quantale
+    n = len(q)
+    b, c = (data.draw(st.integers(0, n - 1), label=name) for name in 'bc')
+    right = suite.residuum(q, b, c)
+    wrong = data.draw(st.integers(0, n - 1).filter(lambda v: v != right), label='wrong')
+    original = suite.residuum
+
+    def residuum(q, x, y):
+        return wrong if (x, y) == (b, c) else original(q, x, y)
+
+    with mock.patch.object(suite, 'residuum', residuum):
+        status, detail = suite.CHECKS['residuation-adjunction'].run(member)
+    # the adjunction fixes b -> c, so any other value fails at some a
+    assert status == suite.REFUTED
+    assert (status, detail) == ref.residuation_adjunction(member, residuum)
