@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -16,6 +17,21 @@ from quantales.quantale import (
     jacobson_radical,
 )
 from quantales.reticulation import reticulate
+
+
+def _once_per_quantale(decide):
+    """decide(q), or decide(q, a) for an element a, decided once per quantale
+    and kept in q._verdicts for the quantale's lifetime.  decide is given the
+    element as its index, which is also its key, and nothing that raises is
+    kept, so every call raises alike."""
+    @wraps(decide)
+    def verdict(q, *element):
+        key = (decide,) + tuple(_element_index(q, a) for a in element)
+        verdicts = q._verdicts
+        if key not in verdicts:
+            verdicts[key] = decide(q, *key[1:])
+        return verdicts[key]
+    return verdict
 
 
 def _stranded(q, anchors):
@@ -44,14 +60,16 @@ def _stranded(q, anchors):
     return stranded
 
 
+@_once_per_quantale
 def element_has_lp(q, a):
     'Whether every complemented element of [a) is c v a for complemented c; witness the first not.'
-    hit = first_true(_stranded(q, [_element_index(q, a)])[0])
+    hit = first_true(_stranded(q, [a])[0])
     if hit is not None:
         return Verdict(False, q.label(hit[0]))
     return Verdict(True)
 
 
+@_once_per_quantale
 def has_lp(q):
     'Lifting property at every anchor; witness the first (anchor, stranded element) in row-major order.'
     hit = first_true(_stranded(q, np.arange(len(q))))
@@ -76,16 +94,19 @@ def _normality(q, pool):
     return Verdict(True)
 
 
+@_once_per_quantale
 def is_normal(q):
     'Every cover a v b = 1 splits by e, f with a v e = b v f = 1 and e*f = 0.'
     return _normality(q, range(len(q)))
 
 
+@_once_per_quantale
 def is_b_normal(q):
     'Normality with the separating pair drawn from the Boolean center.'
     return _normality(q, q.center)
 
 
+@_once_per_quantale
 def is_hyperarchimedean(q):
     'Some power of every element is complemented; witness is the first stuck element.'
     center = set(q.center)
@@ -124,6 +145,7 @@ def hyperarchimedean_equivalents(q):
     return legs
 
 
+@_once_per_quantale
 def has_property_star(q):
     'Every element splits as c v e with c below the radical and e complemented.'
     if len(q) == 1:

@@ -222,6 +222,20 @@ class Quantale(FiniteLattice):
         'IntervalQuantale per anchor index, filled by _interval_at.'
         return {}
 
+    @cached_property
+    def _verdicts(self):
+        'Verdicts of properties.py, keyed by function and element index, kept as decided.'
+        return {}
+
+    def __copy__(self):
+        """A shallow copy whose intervals and verdicts start empty, so that a
+        copy given other tables decides them from those."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        for memo in ('_intervals', '_verdicts'):
+            clone.__dict__.pop(memo, None)
+        return clone
+
 
 def _laws_hold_on_irreducibles(lattice, mul):
     """Whether x*(y v j) = x*y v x*j for all x, y and every join-irreducible j,
@@ -425,8 +439,7 @@ def _element_index(q, a):
 def _interval_at(q, a):
     'The quantale on [a) for an element index a, built once per quantale and shared.'
     part = q._intervals.get(a)
-    # a copy.copy of a quantale shares its dict, whose parts name the original as parent
-    if part is None or part.parent is not q:
+    if part is None:
         part = q._intervals[a] = IntervalQuantale(q, a)
     return part
 

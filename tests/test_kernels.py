@@ -77,7 +77,8 @@ from quantales.lattices import (
     irreducibles_join_prime, is_distributive)
 from quantales.oracles import axiom_failure, has_id_blp, has_lp_per_anchor, lattice_is_id_local
 from quantales.properties import (
-    _stranded, element_has_lp, has_lp, has_property_star, is_b_normal, is_normal)
+    _stranded, element_has_lp, has_lp, has_property_star, is_b_normal, is_hyperarchimedean,
+    is_normal)
 from quantales.lattices import build_lattice
 from quantales.quantale import (
     AxiomError, Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _isomorphism,
@@ -950,6 +951,7 @@ class _Tables:
         self.center = center
         self.bottom, self.top = 0, n - 1
         self._n = n
+        self._verdicts = {}
 
     def __len__(self):
         return self._n
@@ -1213,7 +1215,7 @@ def test_decompositions_match_the_loop(case):
 @CASES
 @given(st.sampled_from(QUANTALES), st.data())
 def test_intervals_and_decompositions_of_a_copy_ignore_the_cache_it_shares(q, data):
-    'A copy.copy of a quantale whose intervals are cached shares their dict; it must not read it.'
+    'A copy.copy of a quantale whose intervals are cached starts with none; it must not read them.'
     n = len(q)
     for a in range(n):
         interval_quantale(q, a)
@@ -1223,7 +1225,7 @@ def test_intervals_and_decompositions_of_a_copy_ignore_the_cache_it_shares(q, da
     kind = data.draw(st.sampled_from(['table', 'join', 'meet']))
     broken = (_perturbed_table(data.draw, q) if kind == 'table'
               else _perturbed_bounds(data.draw, q, kind))
-    assert broken._intervals is q._intervals
+    assert broken._intervals is not q._intervals
     for a in range(n):
         assert _interval_outcome(outcome(interval_quantale, broken, a)) == (
             _reference_interval_outcome(outcome(ref.interval_quantale, broken, a)))
@@ -1237,6 +1239,26 @@ def test_intervals_and_decompositions_of_a_copy_ignore_the_cache_it_shares(q, da
     assert part.parent is q and u.source is q
     assert _interval_outcome(('returned', (part, u))) == (
         _reference_interval_outcome(outcome(ref.interval_quantale, q, a)))
+
+
+@CASES
+@given(st.sampled_from(QUANTALES), st.data())
+def test_verdicts_of_a_copy_ignore_those_kept_on_the_original(q, data):
+    """A copy.copy of a quantale whose verdicts are kept starts with none: each
+    of its verdicts is what the undecorated function decides on the copy."""
+    calls = [(verdict, ()) for verdict in (
+        has_lp, has_property_star, is_normal, is_b_normal, is_hyperarchimedean)]
+    calls += [(element_has_lp, (a,)) for a in range(len(q))]
+    kept = [outcome(verdict, q, *element) for verdict, element in calls]
+    kind = data.draw(st.sampled_from(['table', 'join', 'meet']))
+    broken = (_perturbed_table(data.draw, q) if kind == 'table'
+              else _perturbed_bounds(data.draw, q, kind))
+    assert broken._verdicts is not q._verdicts
+    for verdict, element in calls:
+        assert outcome(verdict, broken, *element) == (
+            outcome(verdict.__wrapped__, broken, *element)), verdict.__name__
+    # and the quantale copied still reads its own
+    assert [outcome(verdict, q, *element) for verdict, element in calls] == kept
 
 
 def _with_radicals(q, changes):

@@ -4,8 +4,10 @@ The named fixture verdicts here are frozen oracles; the equivalence and
 implication scans run over the corpus plus every instance of size <= 5.
 """
 
+import numpy as np
 import pytest
 
+from quantales import suite
 from quantales.oracles import has_id_blp, normal_witness
 from quantales.properties import (
     Decomposition, PropertyReport, element_has_lp, has_lp, has_property_star,
@@ -167,6 +169,43 @@ def test_five_way_decomposition_equivalence(corpus, small_corpus):
             bool(local_decomposition(q)),
         }
         assert len(values) == 1, member.name
+
+
+def test_lifting_normality_and_splitting_are_one_property_on_finite_members(corpus):
+    """On a finite carrier the lifting property, normality, B-normality, (*) and
+    "every m-prime lies below exactly one maximal element" coincide: a finite
+    quantale is semilocal, so it has LP iff it is a finite product of local
+    quantales, whose spectrum is the disjoint union of the factors' spectra,
+    each below its factor's one maximal element.  Both verdicts occur."""
+    seen = set()
+    for member in list(corpus) + list(suite.enumerated(7, bound=7)):
+        q = member.quantale
+        if len(q) == 1:
+            continue
+        above = q.poset.leq[np.ix_(q.spectrum, q.maximal_elements)]
+        values = {
+            bool(has_lp(q)),
+            bool(is_normal(q)),
+            bool(is_b_normal(q)),
+            bool(has_property_star(q)),
+            bool((above.sum(axis=1) == 1).all()),
+        }
+        assert len(values) == 1, member.name
+        seen |= values
+    assert seen == {False, True}
+
+
+def test_verdicts_are_kept_per_quantale_and_element_index(w5):
+    verdict = element_has_lp(w5, 1)
+    assert element_has_lp(w5, np.int64(1)) is verdict
+    assert has_lp(w5) is has_lp(w5)
+    assert element_has_lp.__wrapped__(w5, 1) == verdict
+    # what raises is never kept, so it raises alike every time
+    for _ in range(2):
+        with pytest.raises(IndexError, match='out of range'):
+            element_has_lp(w5, len(w5))
+        with pytest.raises(TypeError):
+            element_has_lp(w5, 1.0)
 
 
 def test_property_report_shape(d12):

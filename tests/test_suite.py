@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import quantales
-from quantales import io, suite
+from quantales import io, properties, suite
 from quantales.lattices import Verdict, build_lattice
 from quantales.properties import local_decomposition
 from quantales.quantale import (
@@ -136,6 +136,27 @@ def test_suite_builds_each_interval_once_per_parent_and_anchor(monkeypatch):
     for e, factor in zip(decomposition.idempotents, decomposition.factors):
         assert factor is interval_quantale(q, e)[0]
     assert Counter(id(parent) for parent, _ in built)[id(q)] == len(q)
+
+
+def test_suite_builds_each_lifting_mask_once_per_quantale_and_anchors(monkeypatch):
+    """has_lp is kept on its quantale, so the checks that ask again, over the
+    same cached intervals among others, read the kept verdict."""
+    built = []
+    stranded = properties._stranded
+
+    def counted(q, anchors):
+        built.append((q, tuple(np.asarray(anchors).tolist())))
+        return stranded(q, anchors)
+
+    monkeypatch.setattr(properties, '_stranded', counted)
+    # members generated afresh, so that no earlier test has decided their verdicts
+    corpus = suite.Corpus(list(suite.fixtures.__wrapped__()) + list(suite.enumerated(5)))
+    assert suite.run_suite(corpus).ok()
+    # the list keeps every quantale alive, so no two of them share an id
+    builds = Counter((id(q), anchors) for q, anchors in built)
+    assert builds and max(builds.values()) == 1
+    every_anchor = [q for q, anchors in built if len(anchors) == len(q) > 1]
+    assert len(every_anchor) > len(corpus)
 
 
 def test_recorded_spectrum_fact_matches_known_split(corpus):
