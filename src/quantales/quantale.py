@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cached_property
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from quantales.lattices import (
     FiniteLattice, FinitePoset, blocks, distributivity_failure, first_in_blocks,
-    first_law_failure, first_true, irreducibles_join_prime, prime_mask, unpreserved)
+    first_law_failure, first_true, irreducibles_join_prime, prime_mask)
 
 
 class QuantaleError(Exception):
@@ -345,23 +346,41 @@ class QuantaleMorphism:
     'Map preserving finite joins, bottom, multiplication and the unit.'
 
     def __init__(self, source, target, mapping):
+        self.target = target
+        self._check(source, mapping)
+
+    def _check(self, source, mapping):
+        """Keep source and mapping once mapping is shown to preserve bottom,
+        join, multiplication and the unit, each against _target_bounds and
+        _target_at: the target's bounds, and one target table read at every
+        pair of images."""
         mapping = tuple(map(int, mapping))
         if len(mapping) != len(source):
             raise QuantaleError('mapping length does not match source carrier')
-        if mapping[source.bottom] != target.bottom:
+        bottom, top = self._target_bounds()
+        if mapping[source.bottom] != bottom:
             raise QuantaleError('bottom not preserved')
-        hit = first_law_failure(unpreserved(mapping, (
-            (source.join_table, target.join_table),
-            (source.mul_table, target.mul_table))))
+        f = np.asarray(mapping, dtype=np.intp)
+        hit = first_law_failure([f[source.join_table] != self._target_at(f, 'join_table'),
+                                 f[source.mul_table] != self._target_at(f, 'mul_table')])
         if hit is not None:
             x, y, law = hit
             raise QuantaleError('%s not preserved at %r, %r' % (
                 ('join', 'multiplication')[law], source.label(x), source.label(y)))
-        if mapping[source.top] != target.top:
+        if mapping[source.top] != top:
             raise QuantaleError('unit not preserved')
         self.source = source
-        self.target = target
         self.mapping = mapping
+
+    def _target_bounds(self):
+        return self.target.bottom, self.target.top
+
+    def _target_at(self, f, table):
+        'The target table named table at [f[x], f[y]], per pair (x, y) of the source.'
+        return getattr(self.target, table)[f[:, None], f]
+
+    def _target_size(self):
+        return len(self.target)
 
     def __call__(self, i):
         return self.mapping[i]
@@ -371,10 +390,43 @@ class QuantaleMorphism:
         return frozenset(self.mapping)
 
     def is_surjective(self):
-        return len(self.image) == len(self.target)
+        return len(self.image) == self._target_size()
 
     def is_bijective(self):
-        return len(self.source) == len(self.image) == len(self.target)
+        return len(self.source) == len(self.image) == self._target_size()
+
+
+class _CoordinateMorphism(QuantaleMorphism):
+    """The map of decompose_by_elements into the product of parts, checked
+    through its coordinates: coords[i][x] is the position of x v anchor in
+    part i, for each of the source's elements x, and the map sends x to the
+    product element ravel_multi_index of those coordinates.
+
+    The product's tables are the parts' taken componentwise, so its table at a
+    pair of images is the parts' tables read at their coordinates, entry for
+    entry; the check reads those and its bounds, the parts' raveled, and never
+    builds the product.  target builds it the first time it is read."""
+
+    def __init__(self, source, parts):
+        carrier = np.asarray(source.carrier)
+        self.parts = tuple(parts)
+        self.sizes = tuple(len(p) for p in parts)
+        self.coords = tuple(p.to_interval[carrier] for p in parts)
+        self._check(source, np.ravel_multi_index(self.coords, self.sizes))
+
+    def _target_bounds(self):
+        return tuple(np.ravel_multi_index(
+            tuple((p.bottom, p.top) for p in self.parts), self.sizes).tolist())
+
+    def _target_at(self, f, table):
+        return _componentwise([getattr(p, table) for p in self.parts], self.coords, self.sizes)
+
+    def _target_size(self):
+        return math.prod(self.sizes)
+
+    @cached_property
+    def target(self):
+        return _product(self.parts)[0]
 
 
 def kernel(u):
@@ -476,19 +528,22 @@ def _product(factors):
         cover = ((cover[:, None, :, None] & eye_k[None, :, None, :])
                  | (eye_m[:, None, :, None] & f_cover[None, :, None, :])).reshape(m * k, m * k)
 
-    def componentwise(tables):
-        'The product of one table per factor, each read at the coordinates of its factor.'
-        return np.ravel_multi_index(tuple(t[c[:, None], c] for t, c in zip(tables, coords)), sizes)
-
     prod = Quantale.__new__(Quantale)
     prod._adopt(
         FinitePoset._from_order(labels, leq, cover),
-        componentwise([f.join_table for f in factors]),
-        componentwise([f.meet_table for f in factors]),
+        _componentwise([f.join_table for f in factors], coords, sizes),
+        _componentwise([f.meet_table for f in factors], coords, sizes),
         np.ravel_multi_index([f.bottom for f in factors], sizes),
         np.ravel_multi_index([f.top for f in factors], sizes),
-        componentwise([f.mul_table for f in factors]))
+        _componentwise([f.mul_table for f in factors], coords, sizes))
     return prod, coords
+
+
+def _componentwise(tables, coords, sizes):
+    """The product of one table per factor, each read at the coordinates of its
+    factor: [x, y] is the product element whose coordinate i is tables[i] at
+    coords[i][x], coords[i][y]."""
+    return np.ravel_multi_index(tuple(t[c[:, None], c] for t, c in zip(tables, coords)), sizes)
 
 
 def product(factors):
@@ -499,7 +554,13 @@ def product(factors):
 
 
 def decompose_by_elements(q, anchors):
-    'Isomorphism from the interval above the meet of the anchors onto the product of their intervals.'
+    """Isomorphism from the interval above the meet of the anchors onto the
+    product of their intervals, the morphism x -> (x v a for each anchor a).
+
+    With one anchor the target is its interval.  With more, the map is checked
+    through its coordinates in the intervals, as _CoordinateMorphism says, and
+    bijectivity against the product of their sizes; the product is built only
+    when the target is read."""
     anchors = [_element_index(q, a) for a in anchors]
     if not anchors:
         raise PreconditionFailed('need at least one element')
@@ -507,14 +568,13 @@ def decompose_by_elements(q, anchors):
     hit = first_true(np.triu(q.join_table[at[:, None], at] != q.top, 1))
     if hit is not None:
         raise PreconditionFailed('elements %d and %d do not join to top' % hit)
-    base = q.meet_all(anchors)
-    source = _interval_at(q, base)
+    source = _interval_at(q, q.meet_all(anchors))
     parts = [_interval_at(q, a) for a in anchors]
-    target = parts[0] if len(parts) == 1 else _product(parts)[0]
-    carrier = np.asarray(source.carrier)
-    mapping = np.ravel_multi_index(
-        tuple(p.to_interval[carrier] for p in parts), tuple(len(p) for p in parts))
-    u = QuantaleMorphism(source, target, mapping)
+    if len(parts) == 1:
+        part = parts[0]
+        u = QuantaleMorphism(source, part, part.to_interval[np.asarray(source.carrier)])
+    else:
+        u = _CoordinateMorphism(source, parts)
     if not u.is_bijective():
         raise QuantaleError('decomposition map is not bijective')
     return u

@@ -81,8 +81,8 @@ from quantales.properties import (
     is_normal)
 from quantales.lattices import build_lattice
 from quantales.quantale import (
-    AxiomError, Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _isomorphism,
-    _laws_hold_on_irreducibles, decompose_by_elements,
+    AxiomError, Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _CoordinateMorphism,
+    _isomorphism, _laws_hold_on_irreducibles, _product, decompose_by_elements,
     find_quantale_isomorphism, interval_quantale, kernel, negation, product, residuum)
 from quantales.reticulation import (
     Reticulation, _generator, _induced, _star, check_unicity, lift_morphism, reticulate, star,
@@ -1210,6 +1210,84 @@ def test_decompositions_match_the_loop(case):
     q, anchors = case
     assert _decomposition_outcome(decompose_by_elements, q, anchors) == (
         _decomposition_outcome(ref.decompose_by_elements, q, anchors))
+
+
+def test_a_coprime_decomposition_builds_its_product_only_when_read():
+    """Over every coprime pair of the pool, bijectivity is decided without the
+    product, and the target read afterwards is the product of the two
+    intervals: its elements, order, tables and bounds."""
+    for q in QUANTALES:
+        for a, b in suite._coprime_pairs(q):
+            u = decompose_by_elements(q, (a, b))
+            assert u.is_bijective() and 'target' not in u.__dict__
+            expected, _ = product([interval_quantale(q, a)[0], interval_quantale(q, b)[0]])
+            assert u.target.elements == expected.elements
+            assert u.target.poset.leq.tolist() == expected.poset.leq.tolist()
+            assert _derived_tables(u.target) == _derived_tables(expected)
+
+
+def _redrawn_part(part, kind):
+    """A copy of part whose bottom is redrawn as its top, its top as its
+    bottom, or whose join or product of top with top is redrawn as bottom."""
+    broken = copy.copy(part)
+    if kind == 'bottom':
+        broken.bottom = part.top
+    elif kind == 'top':
+        broken.top = part.bottom
+    else:
+        table = getattr(part, kind).copy()
+        table[part.top, part.top] = part.bottom
+        setattr(broken, kind, table)
+    return broken
+
+
+def test_the_coordinate_check_is_the_check_against_the_built_product():
+    """x -> (x v a, x v b) is a morphism from [a ^ b) into [a) x [b) for any
+    a and b, onto only for some.  Checked through its coordinates it must
+    raise what the check against the built product raises, and be onto and
+    bijective exactly when that one is: over every pair of anchors of the
+    pool, and over a coprime pair whose parts are redrawn in one bound or in
+    one join or multiplication entry."""
+
+    def compare(source, parts):
+        'The message both checks raise, or whether both find the map bijective.'
+        carrier = np.asarray(source.carrier)
+        mapping = np.ravel_multi_index(
+            tuple(p.to_interval[carrier] for p in parts), tuple(len(p) for p in parts))
+        built = outcome(QuantaleMorphism, source, _product(parts)[0], mapping)
+        coordinates = outcome(_CoordinateMorphism, source, parts)
+        if built[0] == 'raised':
+            assert coordinates == built
+            return built[2]
+        u, v = coordinates[1], built[1]
+        assert u.mapping == v.mapping
+        assert (u.is_surjective(), u.is_bijective()) == (v.is_surjective(), v.is_bijective())
+        assert 'target' not in u.__dict__
+        return v.is_bijective()
+
+    refusals = {'bottom': 'bottom not preserved', 'top': 'unit not preserved',
+                'join_table': 'join not preserved at ',
+                'mul_table': 'multiplication not preserved at '}
+    bijective, redrawn = set(), 0
+    for q in QUANTALES:
+        n = len(q)
+        for a in range(n):
+            for b in range(a, n):
+                parts = [interval_quantale(q, a)[0], interval_quantale(q, b)[0]]
+                bijective.add(compare(interval_quantale(q, q.meet(a, b))[0], parts))
+        pair = next(((a, b) for a, b in suite._coprime_pairs(q) if q.top not in (a, b)), None)
+        if pair is None:
+            continue
+        source = interval_quantale(q, q.meet(*pair))[0]
+        parts = [interval_quantale(q, a)[0] for a in pair]
+        for slot in range(2):
+            for kind, refusal in refusals.items():
+                broken = list(parts)
+                broken[slot] = _redrawn_part(parts[slot], kind)
+                refused = compare(source, broken)
+                assert isinstance(refused, str) and refused.startswith(refusal), (kind, refused)
+                redrawn += 1
+    assert bijective == {True, False} and redrawn
 
 
 @CASES

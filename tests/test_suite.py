@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import quantales
-from quantales import io, properties, suite
+from quantales import io, properties, quantale, suite
 from quantales.lattices import Verdict, build_lattice
 from quantales.properties import local_decomposition
 from quantales.quantale import (
@@ -157,6 +157,32 @@ def test_suite_builds_each_lifting_mask_once_per_quantale_and_anchors(monkeypatc
     assert builds and max(builds.values()) == 1
     every_anchor = [q for q, anchors in built if len(anchors) == len(q) > 1]
     assert len(every_anchor) > len(corpus)
+
+
+def test_the_suite_builds_no_decomposition_product(monkeypatch):
+    """Decompositions are proved through their coordinates, so a suite run
+    builds only the products its members are generated as: those of
+    io.generate's product generator and of suite._product_structure."""
+    callers = []
+    build = quantale._product
+
+    def traced(factors):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        return build(factors)
+
+    for module in (quantale, io, suite):
+        monkeypatch.setattr(module, '_product', traced)
+    # members generated afresh, so that their products are built under the patch
+    corpus = suite.Corpus(list(suite.fixtures.__wrapped__()) + list(suite.enumerated(5)))
+    assert suite.run_suite(corpus).ok()
+    assert callers
+    for names in callers:
+        assert 'decompose_by_elements' not in names
+        assert names & {'generate', '_product_structure'}
 
 
 def test_recorded_spectrum_fact_matches_known_split(corpus):
