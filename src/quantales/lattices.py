@@ -65,6 +65,23 @@ def blocks(n, width):
                 yield slice(i, i + 1), slice(start, start + cells)
 
 
+def stack_blocks(k, n, width):
+    """Blocks of a stack of k n x n grids, as (tables, rows, cols) slice triples.
+
+    Whole grids go together while a temporary holding width entries per cell
+    of all of them stays within 2**13 entries; a larger grid goes alone, in
+    the row-major blocks of blocks(n, width)."""
+    per_table = n * n * max(width, 1)
+    if per_table <= _BLOCK:
+        step = _BLOCK // per_table
+        for start in range(0, k, step):
+            yield slice(start, start + step), slice(0, n), slice(0, n)
+    else:
+        for t in range(k):
+            for rows, cols in blocks(n, width):
+                yield slice(t, t + 1), rows, cols
+
+
 def first_true(mask):
     'Index tuple of the first True entry of mask in row-major order, or None.'
     if mask.size:

@@ -9,8 +9,8 @@ from functools import cached_property
 import numpy as np
 
 from quantales.lattices import (
-    FiniteLattice, FinitePoset, blocks, distributivity_failure, first_in_blocks,
-    first_law_failure, first_true, irreducibles_join_prime, prime_mask)
+    FiniteLattice, FinitePoset, distributivity_failure, first_in_blocks, first_law_failure,
+    first_true, irreducibles_join_prime, prime_mask, stack_blocks)
 
 
 class QuantaleError(Exception):
@@ -72,9 +72,11 @@ class Quantale(FiniteLattice):
         caller's own and frozen here, and the bounds, all unchecked: the one
         step by which a quantale takes its tables.
 
-        The constructor adopts the tables of the lattice it has validated.  A
-        derived quantale adopts tables read off a validated source through its
-        index map and proves them by one map check instead.  Every quantale law
+        The constructor adopts the tables of the lattice it has validated, and
+        so does _quantales_on, the enumerator's, for each table of a stack
+        that passed every check of the constructor, run over the whole stack.
+        A derived quantale adopts tables read off a validated source through
+        its index map and proves them by one map check instead.  Every quantale law
         is an equation in join, multiplication, bottom and top, and an equation
         that holds in the source holds in the image of an onto map that
         preserves those operations, and in a product whose factors satisfy it,
@@ -111,7 +113,7 @@ class Quantale(FiniteLattice):
         if hit is not None:
             x = hit[0]
             raise NotDistributive('x*0 != 0 at %r' % (lab(x),), (lab(x),))
-        if _laws_hold_on_irreducibles(lattice, mul):
+        if _laws_hold_on_irreducibles(lattice, mul[None])[0]:
             return
         # the scans below only name the witness of a refusal
         hit = distributivity_failure(mul, lattice.join_table)
@@ -241,7 +243,8 @@ class Quantale(FiniteLattice):
 def _laws_hold_on_irreducibles(lattice, mul):
     """Whether x*(y v j) = x*y v x*j for all x, y and every join-irreducible j,
     and (a*b)*c = (a*c)*b for all join-irreducibles a, b and c, for a
-    commutative table with x*0 = 0.
+    commutative table with x*0 = 0.  mul is one n x n table, with one bool
+    for it, or a (k, n, n) stack of them, with one bool per table.
 
     That is distributivity and associativity over all triples.  Every z is
     the join of the j below it (the empty join when z is the bottom), so the
@@ -251,23 +254,79 @@ def _laws_hold_on_irreducibles(lattice, mul):
     join of its values at the (a, b, c) in J x J x J below (x, y, z), and
     the two agree everywhere once they agree there.  For a commutative table
     that law is associativity: x*(y*z) = (y*z)*x = (y*x)*z = (x*y)*z."""
-    if (mul == lattice.meet_table).all():
+    stack = mul if mul.ndim == 3 else mul[None]
+    rest = (stack != lattice.meet_table).any(axis=(1, 2))
+    if rest.all():
+        holds = _laws_hold_in_blocks(lattice, stack)
+    else:
         # meet is associative, so only the lattice's distributivity is left
-        return irreducibles_join_prime(lattice)
+        holds = np.full(len(stack), irreducibles_join_prime(lattice))
+        if rest.any():
+            holds[rest] = _laws_hold_in_blocks(lattice, stack[rest])
+    return holds if mul.ndim == 3 else bool(holds[0])
+
+
+def _laws_hold_in_blocks(lattice, stack):
+    'The two laws of _laws_hold_on_irreducibles, one bool per table of the stack.'
+    k, n = len(stack), len(lattice)
     irreducibles = lattice.poset.join_irreducibles
     join = lattice.join_table
-    # [x, j]: x*j and x v j, and [a, b]: a*b for a and b in J
-    times_j, join_j = mul[:, irreducibles], join[:, irreducibles]
-    on_j = times_j[irreducibles]
-    for rows, cols in blocks(len(mul), len(irreducibles)):
-        # [x, y, j]: row x of mul read at y v j is x*(y v j)
-        if (mul[rows][:, join_j[cols]] != join[mul[rows, cols, None], times_j[rows, None, :]]).any():
-            return False
-        # the blocks cover the positions of J x J among J as well: [a, b, c]
+    # [t, x, j]: x*j in table t, and [x, j]: x v j; [t, a, b]: for a and b in J,
+    # the row of a*b among the k * n rows of times_j read as one table
+    times_j, join_j = stack[:, :, irreducibles], join[:, irreducibles]
+    on_j = times_j[:, irreducibles] + np.arange(0, k * n, n)[:, None, None]
+    rows_j = times_j.reshape(k * n, len(irreducibles))
+    failed = np.zeros(k, dtype=bool)
+    for tables, rows, cols in stack_blocks(k, n, len(irreducibles)):
+        # a table too large to share a block spans many; one failure decides it
+        if failed[tables.start]:
+            continue
+        t, pairs = stack[tables], on_j[tables]
+        # [t, x, y, j]: row x of table t read at y v j is x*(y v j)
+        unequal = t[:, rows][:, :, join_j[cols]] != join[t[:, rows, cols, None],
+                                                          times_j[tables, rows, None, :]]
+        # the blocks cover the positions of J x J among J as well: [t, a, b, c]
         # for the a and b at those positions is (a*b)*c, against (a*c)*b
-        if (times_j[on_j[rows, cols]] != times_j[:, cols][on_j[rows]].transpose(0, 2, 1)).any():
-            return False
-    return True
+        unassociative = rows_j[pairs[:, rows, cols]] != rows_j[:, cols][
+            pairs[:, rows]].transpose(0, 1, 3, 2)
+        failed[tables] = unequal.any(axis=(1, 2, 3)) | unassociative.any(axis=(1, 2, 3))
+    return ~failed
+
+
+def _admitted(lattice, stack):
+    """Per table of a (k, n, n) stack, whether Quantale(lattice, table) accepts
+    it with no witness scan: the constructor's checks of shape and entry
+    range, and _validate's of commutativity, x*1 = x and x*0 = 0, each over
+    the whole stack, then the laws over the join-irreducibles on the tables
+    that passed them."""
+    n = len(lattice)
+    if stack.shape[1:] != (n, n):
+        return np.zeros(len(stack), dtype=bool)
+    ok = ((stack >= 0) & (stack < n)).all(axis=(1, 2))
+    ok &= (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
+    ok &= (stack[:, :, lattice.top] == np.arange(n)).all(axis=1)
+    ok &= (stack[:, :, lattice.bottom] == lattice.bottom).all(axis=1)
+    if ok.all():
+        return _laws_hold_on_irreducibles(lattice, stack)
+    ok[ok] = _laws_hold_on_irreducibles(lattice, stack[ok])
+    return ok
+
+
+def _quantales_on(lattice, stack):
+    """The quantale of each table of a (k, n, n) stack on lattice, in order.  A
+    table _admitted passes is adopted as it stands, frozen.  Any other goes
+    through the constructor, which raises what it raises on that table
+    alone, or accepts it."""
+    out = []
+    for mul, ok in zip(stack, _admitted(lattice, stack)):
+        if ok:
+            q = Quantale.__new__(Quantale)
+            q._adopt(lattice.poset, lattice.join_table, lattice.meet_table, lattice.bottom,
+                     lattice.top, mul)
+        else:
+            q = Quantale(lattice, mul)
+        out.append(q)
+    return out
 
 
 def residuum(q, a, b):
@@ -564,8 +623,11 @@ def decompose_by_elements(q, anchors):
     anchors = [_element_index(q, a) for a in anchors]
     if not anchors:
         raise PreconditionFailed('need at least one element')
-    at = np.array(anchors, dtype=np.intp)
-    hit = first_true(np.triu(q.join_table[at[:, None], at] != q.top, 1))
+    # the first pair i < j in row-major order; a Python scan, since there are
+    # few anchors and a mask costs more to build than to read here
+    join, top = q.join_table, q.top
+    hit = next(((i, j) for i, a in enumerate(anchors) for j in range(i + 1, len(anchors))
+                if join.item(a, anchors[j]) != top), None)
     if hit is not None:
         raise PreconditionFailed('elements %d and %d do not join to top' % hit)
     source = _interval_at(q, q.meet_all(anchors))
@@ -582,12 +644,17 @@ def decompose_by_elements(q, anchors):
 
 def _profile(leq, op):
     """Per element, invariants an isomorphism of (leq, op) preserves: the sizes of its
-    down-set and up-set, how often op with it gives it back, and how often gives bottom."""
+    down-set and up-set, how often op with it gives it back, and how often gives bottom.
+    op is one n x n table, with one profile, or a (k, n, n) stack, with one per table:
+    the order half is read once, the table half in one reduction over the stack."""
     n = len(leq)
     bottom = leq.all(axis=1).nonzero()[0][0]
-    return list(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist(),
-                    (op == np.arange(n)[:, None]).sum(axis=1).tolist(),
-                    (op == bottom).sum(axis=1).tolist()))
+    down, up = leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist()
+    stack = op.reshape(-1, n, n)
+    fixed = (stack == np.arange(n)[:, None]).sum(axis=2).tolist()
+    zeros = (stack == bottom).sum(axis=2).tolist()
+    profiles = [list(zip(down, up, f, z)) for f, z in zip(fixed, zeros)]
+    return profiles if op.ndim == 3 else profiles[0]
 
 
 def _isomorphism(source, target, profiles=None):

@@ -26,8 +26,9 @@ from .properties import (
     is_b_normal, is_hyperarchimedean, is_local, is_normal, local_decomposition)
 from .quantale import (
     Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale, _interval_at,
-    _isomorphism, _product, _profile, decompose_by_elements, find_quantale_isomorphism,
-    interval_quantale, jacobson_radical, kernel, is_injective, negation, residuum)
+    _isomorphism, _product, _profile, _quantales_on, decompose_by_elements,
+    find_quantale_isomorphism, interval_quantale, jacobson_radical, kernel, is_injective,
+    negation, residuum)
 from .reticulation import (
     boolean_isos, check_unicity, frame_iso, interval_reticulation_iso,
     reticulate, spectrum_homeomorphism, star, unstar)
@@ -220,15 +221,20 @@ def enumerate_quantales(max_size, bound=5):
     out = []
     for n in range(1, max_size + 1):
         for lattice in enumerate_lattices(n):
+            stack = np.array(list(_mul_candidates(lattice)), dtype=np.intp).reshape(-1, n, n)
+            if not len(stack):
+                continue
             # the lattices are pairwise non-isomorphic, so only classes on this one
             # can match, and of those only the ones with the same sorted profile
             kept = {}
-            for mul in _mul_candidates(lattice):
-                # the fill decides what validation checks: a refusal is a fault, raised
-                q = Quantale(lattice, mul)
-                rivals = kept.setdefault(tuple(sorted(q._element_profile)), [])
-                if all(find_quantale_isomorphism(q, k) is None for k in rivals):
-                    rivals.append(q)
+            leq = lattice.poset.leq
+            # the fill decides what validation checks: a refusal is a fault, raised
+            for q, profile in zip(_quantales_on(lattice, stack), _profile(leq, stack)):
+                tables = (leq, q.mul_table)
+                rivals = kept.setdefault(tuple(sorted(profile)), [])
+                if all(_isomorphism(tables, k, (profile, k_profile)) is None
+                       for k, k_profile in rivals):
+                    rivals.append((tables, profile))
                     out.append(q)
     return tuple(out)
 

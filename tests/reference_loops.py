@@ -60,6 +60,7 @@ from itertools import permutations, product as cartesian
 
 import numpy as np
 
+from quantales import suite
 from quantales.io import (
     FORMAT, MAX_ELEMENTS, InvalidParameter, ParseError, ValidationError, _bounded, _dot_graph,
     _positive_int, _set_label, _string_list, generate)
@@ -70,7 +71,7 @@ from quantales.oracles import lattice_boolean_center
 from quantales.quantale import (
     AxiomError, EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
     NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale,
-    _isomorphism, jacobson_radical, negation)
+    _isomorphism, find_quantale_isomorphism, jacobson_radical, negation)
 from quantales.reticulation import AxiomViolation, NotAReticulation, reticulate
 from quantales.suite import PASS, REFUTED, BoundExceeded
 
@@ -878,6 +879,35 @@ def enumerate_quantales(max_size, bound=5):
                 canon = _canonical_form(q)
                 if canon not in seen:
                     seen.add(canon)
+                    out.append(q)
+    return tuple(out)
+
+
+def element_profile(leq, op):
+    'Per element x: #{y <= x}, #{y >= x}, #{y : op(x, y) = x} and #{y : op(x, y) = bottom}.'
+    n, leq, op = len(leq), leq.tolist(), op.tolist()
+    bottom = next(x for x in range(n) if all(leq[x]))
+    return [(sum(leq[y][x] for y in range(n)), sum(leq[x]),
+             sum(op[x][y] == x for y in range(n)), sum(op[x][y] == bottom for y in range(n)))
+            for x in range(n)]
+
+
+def enumerate_quantales_per_table(max_size, bound=5):
+    """Every quantale with at most max_size elements, one per isomorphism class:
+    a Quantale built and validated per filled table, kept unless
+    find_quantale_isomorphism matches it to a class already kept on the same
+    lattice with the same sorted profile."""
+    if max_size > bound:
+        raise BoundExceeded('size %d exceeds the enumeration bound %d' % (max_size, bound))
+    out = []
+    for n in range(1, max_size + 1):
+        for lattice in suite.enumerate_lattices(n):
+            kept = {}
+            for mul in suite._mul_candidates(lattice):
+                q = Quantale(lattice, mul)
+                rivals = kept.setdefault(tuple(sorted(q._element_profile)), [])
+                if all(find_quantale_isomorphism(q, k) is None for k in rivals):
+                    rivals.append(q)
                     out.append(q)
     return tuple(out)
 

@@ -26,7 +26,15 @@ reticulations of the corpus, and the ideal criterion by random subsets.
 The isomorphism search must find an isomorphism exactly when the n!
 canonical forms it replaced agree, on relabelled enumerated quantales and
 on relabelled lattices of at most five points, and enumeration must
-return what the canonical-form loops returned, table for table.  The
+return what the canonical-form loops returned, table for table, and, up to
+seven points, what a Quantale per filled table returned.  The laws over a
+stack of tables must give each table's verdict alone and over every triple,
+on the candidate stack of every lattice of at most seven points, on drawn
+stacks mixing the table cases above, and on stacks whose blocks split; the
+stacked constructor checks must refuse each planted table, and only those,
+as the constructor does, and the stacked profiles must be the per-element
+counts.  A decomposition's precondition must name the first pair the loop
+names, over every pair, triple and small quadruple of fixture anchors.  The
 backtracking fill must keep, in order, the tables the cartesian loop kept
 on every relabelled lattice of at most five points and fixture lattice of
 at most six, and the walk over bounded orders must give the lattices the
@@ -61,7 +69,7 @@ labels.
 import copy
 import json
 import re
-from itertools import permutations
+from itertools import permutations, product as cartesian
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,16 +82,18 @@ from quantales import io, suite
 from quantales.lattices import (
     FiniteLattice, FinitePoset, LatticeError, LatticeMorphism, NotALattice,
     NotAnIdeal, NotAPoset, _joins_and_meets, blocks, first_law_failure,
-    irreducibles_join_prime, is_distributive)
+    irreducibles_join_prime, is_distributive, stack_blocks)
 from quantales.oracles import axiom_failure, has_id_blp, has_lp_per_anchor, lattice_is_id_local
 from quantales.properties import (
     _stranded, element_has_lp, has_lp, has_property_star, is_b_normal, is_hyperarchimedean,
     is_normal)
 from quantales.lattices import build_lattice
 from quantales.quantale import (
-    AxiomError, Quantale, QuantaleError, QuantaleMorphism, RadicalFrame, _CoordinateMorphism,
-    _isomorphism, _laws_hold_on_irreducibles, _product, decompose_by_elements,
-    find_quantale_isomorphism, interval_quantale, kernel, negation, product, residuum)
+    AxiomError, NotAssociative, NotCommutative, NotDistributive, NotUnital, Quantale,
+    QuantaleError, QuantaleMorphism, RadicalFrame, _CoordinateMorphism, _admitted,
+    _isomorphism, _laws_hold_on_irreducibles, _product, _profile, _quantales_on,
+    decompose_by_elements, find_quantale_isomorphism, interval_quantale, kernel, negation,
+    product, residuum)
 from quantales.reticulation import (
     Reticulation, _generator, _induced, _star, check_unicity, lift_morphism, reticulate, star,
     unstar)
@@ -894,6 +904,175 @@ def test_irreducible_predicate_on_larger_instances_whose_blocks_split_rows(spec)
         assert checked(Quantale, lattice, mul) == checked(ref.validate, lattice, mul)
 
 
+# ---------------------------------------------------------------------------
+# the laws and the constructor's checks over a stack of tables on one lattice
+
+def _candidate_stack(lattice):
+    n = len(lattice)
+    return np.array(list(suite._mul_candidates(lattice)), dtype=np.intp).reshape(-1, n, n)
+
+
+@pytest.mark.parametrize('n', range(1, 8))
+def test_stacked_laws_and_profiles_match_each_table_on_every_candidate_stack(n):
+    """On the candidate stack of every lattice of n points, each table's stacked
+    verdict is its verdict alone and over every triple, and _admitted refuses
+    just the tables the laws refuse, since the fill is commutative, unital and
+    has x*0 = 0; the stacked profiles are each table's own."""
+    split = False
+    for lattice in suite.enumerate_lattices(n):
+        stack = _candidate_stack(lattice)
+        verdicts = _laws_hold_on_irreducibles(lattice, stack)
+        assert verdicts.shape == (len(stack),)
+        assert verdicts.tolist() == [_laws_hold_on_irreducibles(lattice, mul) for mul in stack]
+        assert verdicts.tolist() == [_laws_hold_on_all_triples(lattice, mul) for mul in stack]
+        assert _admitted(lattice, stack).tolist() == verdicts.tolist()
+        leq = lattice.poset.leq
+        assert _profile(leq, stack) == [ref.element_profile(leq, mul) for mul in stack]
+        split |= len(list(stack_blocks(len(stack), n, len(lattice.poset.join_irreducibles)))) > 1
+    assert split or n < 6
+
+
+def _carried_onto(chain, table):
+    'A table on the chain _chain(6) carried onto another six-element chain, bottom to bottom.'
+    rank = np.argsort(chain.poset.leq.sum(axis=0))
+    out = np.empty_like(table)
+    out[rank[:, None], rank] = rank[table]
+    return out
+
+
+@st.composite
+def law_stacks(draw):
+    """A lattice and a stack of commutative unital tables with x*0 = 0 on it: a
+    case drawn by irreducible_tables or chain_tables, then per table that
+    case's table, the meet, the table with a few entries redrawn, or, on a
+    six-element chain, the table the sorted-triple scan misses."""
+    lattice, mul = draw(st.one_of(
+        irreducible_tables(), chain_tables().map(lambda case: (case[0], _normalized(*case)))))
+    n = len(lattice)
+    kinds = ['drawn', 'meet', 'redrawn']
+    if n == 6 and _is_chain(lattice):
+        kinds.append('sorted scan misses')
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=10)):
+        if kind == 'drawn':
+            table = mul
+        elif kind == 'meet':
+            table = lattice.meet_table
+        elif kind == 'redrawn':
+            table = mul.copy()
+            for _ in range(draw(st.integers(1, 3))):
+                i, j, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+                table[i, j] = v
+            table = _normalized(lattice, table)
+        else:
+            table = _carried_onto(lattice, SORTED_SCAN_MISSES[1])
+        stack.append(table)
+    return lattice, np.array(stack, dtype=np.intp)
+
+
+# the six-chain's candidates twice over, 190 tables: at 180 entries a table,
+# its blocks hold 45 tables each, and the refused table falls in two of them
+LONG_STACK = (SORTED_SCAN_MISSES[0], np.concatenate([_candidate_stack(SORTED_SCAN_MISSES[0])] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_stacks())
+@example((SORTED_SCAN_MISSES[0], SORTED_SCAN_MISSES[1][None]))
+@example(LONG_STACK)
+def test_stacked_laws_match_each_table_on_mixed_stacks(case):
+    lattice, stack = case
+    verdicts = _laws_hold_on_irreducibles(lattice, stack)
+    assert verdicts.tolist() == [_laws_hold_on_irreducibles(lattice, mul) for mul in stack]
+    assert verdicts.tolist() == [_laws_hold_on_all_triples(lattice, mul) for mul in stack]
+    assert _admitted(lattice, stack).tolist() == verdicts.tolist()
+
+
+@pytest.mark.parametrize('spec', ['product:zn:720;zn:4', 'boolean:6'])
+def test_stacked_laws_on_larger_instances_whose_blocks_split_rows(spec):
+    'Tables too large to share a block go one at a time, each in blocks of rows.'
+    q = io.generate(spec)
+    lattice = q.lattice
+    stack = [q.mul_table, lattice.meet_table]
+    for mul in (q.mul_table.copy(), lattice.meet_table.copy()):
+        x = max(x for x in range(len(q)) if mul[x, x] not in (lattice.bottom, lattice.top))
+        mul[x, x] = lattice.bottom
+        stack.append(mul)
+    stack = np.array(stack + [q.mul_table])
+    # more blocks than tables: each table is split into blocks of rows
+    width = len(lattice.poset.join_irreducibles)
+    assert len(list(stack_blocks(len(stack), len(q), width))) > len(stack)
+    assert _laws_hold_on_irreducibles(lattice, stack).tolist() == [True, True, False, False, True]
+
+
+def _planted(q):
+    """Per check, a table on q's lattice that the check refuses, with the
+    exception the constructor raises on it: an entry out of range either way,
+    x*y != y*x (row top read as the join map sending all but bottom to top),
+    x*1 != x (every product bottom), x*0 != 0, and a law (a square set to
+    bottom, as in the test of larger instances above)."""
+    n, bottom, top = len(q), q.bottom, q.top
+    x = max(x for x in range(n) if q.mul(x, x) not in (bottom, top))
+    y = next(y for y in range(n) if y not in (bottom, top, x))
+    out = {}
+    for name, error in (('range', QuantaleError), ('negative', QuantaleError),
+                        ('commutativity', NotCommutative), ('unit', NotUnital),
+                        ('zero', NotDistributive), ('law', AxiomError)):
+        mul = q.mul_table.copy()
+        if name in ('range', 'negative'):
+            mul[x, y] = mul[y, x] = n if name == 'range' else -1
+        elif name == 'commutativity':
+            mul[top] = np.where(np.arange(n) == bottom, bottom, top)
+        elif name == 'unit':
+            mul[:] = bottom
+        elif name == 'zero':
+            mul[x, bottom] = mul[bottom, x] = x
+        else:
+            mul[x, x] = bottom
+        out[name] = mul, error
+    return out
+
+
+@pytest.mark.parametrize('spec', ['zn:12', 'chain:6,frame', 'product:zn:4;zn:9'])
+def test_the_stack_refuses_the_planted_tables_and_only_those(spec):
+    """Between two copies of a quantale's table, each planted table is refused
+    by _admitted and raises its exception in Quantale; _quantales_on raises what
+    Quantale raises on the first of them, and adopts the copies unrefused."""
+    q = io.generate(spec)
+    lattice = q.lattice
+    planted = _planted(q)
+    stack = np.array([q.mul_table] + [mul for mul, _ in planted.values()] + [q.mul_table])
+    assert _admitted(lattice, stack).tolist() == [True] + [False] * len(planted) + [True]
+    for name, (mul, error) in planted.items():
+        result = outcome(Quantale, lattice, mul)
+        assert result[0] == 'raised' and issubclass(result[1], error), (name, result)
+        if name == 'law':
+            assert not _laws_hold_on_all_triples(lattice, mul)
+    # the laws alone pass these two, so only the constructor's own checks refuse them
+    for name in ('commutativity', 'unit'):
+        assert _laws_hold_on_irreducibles(lattice, planted[name][0])
+    assert outcome(_quantales_on, lattice, stack) == outcome(Quantale, lattice, stack[1])
+    ends = _quantales_on(lattice, stack[[0, -1]])
+    for p in ends:
+        assert type(p) is Quantale and not p.mul_table.flags.writeable
+        assert (p.elements, p.bottom, p.top) == (q.elements, q.bottom, q.top)
+        assert p.mul_table.tolist() == q.mul_table.tolist()
+        assert p.join_table is lattice.join_table and p.poset is lattice.poset
+    n = len(q)
+    wide = np.zeros((2, n + 1, n + 1), dtype=np.intp)
+    assert _admitted(lattice, wide).tolist() == [False, False]
+    assert outcome(_quantales_on, lattice, wide) == outcome(Quantale, lattice, wide[0])
+
+
+def test_a_table_refused_by_the_stack_and_accepted_by_the_scan_is_still_built():
+    """ROADMAP item 1: the laws refuse the table the sorted-triple scan misses,
+    the stack sends it through the constructor, and the constructor accepts it."""
+    lattice, table = SORTED_SCAN_MISSES
+    stack = np.array([lattice.meet_table, table, lattice.meet_table])
+    assert _admitted(lattice, stack).tolist() == [True, False, True]
+    built = _quantales_on(lattice, stack)
+    assert [q.mul_table.tolist() for q in built] == stack.tolist()
+
+
 @pytest.mark.parametrize('n', range(1, 8))
 def test_is_distributive_over_irreducibles_matches_the_loop_on_enumerated_lattices(n):
     for lattice in suite.enumerate_lattices(n):
@@ -1210,6 +1389,19 @@ def test_decompositions_match_the_loop(case):
     q, anchors = case
     assert _decomposition_outcome(decompose_by_elements, q, anchors) == (
         _decomposition_outcome(ref.decompose_by_elements, q, anchors))
+
+
+def test_the_decomposition_precondition_names_the_pair_the_loop_names():
+    """Over every ordered pair and triple of anchors of each fixture, and every
+    quadruple on at most nine elements (where row-major order first differs
+    from column-major), the same decomposition as the loop, or the same
+    refusal naming the same first pair i < j whose anchors do not join to top."""
+    for member in suite.fixtures():
+        q = member.quantale
+        for k in (2, 3, 4) if len(q) <= 9 else (2, 3):
+            for anchors in cartesian(range(len(q)), repeat=k):
+                assert _decomposition_outcome(decompose_by_elements, q, anchors) == (
+                    _decomposition_outcome(ref.decompose_by_elements, q, anchors))
 
 
 def test_a_coprime_decomposition_builds_its_product_only_when_read():
@@ -1846,6 +2038,23 @@ def test_quantale_enumeration_matches_the_canonical_form_loop():
         return [(q.elements, q.lattice.poset.leq.tolist(), q.mul_table.tolist()) for q in quantales]
 
     assert tables(ENUMERATED) == tables(ref.enumerate_quantales(5))
+
+
+@pytest.mark.parametrize('n', range(1, 8))
+def test_quantale_enumeration_matches_the_per_table_loop(n):
+    """Validating each lattice's candidates as one stack keeps, in order, the
+    classes that a Quantale per table kept: the same elements, order matrix
+    and table, each frozen; at six elements that still takes in the class of
+    the table the sorted-triple scan misses (ROADMAP item 1)."""
+    def tables(quantales):
+        return [(q.elements, q.poset.leq.tolist(), q.mul_table.tolist()) for q in quantales]
+
+    ours = suite.enumerate_quantales(n, bound=n)
+    assert tables(ours) == tables(ref.enumerate_quantales_per_table(n, bound=n))
+    assert not any(q.mul_table.flags.writeable for q in ours)
+    if n >= 6:
+        missed = Quantale(*SORTED_SCAN_MISSES)
+        assert any(find_quantale_isomorphism(q, missed) is not None for q in ours)
 
 
 # ---------------------------------------------------------------------------
