@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
 
 import numpy as np
 
@@ -11,27 +10,12 @@ from quantales.lattices import Verdict, blocks, first_true
 from quantales.quantale import (
     QuantaleMorphism,
     TrivialQuantale,
-    _element_index,
     _interval_at,
+    _once_per_quantale,
     decompose_by_elements,
     jacobson_radical,
 )
 from quantales.reticulation import reticulate
-
-
-def _once_per_quantale(decide):
-    """decide(q), or decide(q, a) for an element a, decided once per quantale
-    and kept in q._verdicts for the quantale's lifetime.  decide is given the
-    element as its index, which is also its key, and nothing that raises is
-    kept, so every call raises alike."""
-    @wraps(decide)
-    def verdict(q, *element):
-        key = (decide,) + tuple(_element_index(q, a) for a in element)
-        verdicts = q._verdicts
-        if key not in verdicts:
-            verdicts[key] = decide(q, *key[1:])
-        return verdicts[key]
-    return verdict
 
 
 def _stranded(q, anchors):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -221,13 +221,8 @@ class Quantale(FiniteLattice):
         return _profile(self.poset.leq, self.mul_table)
 
     @cached_property
-    def _intervals(self):
-        'IntervalQuantale per anchor index, filled by _interval_at.'
-        return {}
-
-    @cached_property
-    def _verdicts(self):
-        'Verdicts of properties.py, keyed by function and element index, kept as decided.'
+    def _memo(self):
+        'Intervals and verdicts, keyed by function and element index; see _once_per_quantale.'
         return {}
 
     def __copy__(self):
@@ -235,8 +230,7 @@ class Quantale(FiniteLattice):
         copy given other tables decides them from those."""
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
-        for memo in ('_intervals', '_verdicts'):
-            clone.__dict__.pop(memo, None)
+        clone.__dict__.pop('_memo', None)
         return clone
 
 
@@ -547,17 +541,31 @@ def _element_index(q, a):
     return a
 
 
+def _once_per_quantale(decide):
+    """decide(q), or decide(q, a) for an element a, computed once per quantale
+    and kept in q._memo for the quantale's lifetime: the intervals here and
+    the verdicts of properties.py.  decide is given the element as its index,
+    which is also its key, and nothing that raises is kept, so every call
+    raises alike."""
+    @wraps(decide)
+    def kept(q, *element):
+        key = (decide,) + tuple(_element_index(q, a) for a in element)
+        memo = q._memo
+        if key not in memo:
+            memo[key] = decide(q, *key[1:])
+        return memo[key]
+    return kept
+
+
+@_once_per_quantale
 def _interval_at(q, a):
-    'The quantale on [a) for an element index a, built once per quantale and shared.'
-    part = q._intervals.get(a)
-    if part is None:
-        part = q._intervals[a] = IntervalQuantale(q, a)
-    return part
+    'The quantale on [a), built once per quantale and shared.'
+    return IntervalQuantale(q, a)
 
 
 def interval_quantale(q, a):
     'The quantale on [a) together with the canonical surjection x -> x v a.'
-    part = _interval_at(q, _element_index(q, a))
+    part = _interval_at(q, a)
     return part, part.surjection
 
 

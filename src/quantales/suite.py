@@ -932,7 +932,7 @@ def _check_hyper_implies_lifting(member):
 
 @_check('lifting-passes-to-intervals',
         'the lifting property is inherited by every interval quantale')
-def _check_lifting_to_intervals(member):
+def _check_lifting_to_each_interval(member):
     q = member.quantale
     intervals = (('on [%r)' % (q.label(a),), _interval(q, a)[0]) for a in range(len(q)))
     return _implies(has_lp(q), 'no lifting', lambda: _kept(has_lp, intervals),
@@ -1054,7 +1054,7 @@ def _check_star_to_frame(member):
 
 @_check('star-passes-to-intervals',
         'the splitting property transfers to every interval quantale')
-def _check_star_to_intervals(member):
+def _check_star_to_each_interval(member):
     q = member.quantale
     intervals = (('on [%r)' % (q.label(a),), _interval(q, a)[0]) for a in range(len(q)))
     return _implies(has_property_star(q), 'no splitting',

@@ -1130,7 +1130,7 @@ class _Tables:
         self.center = center
         self.bottom, self.top = 0, n - 1
         self._n = n
-        self._verdicts = {}
+        self._memo = {}
 
     def __len__(self):
         return self._n
@@ -1495,7 +1495,7 @@ def test_intervals_and_decompositions_of_a_copy_ignore_the_cache_it_shares(q, da
     kind = data.draw(st.sampled_from(['table', 'join', 'meet']))
     broken = (_perturbed_table(data.draw, q) if kind == 'table'
               else _perturbed_bounds(data.draw, q, kind))
-    assert broken._intervals is not q._intervals
+    assert broken._memo is not q._memo
     for a in range(n):
         assert _interval_outcome(outcome(interval_quantale, broken, a)) == (
             _reference_interval_outcome(outcome(ref.interval_quantale, broken, a)))
@@ -1523,7 +1523,7 @@ def test_verdicts_of_a_copy_ignore_those_kept_on_the_original(q, data):
     kind = data.draw(st.sampled_from(['table', 'join', 'meet']))
     broken = (_perturbed_table(data.draw, q) if kind == 'table'
               else _perturbed_bounds(data.draw, q, kind))
-    assert broken._verdicts is not q._verdicts
+    assert broken._memo is not q._memo
     for verdict, element in calls:
         assert outcome(verdict, broken, *element) == (
             outcome(verdict.__wrapped__, broken, *element)), verdict.__name__

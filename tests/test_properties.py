@@ -4,17 +4,20 @@ The named fixture verdicts here are frozen oracles; the equivalence and
 implication scans run over the corpus plus every instance of size <= 5.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from quantales import suite
+from quantales import io, suite
 from quantales.oracles import has_id_blp, normal_witness
 from quantales.properties import (
     Decomposition, PropertyReport, element_has_lp, has_lp, has_property_star,
     hyperarchimedean_equivalents, is_b_normal, is_hyperarchimedean, is_local,
     is_normal, is_semiprime, local_decomposition)
 from quantales.quantale import (
-    TrivialQuantale, interval_quantale, jacobson_radical)
+    TrivialQuantale, decompose_by_elements, interval_quantale, jacobson_radical)
 from quantales.reticulation import reticulate
 
 
@@ -171,12 +174,29 @@ def test_five_way_decomposition_equivalence(corpus, small_corpus):
         assert len(values) == 1, member.name
 
 
+def _one_maximal_per_component(q):
+    'Whether every connected component of (Spec A, <=) holds exactly one maximal element.'
+    unseen, maximal = set(q.spectrum), set(q.maximal_elements)
+    while unseen:
+        component, frontier = set(), [unseen.pop()]
+        while frontier:
+            p = frontier.pop()
+            component.add(p)
+            linked = {r for r in unseen if q.leq(p, r) or q.leq(r, p)}
+            unseen -= linked
+            frontier.extend(linked)
+        if len(component & maximal) != 1:
+            return False
+    return True
+
+
 def test_lifting_normality_and_splitting_are_one_property_on_finite_members(corpus):
-    """On a finite carrier the lifting property, normality, B-normality, (*) and
-    "every m-prime lies below exactly one maximal element" coincide: a finite
-    quantale is semilocal, so it has LP iff it is a finite product of local
-    quantales, whose spectrum is the disjoint union of the factors' spectra,
-    each below its factor's one maximal element.  Both verdicts occur."""
+    """On a finite carrier the lifting property, normality, B-normality, (*),
+    "every m-prime lies below exactly one maximal element" and "every connected
+    component of (Spec A, <=) holds exactly one maximal element" coincide: a
+    finite quantale is semilocal, so it has LP iff it is a finite product of
+    local quantales, whose spectrum is the disjoint union of the factors'
+    spectra, each below its factor's one maximal element.  Both verdicts occur."""
     seen = set()
     for member in list(corpus) + list(suite.enumerated(7, bound=7)):
         q = member.quantale
@@ -189,10 +209,31 @@ def test_lifting_normality_and_splitting_are_one_property_on_finite_members(corp
             bool(is_b_normal(q)),
             bool(has_property_star(q)),
             bool((above.sum(axis=1) == 1).all()),
+            _one_maximal_per_component(q),
         }
         assert len(values) == 1, member.name
         seen |= values
     assert seen == {False, True}
+
+
+def test_intervals_and_verdicts_live_and_die_with_their_quantale():
+    """Every interval, a decomposition and the six kept verdicts sit in one
+    memo on the quantale, so once the last outside reference goes, a
+    collection frees the quantale with all of it, though each interval
+    refers back to its parent."""
+    q = io.generate('zn:36')
+    for a in range(len(q)):
+        interval_quantale(q, a)
+        element_has_lp(q, a)
+    decompose_by_elements(q, q.maximal_elements)
+    for verdict in (has_lp, is_normal, is_b_normal, is_hyperarchimedean, has_property_star):
+        verdict(q)
+    # the decomposition's intervals are among the n already kept
+    assert len(q._memo) == 2 * len(q) + 5
+    kept = weakref.ref(q)
+    del q
+    gc.collect()
+    assert kept() is None
 
 
 def test_verdicts_are_kept_per_quantale_and_element_index(w5):

@@ -256,7 +256,7 @@ def test_decomposition_map_is_bijective_morphism(d12):
 def test_decomposition_anchors_are_refused_like_interval_anchors(d12):
     'Each anchor is read as interval_quantale reads it, before any interval is cached.'
     decompose_by_elements(d12, (d12.index_of('4'), d12.index_of('3')))
-    keys = set(d12._intervals)
+    keys = set(d12._memo)
     # numpy would read -3 as index 3 and cache a second part under the key -3
     for a in (-1, -3, len(d12)):
         with pytest.raises(IndexError, match='element index %d out of range' % a):
@@ -264,7 +264,7 @@ def test_decomposition_anchors_are_refused_like_interval_anchors(d12):
     for a in (2.0, 1.0, '1', None):
         with pytest.raises(TypeError):
             decompose_by_elements(d12, [a])
-    assert set(d12._intervals) == keys
+    assert set(d12._memo) == keys
     u = decompose_by_elements(d12, [np.int64(3)])
     assert u.target is interval_quantale(d12, 3)[0] and type(u.target.anchor) is int
 
