@@ -9,8 +9,8 @@ from functools import cached_property, wraps
 import numpy as np
 
 from quantales.lattices import (
-    FiniteLattice, FinitePoset, distributivity_failure, first_in_blocks, first_law_failure,
-    first_true, irreducibles_join_prime, prime_mask, stack_blocks)
+    FiniteLattice, FinitePoset, _BLOCK, distributivity_failure, first_in_blocks,
+    first_law_failure, first_true, irreducibles_join_prime, prime_mask, stack_blocks)
 
 
 class QuantaleError(Exception):
@@ -113,7 +113,7 @@ class Quantale(FiniteLattice):
         if hit is not None:
             x = hit[0]
             raise NotDistributive('x*0 != 0 at %r' % (lab(x),), (lab(x),))
-        if _laws_hold_on_irreducibles(lattice, mul[None])[0]:
+        if _laws_hold_on_irreducibles(lattice, mul):
             return
         # the scans below only name the witness of a refusal
         hit = distributivity_failure(mul, lattice.join_table)
@@ -248,33 +248,35 @@ def _laws_hold_on_irreducibles(lattice, mul):
     join of its values at the (a, b, c) in J x J x J below (x, y, z), and
     the two agree everywhere once they agree there.  For a commutative table
     that law is associativity: x*(y*z) = (y*z)*x = (y*x)*z = (x*y)*z."""
-    stack = mul if mul.ndim == 3 else mul[None]
-    rest = (stack != lattice.meet_table).any(axis=(1, 2))
-    if rest.all():
+    stack = mul.reshape(-1, len(lattice), len(lattice))
+    rest = (stack != lattice.meet_table).any(axis=(1, 2)).tolist()
+    if all(rest):
         holds = _laws_hold_in_blocks(lattice, stack)
     else:
         # meet is associative, so only the lattice's distributivity is left
         holds = np.full(len(stack), irreducibles_join_prime(lattice))
-        if rest.any():
+        if any(rest):
             holds[rest] = _laws_hold_in_blocks(lattice, stack[rest])
     return holds if mul.ndim == 3 else bool(holds[0])
 
 
 def _laws_hold_in_blocks(lattice, stack):
-    'The two laws of _laws_hold_on_irreducibles, one bool per table of the stack.'
+    """The two laws of _laws_hold_on_irreducibles, one bool per table of the
+    stack; a stack that fits one block is decided in one pass, without the
+    block loop."""
     k, n = len(stack), len(lattice)
     irreducibles = lattice.poset.join_irreducibles
     join = lattice.join_table
     # [t, x, j]: x*j in table t, and [x, j]: x v j; [t, a, b]: for a and b in J,
     # the row of a*b among the k * n rows of times_j read as one table
     times_j, join_j = stack[:, :, irreducibles], join[:, irreducibles]
-    on_j = times_j[:, irreducibles] + np.arange(0, k * n, n)[:, None, None]
+    on_j = times_j[:, irreducibles]
+    if k > 1:
+        # table t's rows start at row t * n
+        on_j = on_j + np.arange(0, k * n, n)[:, None, None]
     rows_j = times_j.reshape(k * n, len(irreducibles))
-    failed = np.zeros(k, dtype=bool)
-    for tables, rows, cols in stack_blocks(k, n, len(irreducibles)):
-        # a table too large to share a block spans many; one failure decides it
-        if failed[tables.start]:
-            continue
+
+    def failures(tables, rows, cols):
         t, pairs = stack[tables], on_j[tables]
         # [t, x, y, j]: row x of table t read at y v j is x*(y v j)
         unequal = t[:, rows][:, :, join_j[cols]] != join[t[:, rows, cols, None],
@@ -283,7 +285,15 @@ def _laws_hold_in_blocks(lattice, stack):
         # for the a and b at those positions is (a*b)*c, against (a*c)*b
         unassociative = rows_j[pairs[:, rows, cols]] != rows_j[:, cols][
             pairs[:, rows]].transpose(0, 1, 3, 2)
-        failed[tables] = unequal.any(axis=(1, 2, 3)) | unassociative.any(axis=(1, 2, 3))
+        return unequal.any(axis=(1, 2, 3)) | unassociative.any(axis=(1, 2, 3))
+
+    if k * n * n * max(len(irreducibles), 1) <= _BLOCK:
+        return ~failures(slice(None), slice(None), slice(None))
+    failed = np.zeros(k, dtype=bool)
+    for tables, rows, cols in stack_blocks(k, n, len(irreducibles)):
+        # a table too large to share a block spans many; one failure decides it
+        if not failed[tables.start]:
+            failed[tables] = failures(tables, rows, cols)
     return ~failed
 
 
@@ -407,7 +417,11 @@ class QuantaleMorphism:
         join, multiplication and the unit, each against _target_bounds and
         _target_at: the target's bounds, and one target table read at every
         pair of images."""
-        mapping = tuple(map(int, mapping))
+        if not (isinstance(mapping, np.ndarray) and mapping.dtype == np.intp
+                and mapping.ndim == 1):
+            # anything but an index array is read entry by entry through int(),
+            # which truncates a float
+            mapping = tuple(map(int, mapping))
         if len(mapping) != len(source):
             raise QuantaleError('mapping length does not match source carrier')
         bottom, top = self._target_bounds()
@@ -423,7 +437,7 @@ class QuantaleMorphism:
         if mapping[source.top] != top:
             raise QuantaleError('unit not preserved')
         self.source = source
-        self.mapping = mapping
+        self.mapping = tuple(f.tolist())
 
     def _target_bounds(self):
         return self.target.bottom, self.target.top

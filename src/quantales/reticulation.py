@@ -22,6 +22,7 @@ from quantales.quantale import (
     QuantaleMorphism,
     _check_induced_order,
     _element_index,
+    _once_per_quantale,
     interval_quantale,
 )
 
@@ -95,8 +96,10 @@ def _induced(classes, image):
     """Map on classes induced by image, and the first class that image splits, or None.
     classes[x] is the class of x, all of 0..k-1 occur, and a class goes where its first member goes."""
     classes, image = np.asarray(classes), np.asarray(image)
-    _, first = np.unique(classes, return_index=True)
-    mapping = image[first]
+    # a dict keeps the last value written under a key, so reading the classes
+    # backwards leaves each class at its first member
+    first = dict(zip(classes[::-1].tolist(), range(len(classes) - 1, -1, -1)))
+    mapping = image[[first[c] for c in sorted(first)]]
     split = classes[mapping[classes] != image]
     return tuple(mapping.tolist()), (int(split.min()) if split.size else None)
 
@@ -128,23 +131,94 @@ def _unstar(r, x):
     return r.source.join_all(below.nonzero()[0].tolist())
 
 
+def _folds_to_generator(lattice):
+    """Whether join_all over the down-set of any g gives g: so when the stored
+    order is the one the join table induces, x <= y exactly when x v y = y,
+    and the fold starts at an element below everything.  The join is taken to
+    be a semilattice operation, which a source's is, and a reticulation's too:
+    it is the source's carried by the class map, checked as a morphism when
+    the reticulation is built.  A copy whose order or bottom was redrawn fails
+    this, and its maps are decided element by element."""
+    leq = lattice.poset.leq
+    return bool(leq[lattice.bottom].all()
+                and (leq == (lattice.join_table == np.arange(len(leq)))).all())
+
+
+def _principal(lattice, mask):
+    """Per row of a mask over the lattice, the element whose down-set the row
+    is, or -1.  That element is the row's member with the largest down-set,
+    since every other member of a down-set lies strictly below its top."""
+    # a transposed mask is copied into rows once: the reads below run on rows
+    leq, mask = lattice.poset.leq, np.ascontiguousarray(mask)
+    g = (mask * leq.sum(axis=0)).argmax(axis=1)
+    return np.where((mask == leq.T[g]).all(axis=1), g, -1)
+
+
+@_once_per_quantale
+def _star_table(r):
+    """_star(r, a) for every element a of the source, from the definition,
+    with -1 where _star decides instead: at a row that is no ideal, where it
+    raises, and at every row when the class map is not onto or r fails
+    _folds_to_generator.  On a valid reticulation the answer is lam[a], but the
+    table never reads it there, so that a broken class map shows.
+
+    [a, k] holds when some c <= a has class k: per class, the OR of its
+    members' up-sets, packed 8 to a byte so that the reduction runs over whole
+    bytes.  A row is an ideal exactly when it is the down-set of some g, its
+    join, and _principal finds that g."""
+    source, n, m = r.source, len(r.source), len(r)
+    if set(r.lam) != set(range(m)) or not _folds_to_generator(r):
+        return (-1,) * n
+    lam = np.asarray(r.lam)
+    counts = np.bincount(lam)
+    # sorted by class, the up-sets of class k are the counts[k] rows after
+    # those of the classes before it
+    up = np.packbits(source.poset.leq[np.argsort(lam, kind='stable')], axis=1)
+    below = np.bitwise_or.reduceat(up, np.cumsum(counts) - counts)
+    return tuple(_principal(r, np.unpackbits(below, axis=1, count=n).view(bool).T).tolist())
+
+
+@_once_per_quantale
+def _unstar_table(r):
+    """_unstar(r, x) for every element x of the reticulation, from the
+    definition, with -1 where _unstar folds the join instead.  [x, c] holds
+    when class(c) <= x; when that set is the down-set of some g, g is its
+    join, and _principal finds it."""
+    source = r.source
+    if not _folds_to_generator(source):
+        return (-1,) * len(r)
+    return tuple(_principal(source, r.poset.leq[np.asarray(r.lam)].T).tolist())
+
+
+def _star_at(r, a):
+    'star(a), read off the table, or decided alone where the table leaves it.'
+    g = _star_table(r)[a]
+    return g if g >= 0 else _star(r, a)
+
+
+def _unstar_at(r, x):
+    'unstar(x), read off the table, or decided alone where the table leaves it.'
+    g = _unstar_table(r)[x] if 0 <= x < len(r) else -1
+    return g if g >= 0 else _unstar(r, x)
+
+
 def star(q, a):
     'Generator of the ideal {class(c) : c <= a} of the reticulation lattice.'
-    return _star(reticulate(q), _element_index(q, a))
+    return _star_at(reticulate(q), _element_index(q, a))
 
 
 def unstar(q, x):
     'Join of the elements whose class lies in the ideal generated by x, an integer.'
     # operator.index refuses a float, and reads a bool as 0 or 1 rather than as a mask
-    return _unstar(reticulate(q), operator.index(x))
+    return _unstar_at(reticulate(q), operator.index(x))
 
 
 def frame_iso(q):
     'The inverse frame isomorphisms between radical elements and reticulation ideals, by generator.'
     r = reticulate(q)
     frame = q.radical_frame
-    phi = {a: _star(r, a) for a in frame.carrier}
-    psi = {g: _unstar(r, g) for g in range(len(r))}
+    phi = {a: _star_at(r, a) for a in frame.carrier}
+    psi = {g: _unstar_at(r, g) for g in range(len(r))}
     if sorted(phi.values()) != list(psi):
         raise QuantaleError('star map is not a bijection onto the ideals')
     for a, g in phi.items():
@@ -165,8 +239,8 @@ def spectrum_homeomorphism(q):
     'Inverse bijections between the spectrum and the prime reticulation ideals, by generator.'
     r = reticulate(q)
     primes = r.spectrum
-    u = {p: _star(r, p) for p in q.spectrum}
-    v = {g: _unstar(r, g) for g in primes}
+    u = {p: _star_at(r, p) for p in q.spectrum}
+    v = {g: _unstar_at(r, g) for g in primes}
     if sorted(u.values()) != list(primes):
         raise QuantaleError('spectrum does not biject with prime ideals')
     for p, g in u.items():
@@ -174,7 +248,7 @@ def spectrum_homeomorphism(q):
             raise QuantaleError('spectrum maps are not mutually inverse at %r' % (
                 q.label(p),))
     # [a, p]: a below p against star(a) inside the prime ideal u(p)
-    stars = [_star(r, a) for a in range(len(q))]
+    stars = [_star_at(r, a) for a in range(len(q))]
     hit = first_true(q.poset.leq[:, list(u)]
                      != r.poset.leq[stars][:, list(u.values())])
     if hit is not None:

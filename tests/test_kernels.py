@@ -23,6 +23,10 @@ that every raise is reached.  Ideals of a finite lattice are read as their
 generators through the meet-quantale; the ideal loops they replaced are
 driven by the distributive lattices up to six elements and the
 reticulations of the corpus, and the ideal criterion by random subsets.
+The star and unstar tables must hold the loops' generator at every element
+of every member of the fixtures and enumerated(6) and of its radical frame,
+and on copies whose class map, order or source order is redrawn they must
+return or raise what the per-element path does, message included.
 The isomorphism search must find an isomorphism exactly when the n!
 canonical forms it replaced agree, on relabelled enumerated quantales and
 on relabelled lattices of at most five points, and enumeration must
@@ -67,8 +71,10 @@ labels.
 """
 
 import copy
+import gc
 import json
 import re
+import weakref
 from itertools import permutations, product as cartesian
 from types import SimpleNamespace
 
@@ -95,8 +101,8 @@ from quantales.quantale import (
     decompose_by_elements, find_quantale_isomorphism, interval_quantale, kernel, negation,
     product, residuum)
 from quantales.reticulation import (
-    Reticulation, _generator, _induced, _star, check_unicity, lift_morphism, reticulate, star,
-    unstar)
+    Reticulation, _generator, _induced, _star, _star_at, _star_table, _unstar, _unstar_at,
+    _unstar_table, check_unicity, lift_morphism, reticulate, star, unstar)
 
 CASES = settings(max_examples=150, deadline=None)
 
@@ -1924,6 +1930,86 @@ def test_star_refuses_a_corrupted_class_map():
         _star(ret, q.bottom)
     # the copy left the cached reticulation alone
     assert star(q, q.bottom) == reticulate(q).lattice.bottom
+
+
+def test_star_tables_match_the_loops_on_every_element():
+    """Each table decides every element itself, with no -1 left for the
+    per-element path, and gives the ideal loops' generator there, on the
+    fixtures and every quantale up to six elements, and their radical frames."""
+    pool = QUANTALES + SIX
+    for q in pool + [q.radical_frame for q in pool]:
+        r = Reticulation(q)
+        stars, unstars = _star_table(r), _unstar_table(r)
+        assert -1 not in stars + unstars
+        assert [r.lattice.down_set(g) for g in stars] == [
+            ref.star(r, a).members for a in range(len(q))]
+        assert list(unstars) == [
+            ref.unstar(r, ref.principal_ideal(r.lattice, x)) for x in range(len(r))]
+    q = io.generate('zn:36')
+    assert [star(q, a) for a in range(len(q))] == list(_star_table(reticulate(q)))
+    assert [unstar(q, x) for x in range(len(reticulate(q)))] == list(
+        _unstar_table(reticulate(q)))
+
+
+def _redrawn_order(draw, poset):
+    'A copy of poset whose order has a few entries off the diagonal flipped.'
+    leq = poset.leq.copy()
+    n = len(leq)
+    for _ in range(draw(st.integers(1, 3))):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        leq[x, y] ^= x != y
+    poset = copy.copy(poset)
+    poset.leq = leq
+    return poset
+
+
+@st.composite
+def redrawn_reticulations(draw):
+    """A copy of a reticulation whose class map (as reticulation_maps draws
+    it), order or source's order is redrawn in a few places."""
+    kind = draw(st.sampled_from(['class map', 'order', 'source order']))
+    if kind == 'class map':
+        return draw(reticulation_maps())
+    ret = copy.copy(Reticulation(draw(st.sampled_from(QUANTALES))))
+    if kind == 'order':
+        ret.poset = _redrawn_order(draw, ret.poset)
+    else:
+        ret.source = copy.copy(ret.source)
+        ret.source.poset = _redrawn_order(draw, ret.source.poset)
+    return ret
+
+
+@CASES
+@given(redrawn_reticulations())
+def test_star_tables_decide_broken_reticulations_as_the_element_path_does(ret):
+    for a in range(len(ret.source)):
+        assert outcome(_star_at, ret, a) == outcome(_star, ret, a)
+    for x in range(-1, len(ret) + 1):
+        assert outcome(_unstar_at, ret, x) == outcome(_unstar, ret, x)
+
+
+def test_star_tables_live_and_die_with_their_reticulation():
+    """The tables are kept on the reticulation, freed with it, and not shared
+    with a copy: a copy whose class map is perturbed computes its own."""
+    q = io.generate('zn:12')
+    r = Reticulation(q)
+    stars, unstars = _star_table(r), _unstar_table(r)
+    assert _star_table(r) is stars and _unstar_table(r) is unstars
+    clone = copy.copy(r)
+    lam = list(clone.lam)
+    # bottom's class moved to the top's: the class map stays onto, and the
+    # classes below bottom are {top}, no ideal
+    lam[q.bottom] = clone.lam[q.top]
+    clone.lam = tuple(lam)
+    assert _star_table(clone)[q.bottom] == -1 != stars[q.bottom]
+    refused = outcome(_star_at, clone, q.bottom)
+    assert refused[:2] == ('raised', NotAnIdeal)
+    assert refused == outcome(_star, clone, q.bottom)
+    assert _star_table(r) is stars
+    kept = weakref.ref(r)
+    del r
+    gc.collect()
+    assert kept() is None
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,25 @@ def test_morphism_validation(c3):
     assert identity.is_surjective()
 
 
+@pytest.mark.parametrize('mapping, refusal', [
+    (tuple(range(6)), None),
+    ([np.int64(i) for i in range(6)], None),
+    (np.arange(6, dtype=np.intp), None),
+    # int() truncates each entry, as it always has
+    (np.arange(6) + 0.25, None),
+    ((0, 1, 2, 3, 4), 'mapping length does not match source carrier'),
+])
+def test_morphism_mappings_are_read_as_ints(d12, mapping, refusal):
+    if refusal is not None:
+        with pytest.raises(QuantaleError) as info:
+            QuantaleMorphism(d12, d12, mapping)
+        assert str(info.value) == refusal
+        return
+    identity = QuantaleMorphism(d12, d12, mapping)
+    assert identity.mapping == tuple(range(6))
+    assert all(type(x) is int for x in identity.mapping)
+
+
 def test_zero_kernel_does_not_prove_injectivity(c3):
     # collapsing the chain onto its endpoints is a unital morphism whose
     # kernel is zero even though two points merge, so the kernel criterion
