@@ -222,12 +222,12 @@ class Quantale(FiniteLattice):
 
     @cached_property
     def _memo(self):
-        'Intervals and verdicts, keyed by function and element index; see _once_per_quantale.'
+        'Intervals, decompositions and verdicts by function and element indices; see _once_per_quantale.'
         return {}
 
     def __copy__(self):
-        """A shallow copy whose intervals and verdicts start empty, so that a
-        copy given other tables decides them from those."""
+        """A shallow copy whose intervals, decompositions and verdicts start
+        empty, so that a copy given other tables decides them from those."""
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
         clone.__dict__.pop('_memo', None)
@@ -556,11 +556,11 @@ def _element_index(q, a):
 
 
 def _once_per_quantale(decide):
-    """decide(q), or decide(q, a) for an element a, computed once per quantale
-    and kept in q._memo for the quantale's lifetime: the intervals here and
-    the verdicts of properties.py.  decide is given the element as its index,
-    which is also its key, and nothing that raises is kept, so every call
-    raises alike."""
+    """decide(q), or decide(q, a, ...) for elements a, ..., computed once per
+    quantale and kept in q._memo for the quantale's lifetime: the intervals and
+    decompositions here and the verdicts of properties.py.  decide is given
+    each element as its index, which is also its key, and nothing that raises
+    is kept, so every call raises alike."""
     @wraps(decide)
     def kept(q, *element):
         key = (decide,) + tuple(_element_index(q, a) for a in element)
@@ -641,8 +641,14 @@ def decompose_by_elements(q, anchors):
     With one anchor the target is its interval.  With more, the map is checked
     through its coordinates in the intervals, as _CoordinateMorphism says, and
     bijectivity against the product of their sizes; the product is built only
-    when the target is read."""
-    anchors = [_element_index(q, a) for a in anchors]
+    when the target is read.  Each decomposition is built once per quantale and
+    sequence of anchors, and shared."""
+    return _decomposition_at(q, *anchors)
+
+
+@_once_per_quantale
+def _decomposition_at(q, *anchors):
+    'decompose_by_elements, given the anchors as element indices.'
     if not anchors:
         raise PreconditionFailed('need at least one element')
     # the first pair i < j in row-major order; a Python scan, since there are
@@ -666,17 +672,12 @@ def decompose_by_elements(q, anchors):
 
 def _profile(leq, op):
     """Per element, invariants an isomorphism of (leq, op) preserves: the sizes of its
-    down-set and up-set, how often op with it gives it back, and how often gives bottom.
-    op is one n x n table, with one profile, or a (k, n, n) stack, with one per table:
-    the order half is read once, the table half in one reduction over the stack."""
+    down-set and up-set, how often op with it gives it back, and how often gives bottom."""
     n = len(leq)
     bottom = leq.all(axis=1).nonzero()[0][0]
-    down, up = leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist()
-    stack = op.reshape(-1, n, n)
-    fixed = (stack == np.arange(n)[:, None]).sum(axis=2).tolist()
-    zeros = (stack == bottom).sum(axis=2).tolist()
-    profiles = [list(zip(down, up, f, z)) for f, z in zip(fixed, zeros)]
-    return profiles if op.ndim == 3 else profiles[0]
+    return list(zip(leq.sum(axis=0).tolist(), leq.sum(axis=1).tolist(),
+                    (op == np.arange(n)[:, None]).sum(axis=1).tolist(),
+                    (op == bottom).sum(axis=1).tolist()))
 
 
 def _isomorphism(source, target, profiles=None):

@@ -25,10 +25,9 @@ from .properties import (
     element_has_lp, has_lp, has_property_star, hyperarchimedean_equivalents,
     is_b_normal, is_hyperarchimedean, is_local, is_normal, local_decomposition)
 from .quantale import (
-    Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale, _interval_at,
-    _isomorphism, _product, _profile, _quantales_on, decompose_by_elements,
-    find_quantale_isomorphism, interval_quantale, jacobson_radical, kernel, is_injective,
-    negation, residuum)
+    Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale, _interval_at, _product,
+    _quantales_on, decompose_by_elements, find_quantale_isomorphism, interval_quantale,
+    jacobson_radical, kernel, is_injective, negation, residuum)
 from .reticulation import (
     boolean_isos, check_unicity, frame_iso, interval_reticulation_iso,
     reticulate, spectrum_homeomorphism, star, unstar)
@@ -100,11 +99,56 @@ def fixtures():
         CorpusMember(name, io.generate(gen), gen) for name, gen in FIXTURE_GENERATORS)
 
 
+def _relabellings(ups, low):
+    """Search the relabellings of the top part low..n - 1 of a bounded order on
+    range(n) that keep index order a linear extension; ups[e] is the bit mask of
+    the elements at or above e, for e >= low.  Labels n - 2, n - 3, ... go to
+    elements whose strict upper bounds already have one, and each label k compares
+    its free_k, the bits k + 1..n - 2 of its up-set, with the order's own free_k,
+    highest bit first.  None when some relabelling gives an earlier
+    (free_{n-2}, ..., free_low); otherwise the relabellings that compare equal at
+    every level, each a list from label to element: the automorphisms of the top
+    part, the identity first."""
+    n = len(ups)
+    top = n - 1
+    label = list(range(n))
+    out = []
+
+    def place(k, labelled):
+        if k < low:
+            out.append(label[:])
+            return True
+        for e in range(top - 1, low - 1, -1):
+            up = ups[e]
+            # e has no label, and every element strictly above it has one
+            if up & ~labelled != 1 << e:
+                continue
+            step = 0
+            for j in range(top - 1, k, -1):
+                step = (up >> label[j] & 1) - (ups[k] >> j & 1)
+                if step:
+                    break
+            if step < 0:
+                return False
+            if not step:
+                label[k] = e
+                if not place(k - 1, labelled | 1 << e):
+                    return False
+        return True
+
+    return out if place(top - 1, 1 << top) else None
+
+
 def _bounded_orders(n):
     """Order relations on range(n) with 0 at the bottom, n - 1 at the top and index
-    order a linear extension, as boolean matrices.  The up-sets are chosen from
-    row n - 2 down to row 1, each row's up-sets ascending as bit masks, which is
-    the order of the masks over all pairs i < j that such a relation sets."""
+    order a linear extension, as boolean matrices, one per isomorphism class: the
+    first of its labellings in the order of the masks over all pairs i < j that
+    such a relation sets.  That is the lexicographic order of (free_{n-2}, ...,
+    free_1), free_i being the bits i + 1..n - 2 of the up-set of i, so the up-sets
+    are chosen from row n - 2 down to row 1, each row's ascending.  A relabelling
+    of the part i..n - 1 chosen so far that gives an earlier prefix gives the whole
+    order an earlier labelling, so _relabellings cuts that prefix (orderly
+    generation)."""
     ups = [(1 << n) - 1 if i == 0 else 1 << i for i in range(n)]
 
     def rows(i):
@@ -120,32 +164,51 @@ def _bounded_orders(n):
             # transitive: whatever lies above an element above i lies above i
             if closure == above:
                 ups[i] = 1 << i | above
-                yield from rows(i - 1)
+                if _relabellings(ups, i) is not None:
+                    yield from rows(i - 1)
 
     yield from rows(n - 2)
 
 
 def enumerate_lattices(n):
-    'All lattices on n points up to isomorphism, in a deterministic order.'
+    """All lattices on n points up to isomorphism, each the first labelling of its
+    class that _bounded_orders walks, in that order."""
     labels = ['x%d' % i for i in range(n)]
     out = []
-    # kept lattices by sorted profile: only those with an equal one can match
-    kept = {}
     for rel in _bounded_orders(n):
         # the walk yields partial orders only, so the order checks are skipped
         try:
-            lattice = FiniteLattice(FinitePoset._from_order(labels, rel))
+            out.append(FiniteLattice(FinitePoset._from_order(labels, rel)))
         except NotALattice:
             continue
-        # non-distributive lattices have no meet-quantale, so compare tables
-        tables = (lattice.poset.leq, lattice.meet_table)
-        profile = _profile(*tables)
-        rivals = kept.setdefault(tuple(sorted(profile)), [])
-        if all(_isomorphism(tables, k, (profile, k_profile)) is None
-               for k, k_profile in rivals):
-            rivals.append((tables, profile))
-            out.append(lattice)
     return tuple(out)
+
+
+def _automorphisms(lattice):
+    """The order automorphisms of a lattice from enumerate_lattices, each an array
+    from element to element, the identity first."""
+    ups = (lattice.poset.leq.astype(np.int64) << np.arange(len(lattice))).sum(axis=1).tolist()
+    return [np.array(sigma) for sigma in _relabellings(ups, 1)]
+
+
+def _first_of_each_class(stack, automorphisms):
+    """Per table of a (k, n, n) stack of distinct tables on one labelled lattice,
+    whether no automorphism of the lattice carries it onto a table earlier in the
+    stack.  Two quantales on one lattice are isomorphic exactly when such an
+    automorphism carries one table to the other, so this keeps the first table of
+    each class the stack holds.  Only the stack is searched: a relabelled table
+    need not be in it: a table that fails associativity only off the
+    index-sorted triples passes Quantale._validate in some element orders and
+    not in others."""
+    first = np.ones(len(stack), dtype=bool)
+    index = {table.tobytes(): k for k, table in enumerate(stack)}
+    for sigma in automorphisms[1:]:
+        # sigma(x) * sigma(y) = sigma(x * y), so the image is sigma[t] read at sigma^-1
+        inverse = np.argsort(sigma)
+        for k, image in enumerate(sigma[stack[:, inverse[:, None], inverse]]):
+            if index.get(image.tobytes(), k) < k:
+                first[k] = False
+    return first
 
 
 def _mul_candidates(lattice):
@@ -215,7 +278,9 @@ def _mul_candidates(lattice):
 
 
 def enumerate_quantales(max_size, bound=5):
-    'Every quantale with at most max_size elements, one per isomorphism class.'
+    """Every quantale with at most max_size elements, one per isomorphism class: on
+    each lattice of enumerate_lattices, the candidate tables of _mul_candidates
+    that _first_of_each_class keeps, in the order the fill yields them."""
     if max_size > bound:
         raise BoundExceeded('size %d exceeds the enumeration bound %d' % (max_size, bound))
     out = []
@@ -225,17 +290,10 @@ def enumerate_quantales(max_size, bound=5):
             if not len(stack):
                 continue
             # the lattices are pairwise non-isomorphic, so only classes on this one
-            # can match, and of those only the ones with the same sorted profile
-            kept = {}
-            leq = lattice.poset.leq
-            # the fill decides what validation checks: a refusal is a fault, raised
-            for q, profile in zip(_quantales_on(lattice, stack), _profile(leq, stack)):
-                tables = (leq, q.mul_table)
-                rivals = kept.setdefault(tuple(sorted(profile)), [])
-                if all(_isomorphism(tables, k, (profile, k_profile)) is None
-                       for k, k_profile in rivals):
-                    rivals.append((tables, profile))
-                    out.append(q)
+            # can match; the fill decides what validation checks, so a refusal is
+            # a fault, raised
+            first = _first_of_each_class(stack, _automorphisms(lattice))
+            out.extend(q for q, kept in zip(_quantales_on(lattice, stack), first) if kept)
     return tuple(out)
 
 

@@ -8,7 +8,9 @@ the lattice-side ideal layer (ideals as member sets, prime and maximal
 ideals, quotients by an ideal, the star maps) that ideal generators read
 through the meet-quantale replaced, and the enumeration that removed
 duplicate isomorphism classes by n! canonical forms before the
-isomorphism search did, and the generate-and-test enumeration (every
+isomorphism search did, and the walk over every labelling of each bounded
+order with that search after it, before the orderly walk built only the
+first labelling of each class, and the generate-and-test enumeration (every
 cartesian candidate table, every relation mask) that the backtracking fill
 and the walk over bounded orders replaced, and the triple loop that found
 the covers of the spectrum for the dot export before FinitePoset.covers did,
@@ -71,7 +73,7 @@ from quantales.oracles import lattice_boolean_center
 from quantales.quantale import (
     AxiomError, EmptyProduct, IntervalQuantale, NotAssociative, NotCommutative, NotDistributive,
     NotUnital, PreconditionFailed, Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale,
-    _isomorphism, find_quantale_isomorphism, jacobson_radical, negation)
+    _isomorphism, _profile, find_quantale_isomorphism, jacobson_radical, negation)
 from quantales.reticulation import AxiomViolation, NotAReticulation, reticulate
 from quantales.suite import PASS, REFUTED, BoundExceeded
 
@@ -805,6 +807,59 @@ def lattices_by_mask_scan(n):
         # non-distributive lattices have no meet-quantale, so compare tables
         tables = (lattice.poset.leq, lattice.meet_table)
         if all(_isomorphism(tables, (k.poset.leq, k.meet_table)) is None for k in out):
+            out.append(lattice)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# enumeration by the walk over every labelling of each bounded order and the
+# isomorphism search after it, as it was before the orderly walk
+
+def bounded_orders(n):
+    """Order relations on range(n) with 0 at the bottom, n - 1 at the top and index
+    order a linear extension, as boolean matrices, every labelling of each.  The
+    up-sets are chosen from row n - 2 down to row 1, each row's up-sets ascending
+    as bit masks, which is the order of the masks over all pairs i < j that such a
+    relation sets."""
+    ups = [(1 << n) - 1 if i == 0 else 1 << i for i in range(n)]
+
+    def rows(i):
+        if i < 1:
+            yield np.array([[u >> j & 1 for j in range(n)] for u in ups], dtype=bool).reshape(n, n)
+            return
+        for free in range(1 << (n - 2 - i)):
+            above = (free << (i + 1)) | (1 << (n - 1))
+            closure = 0
+            for j in range(i + 1, n):
+                if above >> j & 1:
+                    closure |= ups[j]
+            # transitive: whatever lies above an element above i lies above i
+            if closure == above:
+                ups[i] = 1 << i | above
+                yield from rows(i - 1)
+
+    yield from rows(n - 2)
+
+
+def enumerate_lattices_by_search(n):
+    """All lattices on n points up to isomorphism: each lattice of the walk is built,
+    and kept unless the isomorphism search matches it to one kept already."""
+    labels = ['x%d' % i for i in range(n)]
+    out = []
+    # kept lattices by sorted profile: only those with an equal one can match
+    kept = {}
+    for rel in bounded_orders(n):
+        try:
+            lattice = FiniteLattice(FinitePoset._from_order(labels, rel))
+        except NotALattice:
+            continue
+        # non-distributive lattices have no meet-quantale, so compare tables
+        tables = (lattice.poset.leq, lattice.meet_table)
+        profile = _profile(*tables)
+        rivals = kept.setdefault(tuple(sorted(profile)), [])
+        if all(_isomorphism(tables, k, (profile, k_profile)) is None
+               for k, k_profile in rivals):
+            rivals.append((tables, profile))
             out.append(lattice)
     return tuple(out)
 

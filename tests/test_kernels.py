@@ -919,11 +919,11 @@ def _candidate_stack(lattice):
 
 
 @pytest.mark.parametrize('n', range(1, 8))
-def test_stacked_laws_and_profiles_match_each_table_on_every_candidate_stack(n):
+def test_stacked_laws_match_each_table_on_every_candidate_stack(n):
     """On the candidate stack of every lattice of n points, each table's stacked
     verdict is its verdict alone and over every triple, and _admitted refuses
     just the tables the laws refuse, since the fill is commutative, unital and
-    has x*0 = 0; the stacked profiles are each table's own."""
+    has x*0 = 0; each table's profile is the plain count."""
     split = False
     for lattice in suite.enumerate_lattices(n):
         stack = _candidate_stack(lattice)
@@ -933,7 +933,8 @@ def test_stacked_laws_and_profiles_match_each_table_on_every_candidate_stack(n):
         assert verdicts.tolist() == [_laws_hold_on_all_triples(lattice, mul) for mul in stack]
         assert _admitted(lattice, stack).tolist() == verdicts.tolist()
         leq = lattice.poset.leq
-        assert _profile(leq, stack) == [ref.element_profile(leq, mul) for mul in stack]
+        assert ([_profile(leq, mul) for mul in stack]
+                == [ref.element_profile(leq, mul) for mul in stack])
         split |= len(list(stack_blocks(len(stack), n, len(lattice.poset.join_irreducibles)))) > 1
     assert split or n < 6
 
@@ -1413,8 +1414,9 @@ def test_the_decomposition_precondition_names_the_pair_the_loop_names():
 def test_a_coprime_decomposition_builds_its_product_only_when_read():
     """Over every coprime pair of the pool, bijectivity is decided without the
     product, and the target read afterwards is the product of the two
-    intervals: its elements, order, tables and bounds."""
-    for q in QUANTALES:
+    intervals: its elements, order, tables and bounds.  Each quantale is a
+    fresh copy, whose memo holds no decomposition whose target was read."""
+    for q in map(copy.copy, QUANTALES):
         for a, b in suite._coprime_pairs(q):
             u = decompose_by_elements(q, (a, b))
             assert u.is_bijective() and 'target' not in u.__dict__
@@ -2119,6 +2121,58 @@ def test_lattice_enumeration_matches_the_canonical_form_loop(n):
             == [_lattice_tables(lat) for lat in ref.enumerate_lattices(n)])
 
 
+@pytest.mark.parametrize('n', range(1, 9))
+def test_lattice_enumeration_matches_the_walk_and_search(n):
+    """The orderly walk keeps, in order, the lattices that building every
+    labelling of the walk and searching for isomorphisms kept: the same labels,
+    order, join and meet tables."""
+    assert ([_lattice_tables(lat) for lat in suite.enumerate_lattices(n)]
+            == [_lattice_tables(lat) for lat in ref.enumerate_lattices_by_search(n)])
+
+
+def _automorphism_scan(lattice):
+    'The permutations p with leq[p[i], p[j]] = leq[i, j] for all i and j, in lexicographic order.'
+    leq = lattice.poset.leq
+    return [list(p) for p in permutations(range(len(leq))) if (leq[np.ix_(p, p)] == leq).all()]
+
+
+@pytest.mark.parametrize('n', range(1, 7))
+def test_the_automorphisms_are_those_of_the_permutation_scan(n):
+    'Per lattice, the relabelling search finds every order automorphism the n! scan finds, once each.'
+    for lattice in suite.enumerate_lattices(n):
+        found = [sigma.tolist() for sigma in suite._automorphisms(lattice)]
+        assert found[0] == list(range(n))
+        assert sorted(found) == _automorphism_scan(lattice)
+
+
+SYMMETRIC_LATTICES = [lat for n in range(3, 7) for lat in suite.enumerate_lattices(n)
+                      if len(suite._automorphisms(lat)) > 1]
+
+
+@CASES
+@given(st.data())
+def test_the_automorphism_test_keeps_what_the_isomorphism_search_keeps(data):
+    """On a stack of drawn commutative tables and their relabellings by drawn
+    automorphisms, in a drawn order, a table is kept exactly when the search
+    maps no earlier table of the stack onto it."""
+    lattice = data.draw(st.sampled_from(SYMMETRIC_LATTICES))
+    n, leq = len(lattice), lattice.poset.leq
+    scan = _automorphism_scan(lattice)
+    tables = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        entries = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+        table = np.triu(np.array(entries, dtype=np.intp).reshape(n, n))
+        table += np.triu(table, 1).T
+        tables.append(table)
+        tables += [permuted(lattice, table, p)[1] for p in data.draw(
+            st.lists(st.sampled_from(scan), max_size=4))]
+    distinct = list({table.tobytes(): table for table in tables}.values())
+    stack = np.array([distinct[i] for i in data.draw(st.permutations(range(len(distinct))))])
+    expected = [all(_isomorphism((leq, stack[j]), (leq, stack[k])) is None for j in range(k))
+                for k in range(len(stack))]
+    assert suite._first_of_each_class(stack, suite._automorphisms(lattice)).tolist() == expected
+
+
 def test_quantale_enumeration_matches_the_canonical_form_loop():
     def tables(quantales):
         return [(q.elements, q.lattice.poset.leq.tolist(), q.mul_table.tolist()) for q in quantales]
@@ -2193,9 +2247,26 @@ def _bounded_masks(n):
             yield rel.tolist()
 
 
+def _first_mask_of_each_class(relations):
+    'The relations not isomorphic to an earlier one; each fixes 0 and n - 1, so only the rest move.'
+    seen, out = set(), []
+    for rel in relations:
+        n = len(rel)
+        canon = min(tuple(rel[p[i]][p[j]] for i in range(n) for j in range(n))
+                    for p in ([0] + list(q) + [n - 1] for q in permutations(range(1, n - 1))))
+        if canon not in seen:
+            seen.add(canon)
+            out.append(rel)
+    return out
+
+
 @pytest.mark.parametrize('n', range(1, 7))
 def test_the_bounded_order_walk_matches_the_mask_scan(n):
-    assert [rel.tolist() for rel in suite._bounded_orders(n)] == list(_bounded_masks(n))
+    """The orderly walk yields the first mask of each class of bounded orders, in
+    mask order: one per class of posets on n - 2 points (OEIS A000112)."""
+    walked = [rel.tolist() for rel in suite._bounded_orders(n)]
+    assert walked == _first_mask_of_each_class(_bounded_masks(n))
+    assert len(walked) == [1, 1, 1, 2, 5, 16][n - 1]
     assert ([_lattice_tables(lat) for lat in suite.enumerate_lattices(n)]
             == [_lattice_tables(lat) for lat in ref.lattices_by_mask_scan(n)])
 

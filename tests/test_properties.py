@@ -228,8 +228,9 @@ def test_intervals_and_verdicts_live_and_die_with_their_quantale():
     decompose_by_elements(q, q.maximal_elements)
     for verdict in (has_lp, is_normal, is_b_normal, is_hyperarchimedean, has_property_star):
         verdict(q)
-    # the decomposition's intervals are among the n already kept
-    assert len(q._memo) == 2 * len(q) + 5
+    # the decomposition's intervals are among the n already kept, and the
+    # decomposition is one entry of its own
+    assert len(q._memo) == 2 * len(q) + 6
     kept = weakref.ref(q)
     del q
     gc.collect()

@@ -4,6 +4,7 @@ The divisor instance is rebuilt here by hand (gcd arithmetic) so the
 generator in io has an independent oracle.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -267,6 +268,17 @@ def test_decomposition_anchors_are_refused_like_interval_anchors(d12):
     assert set(d12._memo) == keys
     u = decompose_by_elements(d12, [np.int64(3)])
     assert u.target is interval_quantale(d12, 3)[0] and type(u.target.anchor) is int
+
+
+def test_decompositions_are_kept_per_quantale_and_anchors(d12):
+    'One decomposition per sequence of anchors, shared by every caller; a copy builds its own.'
+    a, b = d12.index_of('4'), d12.index_of('3')
+    u = decompose_by_elements(d12, (a, b))
+    assert decompose_by_elements(d12, [np.int64(a), b]) is u
+    assert decompose_by_elements(d12, (b, a)) is not u
+    clone = copy.copy(d12)
+    assert decompose_by_elements(clone, (a, b)) is not u
+    assert decompose_by_elements(clone, (a, b)).mapping == u.mapping
 
 
 def test_quantale_isomorphism_detection(d12, c3):

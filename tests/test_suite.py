@@ -22,8 +22,8 @@ from quantales.quantale import (
 def test_lattice_counts_up_to_isomorphism():
     # Heitzig and Reinhold, Counting finite lattices (Algebra Universalis 48, 2002)
     # and OEIS A006966
-    assert [len(suite.enumerate_lattices(n)) for n in range(1, 9)] == [
-        1, 1, 1, 2, 5, 15, 53, 222]
+    assert [len(suite.enumerate_lattices(n)) for n in range(1, 10)] == [
+        1, 1, 1, 2, 5, 15, 53, 222, 1078]
 
 
 def test_quantale_counts_small_sizes():
