@@ -123,83 +123,53 @@ def _star(r, a):
     return _generator(r, members)
 
 
-def _unstar(r, x):
-    'Join of the elements whose class lies below the reticulation element x.'
-    if not 0 <= x < len(r):
-        raise NotAnIdeal('%r is not an element of the reticulation lattice' % (x,))
-    below = r.poset.leq[np.asarray(r.lam), x]
-    return r.source.join_all(below.nonzero()[0].tolist())
-
-
-def _folds_to_generator(lattice):
-    """Whether join_all over the down-set of any g gives g: so when the stored
-    order is the one the join table induces, x <= y exactly when x v y = y,
-    and the fold starts at an element below everything.  The join is taken to
-    be a semilattice operation, which a source's is, and a reticulation's too:
-    it is the source's carried by the class map, checked as a morphism when
-    the reticulation is built.  A copy whose order or bottom was redrawn fails
-    this, and its maps are decided element by element."""
-    leq = lattice.poset.leq
-    return bool(leq[lattice.bottom].all()
-                and (leq == (lattice.join_table == np.arange(len(leq)))).all())
-
-
-def _principal(lattice, mask):
-    """Per row of a mask over the lattice, the element whose down-set the row
-    is, or -1.  That element is the row's member with the largest down-set,
-    since every other member of a down-set lies strictly below its top."""
-    # a transposed mask is copied into rows once: the reads below run on rows
-    leq, mask = lattice.poset.leq, np.ascontiguousarray(mask)
-    g = (mask * leq.sum(axis=0)).argmax(axis=1)
-    return np.where((mask == leq.T[g]).all(axis=1), g, -1)
+def _fold(lattice, mask):
+    """Per row of a mask over the lattice, the join of the row's members,
+    folded in index order from the bottom through the join table: what
+    join_all gives on the row, whether or not the table is a semilattice's."""
+    join, out = lattice.join_table, np.full(len(mask), lattice.bottom)
+    for k, column in enumerate(mask.T):
+        out = np.where(column, join[out, k], out)
+    return out
 
 
 @_once_per_quantale
 def _star_table(r):
-    """_star(r, a) for every element a of the source, from the definition,
-    with -1 where _star decides instead: at a row that is no ideal, where it
-    raises, and at every row when the class map is not onto or r fails
-    _folds_to_generator.  On a valid reticulation the answer is lam[a], but the
-    table never reads it there, so that a broken class map shows.
-
-    [a, k] holds when some c <= a has class k: per class, the OR of its
-    members' up-sets, packed 8 to a byte so that the reduction runs over whole
-    bytes.  A row is an ideal exactly when it is the down-set of some g, its
-    join, and _principal finds that g."""
-    source, n, m = r.source, len(r.source), len(r)
-    if set(r.lam) != set(range(m)) or not _folds_to_generator(r):
-        return (-1,) * n
-    lam = np.asarray(r.lam)
-    counts = np.bincount(lam)
-    # sorted by class, the up-sets of class k are the counts[k] rows after
-    # those of the classes before it
-    up = np.packbits(source.poset.leq[np.argsort(lam, kind='stable')], axis=1)
-    below = np.bitwise_or.reduceat(up, np.cumsum(counts) - counts)
-    return tuple(_principal(r, np.unpackbits(below, axis=1, count=n).view(bool).T).tolist())
+    """_star(r, a) for every element a of the source, and -1 where it raises.
+    Row a of the mask holds the classes of the elements below a: each class
+    ORs its members' up-sets, packed 8 to a byte, and a class no element maps
+    to stays empty.  A row is an ideal exactly when it is the down-set of its
+    fold, as _generator decides it.  On a valid reticulation the answer is
+    lam[a], but the table never reads it, so that a broken class map shows."""
+    n = len(r.source)
+    below = np.zeros((len(r), (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(below, np.asarray(r.lam), np.packbits(r.source.poset.leq, axis=1))
+    mask = np.unpackbits(below, axis=1, count=n).view(bool).T
+    g = _fold(r, mask)
+    return tuple(np.where((mask == r.poset.leq[:, g].T).all(axis=1), g, -1).tolist())
 
 
 @_once_per_quantale
 def _unstar_table(r):
-    """_unstar(r, x) for every element x of the reticulation, from the
-    definition, with -1 where _unstar folds the join instead.  [x, c] holds
-    when class(c) <= x; when that set is the down-set of some g, g is its
-    join, and _principal finds it."""
-    source = r.source
-    if not _folds_to_generator(source):
-        return (-1,) * len(r)
-    return tuple(_principal(source, r.poset.leq[np.asarray(r.lam)].T).tolist())
+    """unstar(x) for every element x of the reticulation: the fold of the
+    source elements whose class lies below x, which row x of the mask holds."""
+    return tuple(_fold(r.source, r.poset.leq[np.asarray(r.lam)].T).tolist())
 
 
 def _star_at(r, a):
-    'star(a), read off the table, or decided alone where the table leaves it.'
+    """star(a), read off the table.  Where the table holds -1, _star folds the
+    same row and raises the NotAnIdeal that names the row's stray class."""
     g = _star_table(r)[a]
-    return g if g >= 0 else _star(r, a)
+    if g < 0:
+        _star(r, a)
+    return g
 
 
 def _unstar_at(r, x):
-    'unstar(x), read off the table, or decided alone where the table leaves it.'
-    g = _unstar_table(r)[x] if 0 <= x < len(r) else -1
-    return g if g >= 0 else _unstar(r, x)
+    'unstar(x), read off the table, for an element x of the reticulation.'
+    if not 0 <= x < len(r):
+        raise NotAnIdeal('%r is not an element of the reticulation lattice' % (x,))
+    return _unstar_table(r)[x]
 
 
 def star(q, a):

@@ -6,8 +6,9 @@ maps on reticulation classes) and the lifting property (one interval per
 anchor) became numpy kernels over whole tables, and
 the lattice-side ideal layer (ideals as member sets, prime and maximal
 ideals, quotients by an ideal, the star maps) that ideal generators read
-through the meet-quantale replaced, and the enumeration that removed
-duplicate isomorphism classes by n! canonical forms before the
+through the meet-quantale replaced, and the unstar of one reticulation
+element that folded its join alone before one table folded every
+element's, and the enumeration that removed duplicate isomorphism classes by n! canonical forms before the
 isomorphism search did, and the walk over every labelling of each bounded
 order with that search after it, before the orderly walk built only the
 first labelling of each class, and the generate-and-test enumeration (every
@@ -751,6 +752,13 @@ def unstar(r, ideal):
     if ideal.lattice is not r.lattice:
         raise NotAnIdeal('ideal does not live in this reticulation lattice')
     return r.source.join_all(c for c in range(len(r.source)) if r.lam[c] in ideal.members)
+
+
+def unstar_at(r, x):
+    'Join, folded element by element, of the elements whose class lies below the reticulation element x.'
+    if not 0 <= x < len(r):
+        raise NotAnIdeal('%r is not an element of the reticulation lattice' % (x,))
+    return r.source.join_all(c for c in range(len(r.source)) if r.poset.leq[r.lam[c], x])
 
 
 def has_id_blp(lat):

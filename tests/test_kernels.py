@@ -101,7 +101,7 @@ from quantales.quantale import (
     decompose_by_elements, find_quantale_isomorphism, interval_quantale, kernel, negation,
     product, residuum)
 from quantales.reticulation import (
-    Reticulation, _generator, _induced, _star, _star_at, _star_table, _unstar, _unstar_at,
+    Reticulation, _fold, _generator, _induced, _star, _star_at, _star_table, _unstar_at,
     _unstar_table, check_unicity, lift_morphism, reticulate, star, unstar)
 
 CASES = settings(max_examples=150, deadline=None)
@@ -1934,10 +1934,44 @@ def test_star_refuses_a_corrupted_class_map():
     assert star(q, q.bottom) == reticulate(q).lattice.bottom
 
 
+def _redrawn_join(lattice, x, y, shift):
+    """A copy of lattice whose join table holds another value at (x, y), so
+    that it is no semilattice: commutativity fails off the diagonal and
+    idempotence on it."""
+    join = lattice.join_table.copy()
+    join[x, y] = (join[x, y] + shift) % len(lattice)
+    lattice = copy.copy(lattice)
+    lattice.join_table = join
+    return lattice
+
+
+@st.composite
+def fold_masks(draw):
+    'A lattice, or a copy with one join entry redrawn, and a few random rows of a mask over it.'
+    lattice = draw(st.sampled_from(LATTICES))
+    n = len(lattice)
+    if n > 1 and draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        lattice = _redrawn_join(lattice, x, y, draw(st.integers(1, n - 1)))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=4))
+    return lattice, np.array(rows, dtype=bool)
+
+
+@CASES
+@given(fold_masks())
+# on a three-element chain whose join reads 0 at (1, 2), the fold of {1, 2}
+# gives 0 in index order and 2 in the other
+@example((_redrawn_join(suite.enumerate_lattices(3)[0], 1, 2, 1), np.array([[False, True, True]])))
+def test_the_row_fold_joins_in_index_order_as_join_all_does(case):
+    lattice, mask = case
+    assert _fold(lattice, mask).tolist() == [
+        lattice.join_all(row.nonzero()[0].tolist()) for row in mask]
+
+
 def test_star_tables_match_the_loops_on_every_element():
-    """Each table decides every element itself, with no -1 left for the
-    per-element path, and gives the ideal loops' generator there, on the
-    fixtures and every quantale up to six elements, and their radical frames."""
+    """Each table gives every element a generator, with no -1, and the ideal
+    loops' generator there, on the fixtures and every quantale up to six
+    elements, and their radical frames."""
     pool = QUANTALES + SIX
     for q in pool + [q.radical_frame for q in pool]:
         r = Reticulation(q)
@@ -1987,7 +2021,7 @@ def test_star_tables_decide_broken_reticulations_as_the_element_path_does(ret):
     for a in range(len(ret.source)):
         assert outcome(_star_at, ret, a) == outcome(_star, ret, a)
     for x in range(-1, len(ret) + 1):
-        assert outcome(_unstar_at, ret, x) == outcome(_unstar, ret, x)
+        assert outcome(_unstar_at, ret, x) == outcome(ref.unstar_at, ret, x)
 
 
 def test_star_tables_live_and_die_with_their_reticulation():
