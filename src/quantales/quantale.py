@@ -334,12 +334,12 @@ def _quantales_on(lattice, stack):
 
 
 def residuum(q, a, b):
-    'Largest x with a*x <= b.'
-    return q.join_all(q.poset.leq[q.mul_table[a], b].nonzero()[0].tolist())
+    'Largest x with a*x <= b, read off the table _residua keeps for q.'
+    return int(_residua(q)[a, b])
 
 
 def negation(q, a):
-    'Largest x with a*x = 0.'
+    'Largest x with a*x = 0: the residuum a -> 0, read off the same table.'
     return residuum(q, a, q.bottom)
 
 
@@ -557,10 +557,10 @@ def _element_index(q, a):
 
 def _once_per_quantale(decide):
     """decide(q), or decide(q, a, ...) for elements a, ..., computed once per
-    quantale and kept in q._memo for the quantale's lifetime: the intervals and
-    decompositions here and the verdicts of properties.py.  decide is given
-    each element as its index, which is also its key, and nothing that raises
-    is kept, so every call raises alike."""
+    quantale and kept in q._memo for the quantale's lifetime: the intervals,
+    decompositions and residuum table here and the verdicts of properties.py.
+    decide is given each element as its index, which is also its key, and
+    nothing that raises is kept, so every call raises alike."""
     @wraps(decide)
     def kept(q, *element):
         key = (decide,) + tuple(_element_index(q, a) for a in element)
@@ -569,6 +569,20 @@ def _once_per_quantale(decide):
             memo[key] = decide(q, *key[1:])
         return memo[key]
     return kept
+
+
+@_once_per_quantale
+def _residua(q):
+    """The table of a -> b at [a, b]: the join of the x with a*x <= b, folded
+    in index order from the bottom through the join table, as join_all folds
+    it, for every pair at once."""
+    leq, mul = q.poset.leq, q.mul_table
+    res = np.full((len(q), len(q)), q.bottom, dtype=np.intp)
+    for x, column in enumerate(q.join_table.T):
+        # [a, b]: a*x <= b
+        res = np.where(leq[mul[:, x]], column[res], res)
+    res.setflags(write=False)
+    return res
 
 
 @_once_per_quantale

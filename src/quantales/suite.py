@@ -17,7 +17,8 @@ import numpy as np
 
 from . import io
 from .lattices import (
-    LatticeError, FiniteLattice, FinitePoset, NotALattice, Verdict, first_in_blocks, first_true)
+    _BLOCK, LatticeError, FiniteLattice, FinitePoset, NotALattice, Verdict, first_in_blocks,
+    first_law_failure, first_true)
 from .oracles import (
     axiom_failure, complement_of, has_id_blp, has_lp_per_anchor, lattice_is_id_local,
     normal_witness, radical_by_powers)
@@ -27,7 +28,7 @@ from .properties import (
 from .quantale import (
     Quantale, QuantaleError, QuantaleMorphism, TrivialQuantale, _interval_at, _product,
     _quantales_on, decompose_by_elements, find_quantale_isomorphism, interval_quantale,
-    jacobson_radical, kernel, is_injective, negation, residuum)
+    _residua, jacobson_radical, kernel, is_injective)
 from .reticulation import (
     boolean_isos, check_unicity, frame_iso, interval_reticulation_iso,
     reticulate, spectrum_homeomorphism, star, unstar)
@@ -544,8 +545,7 @@ def _check_axioms(member):
 def _check_adjunction(member):
     q = member.quantale
     n = len(q)
-    res = np.array([[residuum(q, b, c) for c in range(n)] for b in range(n)], dtype=np.intp)
-    leq, mul = q.poset.leq, q.mul_table
+    res, leq, mul = _residua(q), q.poset.leq, q.mul_table
 
     def failures(rows, cols):
         # entry (a, b, c): a <= b -> c against a*b <= c
@@ -561,23 +561,29 @@ def _check_adjunction(member):
         'products of coprime elements behave like meets')
 def _check_coprime(member):
     q = member.quantale
-    n = len(q)
-    top = q.top
-    pairs = _coprime_pairs(q)
-    for a, b in pairs:
-        if q.mul(a, b) != q.meet(a, b):
-            return REFUTED, 'x*y != x^y for coprime (%r, %r)' % (q.label(a), q.label(b))
-        if q.join(q.stable_power(a), q.stable_power(b)) != top:
-            return REFUTED, 'powers of coprime (%r, %r) are not coprime' % (
-                q.label(a), q.label(b))
-        for c in range(n):
-            if q.join(a, c) == top and q.join(a, q.mul(b, c)) != top:
-                return REFUTED, '%r coprime to %r and %r but not to their product' % (
-                    q.label(a), q.label(b), q.label(c))
-            if q.leq(a, c) and q.join(a, q.mul(b, c)) != c:
-                return REFUTED, 'a v b*c != c at (%r, %r, %r)' % (
-                    q.label(a), q.label(b), q.label(c))
-    return PASS, '%d coprime pairs' % len(pairs)
+    top, join, mul, powers = q.top, q.join_table, q.mul_table, q.stable_powers
+    ar = np.arange(len(q))
+    # the coprime pairs (a, b) with a <= b, in row-major order, as _coprime_pairs lists them
+    firsts, seconds = np.nonzero((join == top) & (ar[:, None] <= ar))
+    step = max(1, _BLOCK // len(q))
+    for start in range(0, len(firsts), step):
+        a, b = firsts[start:start + step], seconds[start:start + step]
+        # [pair, c]: the laws at (a, b) alone, spread over c, then a v b*c,
+        # which is 1 where a v c is and c where a <= c
+        joined = join[a[:, None], mul[b]]
+        hit = first_law_failure(
+            [row[:, None].repeat(len(q), axis=1) for row in (
+                mul[a, b] != q.meet_table[a, b], join[powers[a], powers[b]] != top)]
+            + [(join[a] == top) & (joined != top), q.poset.leq[a] & (joined != ar)])
+        if hit is not None:
+            i, c, law = hit
+            a, b = q.label(a[i]), q.label(b[i])
+            return REFUTED, (
+                'x*y != x^y for coprime (%r, %r)' % (a, b),
+                'powers of coprime (%r, %r) are not coprime' % (a, b),
+                '%r coprime to %r and %r but not to their product' % (a, b, q.label(c)),
+                'a v b*c != c at (%r, %r, %r)' % (a, b, q.label(c)))[law]
+    return PASS, '%d coprime pairs' % len(firsts)
 
 
 @_check('proper-below-maximal',
@@ -607,37 +613,31 @@ def _check_spectrum_inside_maximals(member):
         'the radical is an idempotent closure that turns products into meets')
 def _check_radical_laws(member):
     q = member.quantale
-    n = len(q)
-    rho = q.radical_of
-    for a in range(n):
-        if not q.leq(a, rho(a)):
-            return REFUTED, 'a <= rho(a) fails at %r' % (q.label(a),)
-        if rho(rho(a)) != rho(a):
-            return REFUTED, 'rho not idempotent at %r' % (q.label(a),)
-        if (rho(a) == q.top) != (a == q.top):
-            return REFUTED, 'rho(a) = 1 iff a = 1 fails at %r' % (q.label(a),)
-        power = a
-        while True:
-            if rho(power) != rho(a):
-                return REFUTED, 'rho of a power differs at %r' % (q.label(a),)
-            following = q.mul(power, a)
-            if following == power:
-                break
-            power = following
-    for a in range(n):
-        for b in range(n):
-            if rho(q.meet(a, b)) != q.meet(rho(a), rho(b)):
-                return REFUTED, 'rho(a^b) != rho(a)^rho(b) at (%r, %r)' % (
-                    q.label(a), q.label(b))
-            if rho(q.mul(a, b)) != q.meet(rho(a), rho(b)):
-                return REFUTED, 'rho(ab) != rho(a)^rho(b) at (%r, %r)' % (
-                    q.label(a), q.label(b))
-            if rho(q.join(a, b)) != rho(q.join(rho(a), rho(b))):
-                return REFUTED, 'rho(a v b) != rho(rho(a) v rho(b)) at (%r, %r)' % (
-                    q.label(a), q.label(b))
-            if (q.join(rho(a), rho(b)) == q.top) != (q.join(a, b) == q.top):
-                return REFUTED, 'coprimality of radicals differs at (%r, %r)' % (
-                    q.label(a), q.label(b))
+    ar, top, rho = np.arange(len(q)), q.top, np.array(q.radical_table)
+    join, meet, mul = q.join_table, q.meet_table, q.mul_table
+    # [a]: whether rho differs from rho(a) at some power a^2, a^3, ... up to the stable one
+    power, following, moved = ar, mul[ar, ar], np.zeros(len(q), dtype=bool)
+    while (following != power).any():
+        power, following = following, mul[following, ar]
+        moved |= rho[power] != rho
+    hit = first_law_failure([~q.poset.leq[ar, rho], rho[rho] != rho,
+                             (rho == top) != (ar == top), moved])
+    if hit is not None:
+        a, law = hit
+        return REFUTED, ('a <= rho(a) fails at %r', 'rho not idempotent at %r',
+                         'rho(a) = 1 iff a = 1 fails at %r',
+                         'rho of a power differs at %r')[law] % (q.label(a),)
+    # [a, b]: rho(a) ^ rho(b) and rho(a) v rho(b)
+    meets, joins = meet[rho[:, None], rho], join[rho[:, None], rho]
+    hit = first_law_failure([rho[meet] != meets, rho[mul] != meets, rho[join] != rho[joins],
+                             (joins == top) != (join == top)])
+    if hit is not None:
+        a, b, law = hit
+        return REFUTED, ('rho(a^b) != rho(a)^rho(b) at (%r, %r)',
+                         'rho(ab) != rho(a)^rho(b) at (%r, %r)',
+                         'rho(a v b) != rho(rho(a) v rho(b)) at (%r, %r)',
+                         'coprimality of radicals differs at (%r, %r)')[law] % (
+            q.label(a), q.label(b))
     return PASS, ''
 
 
@@ -692,19 +692,22 @@ def _check_class_map(member):
         return REFUTED, 'class map is not surjective'
     if lam[q.bottom] != lat.bottom or lam[q.top] != lat.top:
         return REFUTED, 'bounds not preserved'
-    for a in range(n):
-        if lam[q.radical_of(a)] != lam[a]:
-            return REFUTED, 'class differs from radical class at %r' % (q.label(a),)
-        if lam[q.stable_power(a)] != lam[a]:
-            return REFUTED, 'class of a stable power differs at %r' % (q.label(a),)
-        for b in range(n):
-            if lam[q.join(a, b)] != lat.join(lam[a], lam[b]):
-                return REFUTED, 'join breaks at (%r, %r)' % (q.label(a), q.label(b))
-            if lam[q.mul(a, b)] != lat.meet(lam[a], lam[b]):
-                return REFUTED, 'product breaks at (%r, %r)' % (q.label(a), q.label(b))
-            if lat.leq(lam[a], lam[b]) != q.leq(q.stable_power(a), b):
-                return REFUTED, 'order criterion breaks at (%r, %r)' % (
-                    q.label(a), q.label(b))
+    lam, powers = np.array(lam), q.stable_powers
+    # [a, b]: the laws at a alone, spread over b so that they come first in row a,
+    # then the laws at (a, b)
+    hit = first_law_failure(
+        [row[:, None].repeat(n, axis=1) for row in (
+            lam[np.array(q.radical_table)] != lam, lam[powers] != lam)]
+        + [lam[q.join_table] != lat.join_table[lam[:, None], lam],
+           lam[q.mul_table] != lat.meet_table[lam[:, None], lam],
+           lat.poset.leq[lam[:, None], lam] != q.poset.leq[powers]])
+    if hit is not None:
+        a, b, law = hit
+        return REFUTED, ('class differs from radical class at %r',
+                         'class of a stable power differs at %r', 'join breaks at (%r, %r)',
+                         'product breaks at (%r, %r)',
+                         'order criterion breaks at (%r, %r)')[law] % (
+            (q.label(a),) if law < 2 else (q.label(a), q.label(b)))
     return PASS, ''
 
 
@@ -782,29 +785,37 @@ def _check_center_laws(member):
     q = member.quantale
     n = len(q)
     central = set(q.center)
-    for a in range(n):
-        coend = q.join(a, negation(q, a)) == q.top
-        if (a in central) != coend:
-            return REFUTED, 'center membership differs from a v a~ = 1 at %r' % (
-                q.label(a),)
-    for a, b in _coprime_pairs(q):
-        if q.mul(a, b) == q.bottom and not (a in central and b in central):
-            return REFUTED, 'coprime pair (%r, %r) with zero product not central' % (
-                q.label(a), q.label(b))
-    join, meet = q.join_table, q.meet_table
-    for e in central:
-        # [a, b]: (a ^ b) v e against (a v e) ^ (b v e)
-        undistributed = join[meet, e] != meet[join[:, e, None], join[:, e]]
-        complement = negation(q, e)
-        for a in range(n):
-            if q.meet(e, a) != q.mul(e, a):
-                return REFUTED, 'e^a != e*a at (%r, %r)' % (q.label(e), q.label(a))
-            if residuum(q, e, a) != q.join(complement, a):
-                return REFUTED, 'e -> a != e~ v a at (%r, %r)' % (q.label(e), q.label(a))
-            hit = first_true(undistributed[a])
-            if hit is not None:
+    join, meet, mul, res = q.join_table, q.meet_table, q.mul_table, _residua(q)
+    # central e in the set's iteration order, which decides the failure reported
+    order, ar = np.array(list(central), dtype=np.intp), np.arange(n)
+    is_central, complement = np.zeros(n, dtype=bool), res[:, q.bottom]
+    is_central[order] = True
+    hit = first_true(is_central != (join[ar, complement] == q.top))
+    if hit is not None:
+        return REFUTED, 'center membership differs from a v a~ = 1 at %r' % (
+            q.label(hit[0]),)
+    # [a, b] with a <= b: a coprime pair with zero product and a factor outside the center
+    hit = first_true((join == q.top) & (mul == q.bottom) & (ar[:, None] <= ar)
+                     & ~(is_central[:, None] & is_central))
+    if hit is not None:
+        return REFUTED, 'coprime pair (%r, %r) with zero product not central' % (
+            q.label(hit[0]), q.label(hit[1]))
+    step = max(1, _BLOCK // (n * n))
+    for start in range(0, len(order), step):
+        es = order[start:start + step]
+        over = join[:, es].T
+        # [e, a, b]: (a ^ b) v e against (a v e) ^ (b v e)
+        undistributed = join[meet, es[:, None, None]] != meet[over[:, :, None], over[:, None, :]]
+        hit = first_law_failure([meet[es] != mul[es], res[es] != join[complement[es]],
+                                 undistributed.any(axis=2)])
+        if hit is not None:
+            i, a, law = hit
+            e = es[i]
+            if law == 2:
                 return REFUTED, 'join over e not distributive at (%r, %r, %r)' % (
-                    q.label(a), q.label(hit[0]), q.label(e))
+                    q.label(a), q.label(first_true(undistributed[i, a])[0]), q.label(e))
+            return REFUTED, ('e^a != e*a at (%r, %r)', 'e -> a != e~ v a at (%r, %r)')[law] % (
+                q.label(e), q.label(a))
     return PASS, '%d central elements' % len(central)
 
 
@@ -894,12 +905,16 @@ def _check_interval_quantales(member):
         'joining the anchor and taking radicals commute')
 def _check_interval_radical_commutes(member):
     q = member.quantale
-    for a in range(len(q)):
+    # [a, x]: rho(x v a)
+    expected = np.array(q.radical_table)[q.join_table].tolist()
+    for a, row in enumerate(expected):
         part, u = _interval(q, a)
-        for x in range(len(q)):
-            if part.carrier[part.radical_of(u(x))] != q.radical_of(q.join(a, x)):
-                return REFUTED, 'rho(x v a) mismatch at (%r, %r)' % (
-                    q.label(a), q.label(x))
+        carrier, radical = part.carrier, part.radical_table
+        # [x]: the radical of u(x) in [a), read back in q
+        got = [carrier[radical[y]] for y in u.mapping]
+        if got != row:
+            return REFUTED, 'rho(x v a) mismatch at (%r, %r)' % (
+                q.label(a), q.label(first_true(np.array(got) != row)[0]))
     return PASS, ''
 
 

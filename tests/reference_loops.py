@@ -36,7 +36,10 @@ pair (a, b) before one mask per e did, and the suite's own oracles as
 plain loops before they became scans: normality over every coprime pair
 against every separating pair of the pool, lifting anchor by anchor and
 ideal lifting generator by generator with each existential over the whole
-carrier, and the residuation-adjunction check over every triple.
+carrier, and the residuation-adjunction check over every triple, and the
+radical-laws, class-map-laws, coprime-products and
+interval-radical-commutes checks and the axiom oracle as the element loops
+they were before each became masks over whole tables.
 They stay here as test oracles only: test_kernels.py requires every
 kernel to give the same tables or verdict, or to raise the same exception
 class with the same message and witness, as the loop it replaced, the
@@ -1202,6 +1205,118 @@ def center_laws(member):
                     return REFUTED, 'join over e not distributive at (%r, %r, %r)' % (
                         q.label(a), q.label(b), q.label(e))
     return PASS, '%d central elements' % len(central)
+
+
+def axiom_failure(q):
+    'First (law, (x, y, z)) over every triple where associativity or distributivity fails, or None.'
+    mul, join = q.mul_table.tolist(), q.join_table.tolist()
+    n = len(mul)
+    for x in range(n):
+        for y in range(n):
+            xy = mul[x][y]
+            for z in range(n):
+                if mul[xy][z] != mul[x][mul[y][z]]:
+                    return 'associativity', (x, y, z)
+                if mul[x][join[y][z]] != join[xy][mul[x][z]]:
+                    return 'distributivity', (x, y, z)
+    return None
+
+
+def coprime_products(member):
+    'The coprime-products check as a loop over each coprime pair (a, b) and every c.'
+    q = member.quantale
+    n = len(q)
+    top = q.top
+    pairs = suite._coprime_pairs(q)
+    for a, b in pairs:
+        if q.mul(a, b) != q.meet(a, b):
+            return REFUTED, 'x*y != x^y for coprime (%r, %r)' % (q.label(a), q.label(b))
+        if q.join(q.stable_power(a), q.stable_power(b)) != top:
+            return REFUTED, 'powers of coprime (%r, %r) are not coprime' % (
+                q.label(a), q.label(b))
+        for c in range(n):
+            if q.join(a, c) == top and q.join(a, q.mul(b, c)) != top:
+                return REFUTED, '%r coprime to %r and %r but not to their product' % (
+                    q.label(a), q.label(b), q.label(c))
+            if q.leq(a, c) and q.join(a, q.mul(b, c)) != c:
+                return REFUTED, 'a v b*c != c at (%r, %r, %r)' % (
+                    q.label(a), q.label(b), q.label(c))
+    return PASS, '%d coprime pairs' % len(pairs)
+
+
+def radical_laws(member):
+    'The radical-laws check as loops over every a, then every pair (a, b).'
+    q = member.quantale
+    n = len(q)
+    rho = q.radical_of
+    for a in range(n):
+        if not q.leq(a, rho(a)):
+            return REFUTED, 'a <= rho(a) fails at %r' % (q.label(a),)
+        if rho(rho(a)) != rho(a):
+            return REFUTED, 'rho not idempotent at %r' % (q.label(a),)
+        if (rho(a) == q.top) != (a == q.top):
+            return REFUTED, 'rho(a) = 1 iff a = 1 fails at %r' % (q.label(a),)
+        power = a
+        while True:
+            if rho(power) != rho(a):
+                return REFUTED, 'rho of a power differs at %r' % (q.label(a),)
+            following = q.mul(power, a)
+            if following == power:
+                break
+            power = following
+    for a in range(n):
+        for b in range(n):
+            if rho(q.meet(a, b)) != q.meet(rho(a), rho(b)):
+                return REFUTED, 'rho(a^b) != rho(a)^rho(b) at (%r, %r)' % (
+                    q.label(a), q.label(b))
+            if rho(q.mul(a, b)) != q.meet(rho(a), rho(b)):
+                return REFUTED, 'rho(ab) != rho(a)^rho(b) at (%r, %r)' % (
+                    q.label(a), q.label(b))
+            if rho(q.join(a, b)) != rho(q.join(rho(a), rho(b))):
+                return REFUTED, 'rho(a v b) != rho(rho(a) v rho(b)) at (%r, %r)' % (
+                    q.label(a), q.label(b))
+            if (q.join(rho(a), rho(b)) == q.top) != (q.join(a, b) == q.top):
+                return REFUTED, 'coprimality of radicals differs at (%r, %r)' % (
+                    q.label(a), q.label(b))
+    return PASS, ''
+
+
+def class_map_laws(member):
+    'The class-map-laws check as a loop over every pair (a, b), the laws at a first.'
+    q = member.quantale
+    ret = reticulate(q)
+    lam, lat = ret.lam, ret
+    n = len(q)
+    if set(lam) != set(range(len(lat))):
+        return REFUTED, 'class map is not surjective'
+    if lam[q.bottom] != lat.bottom or lam[q.top] != lat.top:
+        return REFUTED, 'bounds not preserved'
+    for a in range(n):
+        if lam[q.radical_of(a)] != lam[a]:
+            return REFUTED, 'class differs from radical class at %r' % (q.label(a),)
+        if lam[q.stable_power(a)] != lam[a]:
+            return REFUTED, 'class of a stable power differs at %r' % (q.label(a),)
+        for b in range(n):
+            if lam[q.join(a, b)] != lat.join(lam[a], lam[b]):
+                return REFUTED, 'join breaks at (%r, %r)' % (q.label(a), q.label(b))
+            if lam[q.mul(a, b)] != lat.meet(lam[a], lam[b]):
+                return REFUTED, 'product breaks at (%r, %r)' % (q.label(a), q.label(b))
+            if lat.leq(lam[a], lam[b]) != q.leq(q.stable_power(a), b):
+                return REFUTED, 'order criterion breaks at (%r, %r)' % (
+                    q.label(a), q.label(b))
+    return PASS, ''
+
+
+def interval_radical_commutes(member):
+    'The interval-radical-commutes check as a loop over every anchor a and every x.'
+    q = member.quantale
+    for a in range(len(q)):
+        part, u = suite._interval(q, a)
+        for x in range(len(q)):
+            if part.carrier[part.radical_of(u(x))] != q.radical_of(q.join(a, x)):
+                return REFUTED, 'rho(x v a) mismatch at (%r, %r)' % (
+                    q.label(a), q.label(x))
+    return PASS, ''
 
 
 def kernel(u):
